@@ -9,7 +9,7 @@ negative, the weight split evenly): the closed-form coherence factors in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,13 +96,16 @@ def _direction_set(dimensionality: int, n_directions: int) -> np.ndarray:
     """Unit propagation directions, always closed under inversion.
 
     1-D: the +x / -x pair.  3-D: a fixed Fibonacci-sphere set of
-    ``n_directions/2`` points together with their antipodes.
+    ``n_directions/2`` points together with their antipodes, so
+    ``n_directions`` must be even and at least 2.
     """
     if dimensionality == 1:
         return np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     if dimensionality != 3:
         raise ValueError(f"dimensionality must be 1 or 3, got {dimensionality}")
-    half = max(1, n_directions // 2)
+    if n_directions < 2 or n_directions % 2:
+        raise ValueError(f"3-D direction count must be even and >= 2, got {n_directions}")
+    half = n_directions // 2
     idx = np.arange(half)
     z = 1.0 - (2.0 * idx + 1.0) / (2.0 * half)
     r = np.sqrt(np.clip(1.0 - z**2, 0.0, None))
@@ -115,9 +118,7 @@ def _direction_set(dimensionality: int, n_directions: int) -> np.ndarray:
 class BathSpectrum:
     """Discretized bath: per-mode wave vectors, frequencies and coupling weights.
 
-    Immutable after construction.  ``qubit_splitting`` records the bare level
-    spacing of the register qubits; it drops out of the dephasing dynamics and
-    is carried as inert metadata only.
+    Immutable after construction.
     """
 
     omega: np.ndarray
@@ -127,7 +128,6 @@ class BathSpectrum:
     temperature: float = 0.0
     dimensionality: int = 1
     coupling: PowerLawCoupling | GaussianPeakCoupling | None = None
-    qubit_splitting: float = 0.0
 
     def __post_init__(self):
         omega = np.ascontiguousarray(np.asarray(self.omega, dtype=float))
@@ -156,9 +156,6 @@ class BathSpectrum:
     def n_modes(self) -> int:
         return self.omega.size
 
-    def with_temperature(self, temperature: float) -> "BathSpectrum":
-        return replace(self, temperature=temperature)
-
     def occupation(self) -> np.ndarray:
         """Mean thermal occupation of every mode."""
         if self.temperature == 0:
@@ -171,7 +168,7 @@ class BathSpectrum:
             yield w, g, kx, ky, kz
 
 
-def _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions, qubit_splitting):
+def _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions):
     dirs = _direction_set(dimensionality, n_directions)
     n_dir = len(dirs)
     omega = np.repeat(freqs, n_dir)
@@ -179,7 +176,7 @@ def _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_direct
     k = (np.repeat(freqs, n_dir)[:, None] / v) * np.tile(dirs, (len(freqs), 1))
     return BathSpectrum(
         omega=omega, k=k, g2=g2, v=v, temperature=temperature,
-        dimensionality=dimensionality, coupling=coupling, qubit_splitting=qubit_splitting,
+        dimensionality=dimensionality, coupling=coupling,
     )
 
 
@@ -191,7 +188,6 @@ def discretize_spectrum(
     omega_max: float = 10.0,
     temperature: float = 0.0,
     n_directions: int = 12,
-    qubit_splitting: float = 0.0,
 ) -> BathSpectrum:
     """Build a mode set from a coupling form on a uniform frequency grid.
 
@@ -208,8 +204,7 @@ def discretize_spectrum(
     step = omega_max / n_freq
     freqs = step * np.arange(1, n_freq + 1)
     weights = coupling.g2(freqs) * step
-    return _assemble(freqs, weights, coupling, v, temperature, dimensionality,
-                     n_directions, qubit_splitting)
+    return _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions)
 
 
 def gaussian_peak_modes(
@@ -222,7 +217,6 @@ def gaussian_peak_modes(
     amplitude: float = 1.0,
     temperature: float = 0.0,
     n_directions: int = 12,
-    qubit_splitting: float = 0.0,
 ) -> BathSpectrum:
     """Named preset: a narrow Gaussian dephasing weight centered at ``center``.
 
@@ -236,8 +230,7 @@ def gaussian_peak_modes(
     freqs = np.linspace(lo, hi, n_freq)
     step = (hi - lo) / max(n_freq - 1, 1) if n_freq > 1 else width
     weights = coupling.g2(freqs) * step
-    return _assemble(freqs, weights, coupling, v, temperature, dimensionality,
-                     n_directions, qubit_splitting)
+    return _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions)
 
 
 @dataclass(frozen=True)

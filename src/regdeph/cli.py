@@ -99,7 +99,7 @@ def _parse_track_pairs(text: str, n_qubits: int) -> list[tuple[BasisLabel, Basis
     return pairs
 
 
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     state = build_state(cfg, geometry.n_qubits)
@@ -125,7 +125,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> i
     return EXIT_OK
 
 
-def _cmd_classify(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_classify(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     moments = spectral_moments(bath)
@@ -152,7 +152,7 @@ def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | N
                         m_max=cfg.run.m_max, eps_tol=cfg.run.eps_tol)
 
 
-def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     geometry = build_geometry(cfg)
     if cfg.bath.peak is None:
         raise ConfigError("pairing needs a [peak] section with the dominant wavenumber")
@@ -172,7 +172,7 @@ def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> in
     return EXIT_OK
 
 
-def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     geometry = build_geometry(cfg)
     if geometry.n_qubits % 2 != 0:
         raise ConfigError("encode needs an even number of physical qubits")
@@ -201,7 +201,7 @@ def _default_scan_labels(n_qubits: int) -> tuple[BasisLabel, BasisLabel]:
     return up, BasisLabel(tuple(spins))
 
 
-def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     run = cfg.run
     if run.delta_steps < 1:
         raise ConfigError(f"run.delta_steps must be >= 1, got {run.delta_steps}")
@@ -217,7 +217,7 @@ def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str, threads: int)
         geo = RegisterGeometry(dims=geometry.dims, d=geometry.d,
                                delta=float(delta), seed=geometry.seed)
         est1, est2 = disorder_average_weights(label_i, label_j, run.k_magnitude,
-                                              geo, run.samples, threads=threads)
+                                              geo, run.samples)
         rows.append([float(delta), est1.mean, est1.stderr, est2.mean, est2.stderr])
     _write_csv(out_dir / "disorder_scan.csv", digest,
                "delta,mean_lambda1,stderr1,mean_lambda2,stderr2",
@@ -226,7 +226,7 @@ def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str, threads: int)
     return EXIT_OK
 
 
-def _cmd_validate_oracle(cfg: RunConfig, out_dir: Path, digest: str, threads: int) -> int:
+def _cmd_validate_oracle(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     suite = default_suite(seed=cfg.geometry.seed, n_cold=cfg.run.instances,
                           thermal_samples=cfg.run.oracle_samples)
     all_ok = True
@@ -250,7 +250,7 @@ _HANDLERS = {
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,
-                threads: int = 1, quiet: bool = False) -> int:
+                quiet: bool = False) -> int:
     """Dispatch one command against a resolved config; returns the exit code."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
@@ -264,7 +264,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,
         print(f"# config-sha256 = {digest}")
         for line in serialize_config(cfg).strip().splitlines():
             print(f"# {line}")
-    return _HANDLERS[command](cfg, out, digest, threads)
+    return _HANDLERS[command](cfg, out, digest)
 
 
 def main(argv=None) -> int:
@@ -275,7 +275,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the INI run configuration")
     parser.add_argument("--output", default=None, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for Monte Carlo ops")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility and ignored")
     parser.add_argument("--quiet", action="store_true", help="suppress the run header")
     args = parser.parse_args(argv)
 
@@ -288,8 +289,7 @@ def main(argv=None) -> int:
         cfg = parse_config(text)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
-        return run_command(args.command, cfg, out_dir=args.output,
-                           threads=max(1, args.threads), quiet=args.quiet)
+        return run_command(args.command, cfg, out_dir=args.output, quiet=args.quiet)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

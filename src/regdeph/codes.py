@@ -225,11 +225,5 @@ def subdecoherence_residual(code, geometry: RegisterGeometry, bath: BathSpectrum
             f"encoded labels need {len(encoded[0])} physical qubits but the "
             f"geometry has {geometry.n_qubits}")
     factors = pair_factors(encoded, t, bath, geometry.positions)
-    max_eta = 0.0
-    max_phi = 0.0
-    for (i, j), (eta, phi) in factors.factors.items():
-        if i is j:
-            continue
-        max_eta = max(max_eta, eta)
-        max_phi = max(max_phi, abs(phi))
-    return SubdecoherenceResidual(max_eta=max_eta, max_abs_phi=max_phi)
+    return SubdecoherenceResidual(max_eta=float(factors.eta_matrix.max()),
+                                  max_abs_phi=float(np.abs(factors.phi_matrix).max()))

@@ -260,6 +260,9 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"grid.modes must be >= 1, got {b.grid_modes}")
     if b.grid_omega_max <= 0:
         raise ConfigError(f"grid.omega_max must be positive, got {b.grid_omega_max}")
+    if b.dimensionality == 3 and (b.grid_directions < 2 or b.grid_directions % 2):
+        raise ConfigError(f"grid.directions must be even and >= 2 for a 3-D bath, "
+                          f"got {b.grid_directions}")
     if cfg.state.entries is None and cfg.state.preset not in ("cat", "single-flip"):
         raise ConfigError(f"state.preset must be 'cat' or 'single-flip', got {cfg.state.preset!r}")
     r = cfg.run

@@ -2,9 +2,21 @@
 
 Every coherence element between two computational basis labels evolves by a
 closed-form factor ``exp(-eta + i*phi)``: ``eta`` is a nonnegative damping
-exponent and ``phi`` a bath-induced (Lamb) phase.  Both are sums over bath
-modes weighted by lattice structure factors of the two labels.  Populations
-are untouched — this is pure dephasing.
+exponent and ``phi`` a bath-induced (Lamb) phase.  Populations are untouched —
+this is pure dephasing.
+
+One batched primitive computes both for any set of label pairs over any time
+grid, from three pieces:
+
+* the structure factors ``S_a(k) = sum_l s_l exp(i k . r_l)`` of every label;
+* two time kernels per mode, ``g2 coth(omega/2T) 2 sin^2(omega t/2) / omega^2``
+  (damping) and ``g2 (omega t - sin omega t) / omega^2`` (phase);
+* the pair reduction ``eta_ab = K_eta @ |S_a - S_b|^2`` and
+  ``phi_ab = K_phi @ (|S_a|^2 - |S_b|^2)``, two matrix products over modes.
+
+The (L, M) phase matrix and the (P, M) pair temporaries are built in blocks
+of at most ``CHUNK`` elements, so neither exists whole for large registers or
+label sets.  Every public function below is a thin view over this primitive.
 
 The phase formula assumes the bath's mode set is closed under ``k -> -k``
 (guaranteed by the builders in :mod:`regdeph.bath`); for a lone unpaired wave
@@ -14,6 +26,7 @@ coherences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -38,6 +51,8 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-12
+# elements of the largest temporary block over modes or over pairs
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -140,55 +155,93 @@ class RegisterState:
         return cls.from_unnormalized({up: 1.0, BasisLabel(tuple(spins)): 1.0})
 
 
-def _as_positions(positions) -> np.ndarray:
+def _structure_factors(labels, k_vecs, positions) -> np.ndarray:
+    """``S[a, m] = sum_l s_l exp(i k_m . r_l)`` for every label, shape (n, M).
+
+    Built in blocks of modes, so the (L, M) phase matrix never exists whole.
+    Identical labels share one row, so their differences vanish exactly.
+    """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError(f"positions must have shape (L, 3), got {pos.shape}")
-    return pos
+    for label in labels:
+        if len(label) != len(pos):
+            raise ValueError(f"label length {len(label)} does not match {len(pos)} positions")
+    index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
+    spins = np.array([label.spins for label in index], dtype=float).reshape(len(index), len(pos))
+    k = np.atleast_2d(np.asarray(k_vecs, dtype=float))
+    s = np.empty((len(index), len(k)), dtype=complex)
+    step = max(1, CHUNK // len(pos))
+    for lo in range(0, len(k), step):
+        s[:, lo:lo + step] = spins @ np.exp(1j * (pos @ k[lo:lo + step].T))
+    return s[[index[label] for label in labels]]
 
 
-def _check_lengths(label: BasisLabel, positions: np.ndarray):
-    if len(label) != positions.shape[0]:
-        raise ValueError(
-            f"label length {len(label)} does not match {positions.shape[0]} positions")
+def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
+    """Damping and phase kernels on a time grid, each of shape (T, M).
+
+    With ``x = omega*t``: damping ``g2 coth(omega/2T) 2 sin^2(x/2) / omega^2`` and
+    phase ``g2 (x - sin x) / omega^2``.  Below ``x = 0.2`` the subtraction
+    ``x - sin x`` cancels, so the phase kernel takes its Taylor series there
+    (truncation error below 1e-16 relative).  Both are built in place.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValueError("times must be >= 0")
+    w = bath.omega
+    x = np.multiply.outer(times, w)
+    phase = np.sin(x)
+    np.subtract(x, phase, out=phase)
+    small = x < 0.2
+    xs = x[small]
+    x2 = xs * xs
+    phase[small] = xs * x2 / 6.0 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72 * (1 - x2 / 110))))
+    damping = x
+    damping *= 0.5
+    np.sin(damping, out=damping)
+    np.square(damping, out=damping)
+    weight = bath.g2 / w**2
+    damping *= 2.0 * coth_half(w, bath.temperature) * weight
+    phase *= weight
+    return damping, phase
+
+
+def _coherence(labels, a, b, times, bath: BathSpectrum,
+               positions) -> tuple[np.ndarray, np.ndarray]:
+    """The pair reduction: eta and phi of the pairs ``(labels[a], labels[b])``, shape (T, P).
+
+    ``eta = K_eta @ |S_a - S_b|^2`` and ``phi = K_phi @ (|S_a|^2 - |S_b|^2)``;
+    pairs are taken in blocks that bound the (P, M) temporaries.
+    """
+    k_eta, k_phi = _time_kernels(bath, times)
+    s = _structure_factors(labels, bath.k, positions)
+    mod2 = np.abs(s) ** 2
+    a, b = np.asarray(a), np.asarray(b)
+    eta = np.empty((len(k_eta), len(a)))
+    phi = np.empty_like(eta)
+    step = max(1, CHUNK // s.shape[1])
+    for lo in range(0, len(a), step):
+        pa, pb = a[lo:lo + step], b[lo:lo + step]
+        eta[:, lo:lo + step] = k_eta @ (np.abs(s[pa] - s[pb]) ** 2).T
+        phi[:, lo:lo + step] = k_phi @ (mod2[pa] - mod2[pb]).T
+    return eta, phi
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
     """``sum_l s_l * exp(i k . r_l)`` for each wave vector, shape (M,)."""
-    pos = _as_positions(positions)
-    _check_lengths(label, pos)
-    k = np.atleast_2d(np.asarray(k_vecs, dtype=float))
-    phases = pos @ k.T  # (L, M)
-    return label.as_array() @ np.exp(1j * phases)
+    return _structure_factors([label], k_vecs, positions)[0]
 
 
 def damping_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Squared modulus of the spin-difference structure factor at one wave vector."""
-    pos = _as_positions(positions)
-    _check_lengths(i, pos)
-    _check_lengths(j, pos)
-    diff = i.as_array() - j.as_array()
-    phase = pos @ np.asarray(k_vec, dtype=float)
-    return float(abs(diff @ np.exp(1j * phase)) ** 2)
+    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
+    return float(abs(si - sj) ** 2)
 
 
 def phase_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Difference of the two labels' squared structure factors (may be negative)."""
-    si = spin_structure_factor(i, [k_vec], positions)[0]
-    sj = spin_structure_factor(j, [k_vec], positions)[0]
+    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
     return float(abs(si) ** 2 - abs(sj) ** 2)
-
-
-def _damping_kernel(bath: BathSpectrum, t: float) -> np.ndarray:
-    """Per-mode damping weight g2 * coth(w/2T) * (1 - cos wt) / w^2."""
-    w = bath.omega
-    return bath.g2 * coth_half(w, bath.temperature) * 2.0 * np.sin(0.5 * w * t) ** 2 / w**2
-
-
-def _phase_kernel(bath: BathSpectrum, t: float) -> np.ndarray:
-    """Per-mode phase weight g2 * (wt - sin wt) / w^2."""
-    w = bath.omega
-    return bath.g2 * (w * t - np.sin(w * t)) / w**2
 
 
 def damping_exponent(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
@@ -197,16 +250,7 @@ def damping_exponent(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
 
     Nonnegative; zero at ``t = 0`` and whenever ``i == j``.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    pos = _as_positions(positions)
-    _check_lengths(i, pos)
-    _check_lengths(j, pos)
-    diff = i.as_array() - j.as_array()
-    if not diff.any():
-        return 0.0
-    s = diff @ np.exp(1j * (pos @ bath.k.T))
-    return float(np.sum(_damping_kernel(bath, t) * np.abs(s) ** 2))
+    return float(_coherence([i, j], [0], [1], [t], bath, positions)[0][0, 0])
 
 
 def lamb_phase(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
@@ -216,12 +260,7 @@ def lamb_phase(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
     Grows roughly linearly in time once ``omega*t >> 1``; identically zero for
     sign-symmetric label pairs.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    si = spin_structure_factor(i, bath.k, positions)
-    sj = spin_structure_factor(j, bath.k, positions)
-    lam2 = np.abs(si) ** 2 - np.abs(sj) ** 2
-    return float(np.sum(_phase_kernel(bath, t) * lam2))
+    return float(_coherence([i, j], [0], [1], [t], bath, positions)[1][0, 0])
 
 
 def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float:
@@ -230,48 +269,46 @@ def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float
     Differences of label phases reproduce the pairwise Lamb phase:
     ``label_phase(i) - label_phase(j) == lamb_phase(i, j)``.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    s = spin_structure_factor(i, bath.k, positions)
-    return float(np.sum(_phase_kernel(bath, t) * np.abs(s) ** 2))
+    _, k_phi = _time_kernels(bath, [t])
+    s = _structure_factors([i], bath.k, positions)
+    return float(k_phi[0] @ np.abs(s[0]) ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoherenceFactors:
-    """Damping exponents and phases for every ordered pair of a label set."""
+    """Damping exponents and phases for every ordered pair of a label set.
+
+    ``eta_matrix[a, b]`` and ``phi_matrix[a, b]`` belong to the coherence
+    between ``labels[a]`` and ``labels[b]``: eta is symmetric, phi
+    antisymmetric, and both vanish on the diagonal.
+    """
 
     t: float
-    factors: dict[tuple[BasisLabel, BasisLabel], tuple[float, float]]
+    labels: tuple[BasisLabel, ...]
+    eta_matrix: np.ndarray
+    phi_matrix: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict[BasisLabel, int]:
+        return {label: n for n, label in enumerate(self.labels)}
 
     def eta(self, i: BasisLabel, j: BasisLabel) -> float:
-        return self.factors[(i, j)][0]
+        return float(self.eta_matrix[self._index[i], self._index[j]])
 
     def phi(self, i: BasisLabel, j: BasisLabel) -> float:
-        return self.factors[(i, j)][1]
+        return float(self.phi_matrix[self._index[i], self._index[j]])
 
 
 def pair_factors(labels: Iterable[BasisLabel], t: float, bath: BathSpectrum,
                  positions) -> DecoherenceFactors:
     """Damping/phase factors for all ordered pairs drawn from ``labels``."""
-    labels = list(labels)
-    pos = _as_positions(positions)
-    for lab in labels:
-        _check_lengths(lab, pos)
-    spins = np.array([lab.as_array() for lab in labels])
-    s = spins @ np.exp(1j * (pos @ bath.k.T))  # (n_labels, M)
-    kern_eta = _damping_kernel(bath, t)
-    kern_phi = _phase_kernel(bath, t)
-    mod2 = np.abs(s) ** 2
-    factors: dict[tuple[BasisLabel, BasisLabel], tuple[float, float]] = {}
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            if a == b:
-                factors[(la, lb)] = (0.0, 0.0)
-                continue
-            eta = float(np.sum(kern_eta * np.abs(s[a] - s[b]) ** 2))
-            phi = float(np.sum(kern_phi * (mod2[a] - mod2[b])))
-            factors[(la, lb)] = (eta, phi)
-    return DecoherenceFactors(t=t, factors=factors)
+    labels = tuple(labels)
+    a, b = np.triu_indices(len(labels), 1)
+    eta, phi = _coherence(labels, a, b, [t], bath, positions)
+    eta_matrix, phi_matrix = np.zeros((2, len(labels), len(labels)))
+    eta_matrix[a, b] = eta_matrix[b, a] = eta[0]
+    phi_matrix[a, b], phi_matrix[b, a] = phi[0], -phi[0]
+    return DecoherenceFactors(t=t, labels=labels, eta_matrix=eta_matrix, phi_matrix=phi_matrix)
 
 
 def evolve(state: RegisterState, t: float, bath: BathSpectrum,
@@ -283,15 +320,11 @@ def evolve(state: RegisterState, t: float, bath: BathSpectrum,
     """
     if not isinstance(state, RegisterState):
         raise TypeError("evolve expects a RegisterState (normalization enforced)")
-    labels = state.labels()
-    fac = pair_factors(labels, t, bath, positions)
-    amps = state.amplitudes
-    density: dict[tuple[BasisLabel, BasisLabel], complex] = {}
-    for i in labels:
-        for j in labels:
-            eta, phi = fac.factors[(i, j)]
-            density[(i, j)] = amps[i] * np.conj(amps[j]) * np.exp(-eta + 1j * phi)
-    return density
+    fac = pair_factors(state.labels(), t, bath, positions)
+    c = np.array(list(state.amplitudes.values()))
+    rho = np.outer(c, c.conj()) * np.exp(-fac.eta_matrix + 1j * fac.phi_matrix)
+    return {(i, j): rho[a, b]
+            for a, i in enumerate(fac.labels) for b, j in enumerate(fac.labels)}
 
 
 def fidelity(state: RegisterState, t: float, bath: BathSpectrum, positions) -> float:
@@ -300,51 +333,21 @@ def fidelity(state: RegisterState, t: float, bath: BathSpectrum, positions) -> f
     Equals 1 at ``t = 0`` and for any single basis label; the pairwise phase
     antisymmetry makes the sum real.
     """
-    labels = state.labels()
-    fac = pair_factors(labels, t, bath, positions)
-    amps = state.amplitudes
-    total = 0.0
-    for i in labels:
-        pi = abs(amps[i]) ** 2
-        for j in labels:
-            eta, phi = fac.factors[(i, j)]
-            total += pi * abs(amps[j]) ** 2 * np.exp(-eta) * np.cos(phi)
-    return float(total)
+    return float(fidelity_curve(state, [t], bath, positions)[0])
 
 
 def factor_curves(i: BasisLabel, j: BasisLabel, times, bath: BathSpectrum,
                   positions) -> tuple[np.ndarray, np.ndarray]:
     """Damping exponent and phase of one coherence over a whole time grid."""
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    pos = _as_positions(positions)
-    si = spin_structure_factor(i, bath.k, pos)
-    sj = spin_structure_factor(j, bath.k, pos)
-    lam1 = np.abs(si - sj) ** 2
-    lam2 = np.abs(si) ** 2 - np.abs(sj) ** 2
-    w = bath.omega
-    base_eta = bath.g2 * coth_half(w, bath.temperature) / w**2 * lam1
-    base_phi = bath.g2 / w**2 * lam2
-    wt = np.outer(times, w)
-    eta = (2.0 * np.sin(0.5 * wt) ** 2) @ base_eta
-    phi = (wt - np.sin(wt)) @ base_phi
-    return eta, phi
+    eta, phi = _coherence([i, j], [0], [1], times, bath, positions)
+    return eta[:, 0], phi[:, 0]
 
 
 def fidelity_curve(state: RegisterState, times, bath: BathSpectrum,
                    positions) -> np.ndarray:
     """State fidelity over a whole time grid (vectorized over pairs and times)."""
-    times = np.asarray(times, dtype=float)
     labels = state.labels()
-    amps = state.amplitudes
-    total = np.zeros_like(times)
-    for a, i in enumerate(labels):
-        for j in labels[a:]:
-            pij = abs(amps[i]) ** 2 * abs(amps[j]) ** 2
-            if i == j:
-                total += pij
-                continue
-            eta, phi = factor_curves(i, j, times, bath, positions)
-            total += 2.0 * pij * np.exp(-eta) * np.cos(phi)
-    return total
+    p = np.abs(list(state.amplitudes.values())) ** 2
+    a, b = np.triu_indices(len(labels), 1)
+    eta, phi = _coherence(labels, a, b, times, bath, positions)
+    return np.sum(p**2) + 2.0 * (np.exp(-eta) * np.cos(phi)) @ (p[a] * p[b])

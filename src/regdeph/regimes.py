@@ -9,13 +9,12 @@ strong-disorder limits numerically.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpectrum, SpectralMoments, coth_half
-from .core import BasisLabel, damping_weight, phase_weight
+from .bath import BathSpectrum, SpectralMoments
+from .core import BasisLabel, _time_kernels, damping_weight, phase_weight
 from .geometry import RegisterGeometry, apply_disorder
 
 __all__ = [
@@ -126,13 +125,6 @@ class MonteCarloEstimate:
     n_samples: int
 
 
-def _weights_one_sample(args):
-    i, j, k_vec, ideal, delta, seed, idx = args
-    positions = apply_disorder(ideal, delta, (seed, idx))
-    return (damping_weight(i, j, k_vec, positions),
-            phase_weight(i, j, k_vec, positions))
-
-
 def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
                              geometry: RegisterGeometry, n_samples: int,
                              threads: int = 1) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
@@ -141,21 +133,17 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     The wave vector is held fixed along the first lattice axis with the given
     magnitude; each sample redraws the site offsets with a seed derived from
     ``(geometry.seed, sample_index)``, so the aggregate is deterministic and
-    independent of evaluation order.
+    independent of evaluation order.  ``threads`` is accepted and ignored.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples for an error estimate, got {n_samples}")
     k_vec = np.array([k_magnitude, 0.0, 0.0])
     ideal = geometry.ideal_positions()
-    jobs = [(i, j, k_vec, ideal, geometry.delta, geometry.seed, idx)
-            for idx in range(n_samples)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_weights_one_sample, jobs, chunksize=64))
-    else:
-        results = [_weights_one_sample(job) for job in jobs]
-    lam1 = np.array([r[0] for r in results])
-    lam2 = np.array([r[1] for r in results])
+    lam1, lam2 = np.empty((2, n_samples))
+    for idx in range(n_samples):
+        positions = apply_disorder(ideal, geometry.delta, (geometry.seed, idx))
+        lam1[idx] = damping_weight(i, j, k_vec, positions)
+        lam2[idx] = phase_weight(i, j, k_vec, positions)
 
     def estimate(values):
         return MonteCarloEstimate(mean=float(np.mean(values)),
@@ -200,19 +188,12 @@ def damping_scale(bath: BathSpectrum, t: float) -> float:
     A label pair differing on ``n`` qubits damps with exponent ``4n`` times
     this value; equivalently it is one quarter of the single-flip exponent.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    w = bath.omega
-    kern = bath.g2 * coth_half(w, bath.temperature) * 2.0 * np.sin(0.5 * w * t) ** 2 / w**2
-    return float(np.sum(kern))
+    return float(np.sum(_time_kernels(bath, [t])[0]))
 
 
 def phase_scale(bath: BathSpectrum, t: float) -> float:
     """Companion phase sum: per-unit-weight magnitude of the coherent phase."""
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    w = bath.omega
-    return float(np.sum(bath.g2 * (w * t - np.sin(w * t)) / w**2))
+    return float(np.sum(_time_kernels(bath, [t])[1]))
 
 
 def independent_limit_factors(i: BasisLabel, j: BasisLabel, t: float,

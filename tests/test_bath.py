@@ -79,6 +79,12 @@ class TestDiscretize:
         kset = {tuple(np.round(k, 10)) for k in bath.k}
         assert all(tuple(np.round(-np.array(k), 10)) in kset for k in kset)
 
+    @pytest.mark.parametrize("n_directions", [0, 1, 13])
+    def test_three_dimensional_direction_count_must_be_even(self, n_directions):
+        with pytest.raises(ValueError, match="even"):
+            discretize_spectrum(PowerLawCoupling(), v=1.0, dimensionality=3, n_freq=2,
+                                omega_max=1.0, n_directions=n_directions)
+
     def test_bad_inputs_rejected(self):
         with pytest.raises(ValueError):
             discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=0, omega_max=1.0)

@@ -286,6 +286,15 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg_path), "--quiet",
                      "--output", str(tmp_path / "o")]) == EXIT_VALIDATION
 
+    def test_odd_direction_count_is_validation_failure(self, tmp_path, capsys):
+        text = FULL.replace("dimensionality = 1", "dimensionality = 3").replace(
+            "omega_max = 12.0", "omega_max = 12.0\ndirections = 13")
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        assert "grid.directions" in capsys.readouterr().err
+        assert not (out / "simulate.csv").exists()
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--quiet"]) == EXIT_IO

@@ -353,3 +353,50 @@ def test_pair_factors_diagonal_and_consistency():
             assert fac.eta(a, b) == pytest.approx(damping_exponent(a, b, 2.0, bath, pos),
                                                   abs=1e-12)
             assert fac.phi(a, b) == pytest.approx(lamb_phase(a, b, 2.0, bath, pos), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(np.log(1e-9), np.log(1e3)))
+def test_label_phase_small_argument_against_mpmath(log_x):
+    # one qubit at the origin and one mode: |S|^2 = 1, so the label phase is
+    # exactly g2 (x - sin x) / omega^2 with x = omega t
+    from mpmath import mp, mpf, sin as msin
+
+    mp.dps = 50
+    omega, g2 = 0.7, 0.03
+    t = float(np.exp(log_x)) / omega
+    got = label_phase(BasisLabel((1,)), t, single_mode_bath(omega=omega, g2=g2), np.zeros((1, 3)))
+    x = mpf(omega) * mpf(t)
+    expected = mpf(g2) * (x - msin(x)) / mpf(omega) ** 2
+    assert abs(mpf(got) - expected) <= 1e-13 * expected
+
+
+def test_chunked_results_match_unchunked(monkeypatch):
+    from regdeph import core
+    from regdeph.codes import subdecoherence_residual
+    from regdeph.geometry import RegisterGeometry
+
+    rng = np.random.default_rng(31)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=11,
+                               omega_max=5.0, temperature=0.5)
+    geo = RegisterGeometry(dims=(7, 1, 1), d=0.9, delta=0.1, seed=3)
+    code_geo = RegisterGeometry(dims=(6, 1, 1), d=0.9, delta=0.1, seed=4)
+    labels = sorted({random_label(rng, 7) for _ in range(12)}, key=str)[:6]
+    state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                             for lab in labels})
+    logical = [BasisLabel(tuple(rng.choice([-1, 1], size=3))) for _ in range(8)]
+    times = np.linspace(0.0, 6.0, 13)
+
+    def run():
+        fac = pair_factors(labels, 2.3, bath, geo.positions)
+        res = subdecoherence_residual("adjacent", code_geo, bath, 2.3, logical)
+        return (fidelity_curve(state, times, bath, geo.positions),
+                *factor_curves(labels[0], labels[1], times, bath, geo.positions),
+                fac.eta_matrix, fac.phi_matrix, np.array([res.max_eta, res.max_abs_phi]))
+
+    whole = run()
+    # 50 elements: 22 modes in blocks of 7 (or 8) and 15 pairs in blocks of 2
+    monkeypatch.setattr(core, "CHUNK", 50)
+    assert len(labels) == 6 and bath.n_modes == 22
+    for chunked, ref in zip(run(), whole):
+        np.testing.assert_allclose(chunked, ref, rtol=0, atol=1e-12)
