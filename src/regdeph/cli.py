@@ -144,7 +144,7 @@ def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | N
     if cfg.run.pair_m is not None and cfg.run.pair_n is not None:
         kbar = cfg.bath.peak.center if cfg.bath.peak is not None else None
         residual = (abs(cfg.run.pair_m * kbar * geometry.d / np.pi - cfg.run.pair_n)
-                    if kbar is not None else 0.0)
+                    if kbar is not None else None)
         return PairingPlan(m=cfg.run.pair_m, n=cfg.run.pair_n, residual=residual)
     if cfg.bath.peak is None:
         raise ConfigError("modulated pairing needs run.pair_m/pair_n or a [peak] section")
@@ -186,8 +186,8 @@ def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
             print("pairing = none", file=sys.stderr)
             return EXIT_TOLERANCE
         encoded = encode_modulated(state, plan)
-        print(f"pairing m = {plan.m}, n = {plan.n}, "
-              f"epsilon = {_fmt(plan.residual, cfg.output.precision)}")
+        eps = "unknown" if plan.residual is None else _fmt(plan.residual, cfg.output.precision)
+        print(f"pairing m = {plan.m}, n = {plan.n}, epsilon = {eps}")
     path = out_dir / "encoded_state.txt"
     _write_text(path, digest, dump_state(encoded))
     print(f"wrote {path}")

@@ -36,17 +36,18 @@ class PairingPlan:
     """A pairing distance ``m`` with its parity integer ``n`` and commensuration residual.
 
     ``residual`` is ``|m * kbar * d / pi - n|``; at zero the pair separation is
-    an exact half-wavelength multiple of the dominant mode.  ``pairs`` lists
-    the disjoint (site, partner) cover when a register size was supplied.
+    an exact half-wavelength multiple of the dominant mode, and it is ``None``
+    when the dominant wavenumber is unknown.  ``pairs`` lists the disjoint
+    (site, partner) cover when a register size was supplied.
     """
 
     m: int
     n: int
-    residual: float
+    residual: float | None
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 0 or self.residual < 0:
+        if self.m < 1 or self.n < 0 or (self.residual is not None and self.residual < 0):
             raise ValueError("need m >= 1, n >= 0, residual >= 0")
 
     def physical_pairs(self, n_logical: int) -> tuple[tuple[int, int], ...]:

@@ -232,16 +232,20 @@ def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
     return _structure_factors([label], k_vecs, positions)[0]
 
 
+def _pair_weights(i: BasisLabel, j: BasisLabel, k_vec, positions) -> tuple[float, float]:
+    """Damping and phase weight of the pair ``(i, j)`` from one structure-factor call."""
+    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
+    return float(abs(si - sj) ** 2), float(abs(si) ** 2 - abs(sj) ** 2)
+
+
 def damping_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Squared modulus of the spin-difference structure factor at one wave vector."""
-    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
-    return float(abs(si - sj) ** 2)
+    return _pair_weights(i, j, k_vec, positions)[0]
 
 
 def phase_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Difference of the two labels' squared structure factors (may be negative)."""
-    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
-    return float(abs(si) ** 2 - abs(sj) ** 2)
+    return _pair_weights(i, j, k_vec, positions)[1]
 
 
 def damping_exponent(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,

@@ -1,14 +1,17 @@
 """Brute-force verification of the closed-form dynamics on small systems.
 
-The joint register+bath state is kept as an explicit amplitude tensor over a
-truncated number-state space per mode.  Because the coupling is diagonal in
-the register basis and different modes commute at equal times, the propagator
-factorizes into independent blocks per (register label, mode); each block is
-integrated by a second-order midpoint split-step scheme built directly from
-the time-dependent interaction Hamiltonian — no damping/phase formulas from
+The coupling is diagonal in the register basis and different modes commute
+at equal times, so the joint propagator factorizes into independent blocks
+per (register label, mode).  The bath is kept as one truncated number-state
+column per (label, mode, sample), shape ``(labels, modes, dim, samples)``;
+reduced-density entries are products over modes of per-mode overlaps, so
+memory grows linearly in the number of modes.  Each block is integrated by a
+second-order midpoint split-step scheme built directly from the
+time-dependent interaction Hamiltonian — no damping/phase formulas from
 :mod:`regdeph.core` enter anywhere in the integration path.
+:func:`analytic_blocks` gives the analytic propagators of the same blocks.
 
-Desk scale only: the state space is exponential in the register size.
+Desk scale only: the label count is exponential in the register size.
 """
 from __future__ import annotations
 
@@ -16,24 +19,21 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState
 
 __all__ = [
     "TruncationLeakageError",
-    "TruncatedBathState",
     "ThermalDensity",
     "OracleInstance",
     "InstanceCheck",
     "register_basis",
-    "joint_state",
-    "trotter_evolve",
-    "closed_form_unitary_apply",
-    "reduced_density",
-    "state_norm",
-    "mode_leakage",
+    "coherent_vector",
+    "integrated_blocks",
+    "analytic_blocks",
+    "evolve_columns",
+    "reduce_columns",
     "thermal_reduced_density",
     "default_truncation",
     "random_instances",
@@ -88,194 +88,96 @@ def default_truncation(bath: BathSpectrum, positions, t: float,
     return int(np.ceil(a * a + 6.0 * a)) + 10
 
 
-@dataclass
-class TruncatedBathState:
-    """Joint register+bath amplitudes on a truncated number basis.
+def coherent_vector(alpha, dim: int) -> np.ndarray:
+    """Truncated coherent-state columns, renormalized on the retained levels.
 
-    ``tensor`` has one leading register axis (length ``2^L``, ordered as
-    :func:`register_basis`) followed by one axis per mode of length
-    ``n_max + 1``.
+    ``alpha`` is one amplitude or an array of them; the result has shape
+    ``(dim,) + shape(alpha)``, one column per amplitude.
     """
-
-    bath: BathSpectrum
-    positions: np.ndarray
-    labels: tuple[BasisLabel, ...]
-    tensor: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return self.tensor.shape[1] - 1
-
-    def copy(self) -> "TruncatedBathState":
-        return TruncatedBathState(self.bath, self.positions, self.labels, self.tensor.copy())
+    alpha = np.asarray(alpha, dtype=complex)
+    n = np.arange(dim).reshape((dim,) + (1,) * alpha.ndim)
+    radius = np.abs(alpha)
+    # log(|alpha|^n exp(-|alpha|^2 / 2) / sqrt(n!)); zero amplitudes give the vacuum
+    logs = (n * np.log(np.where(radius > 0, radius, 1.0)) - 0.5 * radius**2
+            - 0.5 * np.cumsum(np.log(np.maximum(n, 1)), axis=0))
+    vec = np.where(radius > 0, np.exp(logs) * np.exp(1j * n * np.angle(alpha)), n == 0)
+    return vec / np.linalg.norm(vec, axis=0)
 
 
-def coherent_vector(alpha: complex, dim: int) -> np.ndarray:
-    """Truncated coherent-state column, renormalized on the retained levels."""
-    n = np.arange(dim)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, dim)))])
-    if alpha == 0:
-        vec = np.zeros(dim, complex)
-        vec[0] = 1.0
-        return vec
-    logs = n * np.log(np.abs(alpha)) - 0.5 * log_fact - 0.5 * np.abs(alpha) ** 2
-    vec = np.exp(logs) * np.exp(1j * n * np.angle(alpha))
-    return vec / np.linalg.norm(vec)
+def _lowering(dim: int) -> np.ndarray:
+    """Annihilation operator on the retained levels ``0..dim-1``."""
+    return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
-def joint_state(state: RegisterState, bath: BathSpectrum, positions,
-                n_max: int | None = None, alphas=None, t_hint: float = 0.0) -> TruncatedBathState:
-    """Assemble the joint tensor: register amplitudes times a product bath state.
-
-    ``alphas`` gives one coherent amplitude per mode (default: vacuum).
-    """
-    positions = np.asarray(positions, dtype=float)
-    labels = register_basis(state.n_qubits)
-    if alphas is None:
-        alphas = np.zeros(bath.n_modes, complex)
-    alphas = np.asarray(alphas, dtype=complex)
-    if alphas.shape != (bath.n_modes,):
-        raise ValueError("need one coherent amplitude per mode")
-    if n_max is None:
-        n_max = default_truncation(bath, positions, t_hint,
-                                   alpha_max=float(np.max(np.abs(alphas))),
-                                   n_qubits=state.n_qubits)
-    dim = n_max + 1
-    bath_state = coherent_vector(alphas[0], dim)
-    for alpha in alphas[1:]:
-        bath_state = np.tensordot(bath_state, coherent_vector(alpha, dim), axes=0)
-    tensor = np.zeros((len(labels),) + (dim,) * bath.n_modes, complex)
-    amps = state.amplitudes
-    for idx, lab in enumerate(labels):
-        if lab in amps:
-            tensor[idx] = amps[lab] * bath_state
-    return TruncatedBathState(bath, positions, labels, tensor)
+def _exp_hermitian(h: np.ndarray) -> np.ndarray:
+    """``exp(-i h)`` for a stack of Hermitian matrices, by one batched eigh."""
+    eigvals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * eigvals)[..., None, :]) @ np.conj(vecs).swapaxes(-1, -2)
 
 
-def _block_propagators(bath: BathSpectrum, positions, labels, t: float,
-                       steps: int, dim: int) -> np.ndarray:
-    """Accumulated midpoint split-step propagators, shape (S, M, dim, dim).
+def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
+                      steps: int, dim: int) -> np.ndarray:
+    """Midpoint split-step propagators of every (label, mode) block, shape (S, M, dim, dim).
 
-    Each step applies ``exp(-i dt H_k(t_mid))`` where the drive phase at the
-    midpoint is folded in through number-operator rotations, so only one
-    matrix exponential per block is ever needed.
+    Step ``n`` applies ``exp(-i dt H(t_n))`` at the midpoint ``t_n = (n + 1/2) dt``.
+    The drive phase there is a number-operator rotation ``R_n = R_half R_dt^n``
+    of the zero-phase step ``B``, so step ``n`` is ``R_n B R_n*`` and the
+    product of all steps telescopes to ``R_half R_dt^steps (R_dt* B)^steps
+    R_half*``.  The power is taken by repeated squaring for all blocks at once;
+    no closed-form expression enters.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    b = _sector_couplings(bath, positions, labels)  # (S, M)
-    n_lab, n_modes = b.shape
+    b = _sector_couplings(bath, positions, labels)[..., None, None]
+    lower = _lowering(dim)
     dt = t / steps
-    n = np.arange(dim)
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)  # annihilation operator
-
-    flat_b = b.reshape(-1)
-    omega = np.tile(bath.omega, n_lab)
-    base = np.empty((flat_b.size, dim, dim), complex)
-    for idx, bc in enumerate(flat_b):
-        h0 = bc * lower + np.conj(bc) * lower.T.conj()
-        base[idx] = expm(-1j * dt * h0)
-
-    if t == 0:
-        eye = np.broadcast_to(np.eye(dim, dtype=complex), base.shape).copy()
-        return eye.reshape(n_lab, n_modes, dim, dim)
-
-    # rotating phases: r_mid at first midpoint, advanced by one dt per step
-    r = np.exp(1j * np.outer(omega, n) * (0.5 * dt))
-    r_inc = np.exp(1j * np.outer(omega, n) * dt)
-    acc = np.broadcast_to(np.eye(dim, dtype=complex), base.shape).copy()
-    for _ in range(steps):
-        acc = np.conj(r)[:, :, None] * acc
-        acc = base @ acc
-        acc = r[:, :, None] * acc
-        r = r * r_inc
-    return acc.reshape(n_lab, n_modes, dim, dim)
+    base = _exp_hermitian(dt * (b * lower + np.conj(b) * lower.T))
+    rate = 1j * np.outer(bath.omega, np.arange(dim))  # (M, dim): i * omega * n
+    power = np.linalg.matrix_power(np.exp(-rate * dt)[..., None] * base, steps)
+    return (np.exp(rate * (t + 0.5 * dt))[..., None] * power
+            * np.exp(-rate * (0.5 * dt))[..., None, :])
 
 
-def _apply_blocks(state: TruncatedBathState, blocks: np.ndarray) -> TruncatedBathState:
-    """Apply one (dim x dim) matrix per (label, mode) along the right tensor axis."""
-    out = state.tensor.copy()
-    n_modes = state.bath.n_modes
-    for s in range(len(state.labels)):
-        block = out[s]
-        for m in range(n_modes):
-            moved = np.moveaxis(block, m, 0)
-            shape = moved.shape
-            moved = blocks[s, m] @ moved.reshape(shape[0], -1)
-            block = np.moveaxis(moved.reshape(shape), 0, m)
-        out[s] = block
-    return TruncatedBathState(state.bath, state.positions, state.labels, out)
+def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
+                    include_phase: bool = True) -> np.ndarray:
+    """Analytic propagators of every (label, mode) block, shape (S, M, dim, dim).
 
-
-def state_norm(state: TruncatedBathState) -> float:
-    return float(np.linalg.norm(state.tensor))
-
-
-def mode_leakage(state: TruncatedBathState) -> float:
-    """Largest total probability found in the top retained level of any mode."""
-    worst = 0.0
-    for m in range(state.bath.n_modes):
-        top = np.take(state.tensor, state.tensor.shape[1 + m] - 1, axis=1 + m)
-        worst = max(worst, float(np.sum(np.abs(top) ** 2)))
-    return worst
-
-
-def _check_leakage(state: TruncatedBathState):
-    leak = mode_leakage(state)
-    if leak > LEAKAGE_TOL:
-        raise TruncationLeakageError(leak)
-
-
-def trotter_evolve(state: TruncatedBathState, t: float, steps: int) -> TruncatedBathState:
-    """Integrate the joint state to time ``t`` with ``steps`` midpoint sub-steps."""
-    dim = state.tensor.shape[1]
-    blocks = _block_propagators(state.bath, state.positions, state.labels, t, steps, dim)
-    out = _apply_blocks(state, blocks)
-    _check_leakage(out)
-    return out
-
-
-def closed_form_unitary_apply(state: TruncatedBathState, t: float,
-                              include_phase: bool = True) -> TruncatedBathState:
-    """Apply the analytic propagator: per-block displacement plus a scalar phase.
-
-    With ``include_phase=False`` the scalar (label-dependent) phase is dropped;
-    this ablation is expected to disagree with :func:`trotter_evolve` whenever
-    the phase matters.
+    Each block is a displacement times the scalar phase
+    ``exp(i |b|^2 (wt - sin wt) / w^2)``; over the modes of a label the phases
+    multiply to that label's phase.  With ``include_phase=False`` the phase is
+    dropped; this ablation is expected to disagree with
+    :func:`integrated_blocks` whenever the phase matters.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
-    bath = state.bath
-    dim = state.tensor.shape[1]
-    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    b = _sector_couplings(bath, state.positions, state.labels)  # (S, M)
-    blocks = np.empty((b.shape[0], b.shape[1], dim, dim), complex)
-    phases = np.zeros(b.shape[0])
-    for s in range(b.shape[0]):
-        for m in range(b.shape[1]):
-            w = bath.omega[m]
-            z = np.conj(b[s, m]) * (1.0 - np.exp(1j * w * t)) / w
-            blocks[s, m] = expm(z * lower.T.conj() - np.conj(z) * lower)
-        phases[s] = np.sum(np.abs(b[s]) ** 2 * (bath.omega * t - np.sin(bath.omega * t))
-                           / bath.omega**2)
-    out = _apply_blocks(state, blocks)
+    b = _sector_couplings(bath, positions, labels)  # (S, M)
+    w = bath.omega
+    z = (np.conj(b) * (1.0 - np.exp(1j * w * t)) / w)[..., None, None]
+    lower = _lowering(dim)
+    # exp(z a+ - z* a) = exp(-i h) with Hermitian h = i (z a+ - z* a)
+    blocks = _exp_hermitian(1j * (z * lower.T - np.conj(z) * lower))
     if include_phase:
-        shape = (-1,) + (1,) * bath.n_modes
-        out.tensor *= np.exp(1j * phases).reshape(shape)
-    _check_leakage(out)
-    return out
+        phi = np.abs(b) ** 2 * (w * t - np.sin(w * t)) / w**2
+        blocks *= np.exp(1j * phi)[..., None, None]
+    return blocks
 
 
-def reduced_density(state: TruncatedBathState) -> dict[tuple[BasisLabel, BasisLabel], complex]:
-    """Trace out all modes: dense register density over the full label basis."""
-    flat = state.tensor.reshape(len(state.labels), -1)
-    rho = flat @ flat.T.conj()
-    out: dict[tuple[BasisLabel, BasisLabel], complex] = {}
-    for a, la in enumerate(state.labels):
-        for b, lb in enumerate(state.labels):
-            out[(la, lb)] = complex(rho[a, b])
-    return out
+def evolve_columns(blocks: np.ndarray, alphas) -> np.ndarray:
+    """Evolve coherent bath columns through every block, shape (S, M, dim, N).
+
+    ``alphas`` holds one coherent amplitude per sample and mode, shape (N, M).
+    Raises :class:`TruncationLeakageError` when the top retained level of any
+    evolved column holds more than ``LEAKAGE_TOL`` probability.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    columns = np.moveaxis(coherent_vector(alphas.T, blocks.shape[-1]), 0, 1)  # (M, dim, N)
+    evolved = blocks @ columns
+    leak = float(np.max(np.abs(evolved[..., -1, :]) ** 2))
+    if leak > LEAKAGE_TOL:
+        raise TruncationLeakageError(leak)
+    return evolved
 
 
 @dataclass
@@ -287,6 +189,30 @@ class ThermalDensity:
     n_samples: int
 
 
+def reduce_columns(state: RegisterState, columns: np.ndarray) -> ThermalDensity:
+    """Trace out the bath: entries and standard errors over the samples.
+
+    ``columns`` are the evolved bath columns of ``state.labels()``, shape
+    (S, M, dim, N).  Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the
+    product over modes of the overlaps ``<col_b | col_a>``.
+    """
+    labels = state.labels()
+    amps = np.array([amp for _, amp in state.items()])
+    overlaps = np.einsum("amdn,bmdn->abmn", columns, np.conj(columns)).prod(axis=2)
+    samples = (amps[:, None] * np.conj(amps)[None, :])[..., None] * overlaps
+    n_samples = samples.shape[-1]
+    means = samples.mean(axis=-1)
+    if n_samples > 1:
+        var = samples.real.var(axis=-1, ddof=1) + samples.imag.var(axis=-1, ddof=1)
+        errors = np.sqrt(var / n_samples)
+    else:
+        errors = np.zeros(means.shape)
+    keys = list(itertools.product(labels, repeat=2))  # row-major (a, b), as in means
+    return ThermalDensity(entries=dict(zip(keys, means.ravel().tolist())),
+                          stderr=dict(zip(keys, errors.ravel().tolist())),
+                          n_samples=n_samples)
+
+
 def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
                             positions, n_samples: int = 1000, seed: int = 0,
                             steps: int = 2048, n_max: int | None = None) -> ThermalDensity:
@@ -294,60 +220,25 @@ def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
 
     The thermal state of each mode is a Gaussian mixture of coherent states
     with variance equal to the mean occupation; each sample draws one
-    amplitude per mode, integrates the joint dynamics and traces out the bath.
-    At ``T = 0`` the mixture degenerates to the vacuum and a single
-    deterministic sample is used.
+    amplitude per mode, evolves the bath column of every (label, mode) block
+    and traces out the bath.  At ``T = 0`` the mixture degenerates to the
+    vacuum and a single deterministic sample is used.
     """
-    positions = np.asarray(positions, dtype=float)
-    occupations = bath.occupation()
     if bath.temperature == 0:
-        n_samples = 1
         alphas = np.zeros((1, bath.n_modes), complex)
     else:
         if n_samples < 2:
             raise ValueError("thermal sampling needs n_samples >= 2")
         rng = np.random.default_rng(seed)
-        scale = np.sqrt(occupations / 2.0)
+        scale = np.sqrt(bath.occupation() / 2.0)
         alphas = (rng.normal(size=(n_samples, bath.n_modes))
                   + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale[None, :]
-
-    labels = state.labels()
-    amps = state.amplitudes
     if n_max is None:
         n_max = default_truncation(bath, positions, t,
                                    alpha_max=float(np.max(np.abs(alphas))),
                                    n_qubits=state.n_qubits)
-    dim = n_max + 1
-    blocks = _block_propagators(bath, positions, labels, t, steps, dim)
-
-    # evolve all sampled coherent columns at once, one matrix per (label, mode)
-    evolved = np.empty((len(labels), bath.n_modes, dim, n_samples), complex)
-    worst_leak = 0.0
-    for m in range(bath.n_modes):
-        cols = np.stack([coherent_vector(a, dim) for a in alphas[:, m]], axis=1)
-        for s in range(len(labels)):
-            out = blocks[s, m] @ cols
-            evolved[s, m] = out
-            worst_leak = max(worst_leak, float(np.max(np.abs(out[-1, :]) ** 2)))
-    if worst_leak > LEAKAGE_TOL:
-        raise TruncationLeakageError(worst_leak)
-
-    entries: dict[tuple[BasisLabel, BasisLabel], complex] = {}
-    stderr: dict[tuple[BasisLabel, BasisLabel], float] = {}
-    for a, la in enumerate(labels):
-        for b, lb in enumerate(labels):
-            overlap = np.ones(n_samples, complex)
-            for m in range(bath.n_modes):
-                overlap *= np.sum(np.conj(evolved[b, m]) * evolved[a, m], axis=0)
-            samples = amps[la] * np.conj(amps[lb]) * overlap
-            mean = complex(np.mean(samples))
-            entries[(la, lb)] = mean
-            if n_samples > 1:
-                var = float(np.var(samples.real, ddof=1) + np.var(samples.imag, ddof=1))
-                stderr[(la, lb)] = float(np.sqrt(var / n_samples))
-            else:
-                stderr[(la, lb)] = 0.0
-    return ThermalDensity(entries=entries, stderr=stderr, n_samples=n_samples)
+    blocks = integrated_blocks(bath, positions, state.labels(), t, steps, n_max + 1)
+    return reduce_columns(state, evolve_columns(blocks, alphas))
 
 
 # ---------------------------------------------------------------------------

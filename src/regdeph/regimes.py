@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpectrum, SpectralMoments
-from .core import BasisLabel, _time_kernels, damping_weight, phase_weight
+from .core import BasisLabel, _pair_weights, _time_kernels
+from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry, apply_disorder
 
 __all__ = [
@@ -142,8 +143,7 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     lam1, lam2 = np.empty((2, n_samples))
     for idx in range(n_samples):
         positions = apply_disorder(ideal, geometry.delta, (geometry.seed, idx))
-        lam1[idx] = damping_weight(i, j, k_vec, positions)
-        lam2[idx] = phase_weight(i, j, k_vec, positions)
+        lam1[idx], lam2[idx] = _pair_weights(i, j, k_vec, positions)
 
     def estimate(values):
         return MonteCarloEstimate(mean=float(np.mean(values)),

@@ -23,12 +23,13 @@ from regdeph.core import (
 )
 from regdeph.geometry import RegisterGeometry, apply_disorder
 from regdeph.oracle import (
+    analytic_blocks,
     check_instance,
-    closed_form_unitary_apply,
-    joint_state,
+    default_truncation,
+    evolve_columns,
+    integrated_blocks,
     random_instances,
-    reduced_density,
-    trotter_evolve,
+    reduce_columns,
 )
 from regdeph.regimes import (
     damping_scale,
@@ -91,14 +92,17 @@ def test_criterion_2_evolution_operator_phase():
         pos = line_positions(2, d=np.pi / 3)
         state = RegisterState.from_unnormalized(
             {BasisLabel((1, 1)): 1.0, BasisLabel((1, -1)): 1.0})
-        js = joint_state(state, bath, pos, t_hint=t)
-        ref = trotter_evolve(js, t, steps=20_000)
-        full = closed_form_unitary_apply(js, t)
-        agreement = float(np.max(np.abs(ref.tensor - full.tensor)))
+        labels, vacuum = state.labels(), np.zeros((1, bath.n_modes))
+        dim = default_truncation(bath, pos, t) + 1
+        ref = evolve_columns(integrated_blocks(bath, pos, labels, t, 20_000, dim), vacuum)
+        full = evolve_columns(analytic_blocks(bath, pos, labels, t, dim), vacuum)
+        agreement = float(np.max(np.abs(ref - full)))
         assert agreement < 1e-6, f"closed form vs integrator: {agreement:.2e}"
-        ablated = closed_form_unitary_apply(js, t, include_phase=False)
+        ablated = evolve_columns(analytic_blocks(bath, pos, labels, t, dim, include_phase=False),
+                                 vacuum)
         pair = (BasisLabel((1, 1)), BasisLabel((1, -1)))
-        deviation = abs(reduced_density(ref)[pair] - reduced_density(ablated)[pair])
+        deviation = abs(reduce_columns(state, ref).entries[pair]
+                        - reduce_columns(state, ablated).entries[pair])
         assert deviation > 1e-2, f"ablation deviation only {deviation:.2e}"
         print(f"  with phase: {agreement:.2e} (tol 1e-6); phase ablated: {deviation:.2e} (> 1e-2)")
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import regdeph
 from regdeph.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, run_command
 from regdeph.config import (
     ConfigError,
@@ -216,6 +221,21 @@ code = modulated
                                           if not l.startswith("#")), n_qubits=8)
         assert set(map(str, state.labels())) == {"++++++++", "--------"}
 
+    def test_encode_without_peak_reports_unknown_epsilon(self, tmp_path, capsys):
+        text = """\
+[geometry]
+dims = 8,1,1
+
+[run]
+code = modulated
+pair_m = 2
+pair_n = 1
+"""
+        cfg_path = _write(tmp_path, text)
+        assert main(["encode", "--config", str(cfg_path), "--quiet",
+                     "--output", str(tmp_path / "out")]) == EXIT_OK
+        assert "pairing m = 2, n = 1, epsilon = unknown" in capsys.readouterr().out
+
     def test_pairing_not_found_is_tolerance_exit(self, tmp_path):
         text = """\
 [geometry]
@@ -303,3 +323,12 @@ class TestExitCodes:
         cfg = parse_config(MINIMAL)
         with pytest.raises(ConfigError):
             run_command("explode", cfg, out_dir="/tmp/never", quiet=True)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(regdeph.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import regdeph.cli, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
