@@ -6,10 +6,18 @@ quadrature weight of the frequency grid.  Mode sets are always generated in
 inversion-symmetric pairs (every stored wave vector appears together with its
 negative, the weight split evenly): the closed-form coherence factors in
 :mod:`regdeph.core` are exact only for inversion-symmetric mode sets.
+
+Because a pair contributes to every coherence through ``omega``, ``g2`` and
+``|S(k)| = |S(-k)|`` alone, :attr:`BathSpectrum.folded` keeps one mode of each
+pair with the pair's summed weight, and :mod:`regdeph.core` sums over that
+half.  The full set stays on ``omega``, ``k`` and ``g2`` for everything else:
+mode counts, CSV export, spectral moments and the brute-force oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +25,7 @@ __all__ = [
     "PowerLawCoupling",
     "GaussianPeakCoupling",
     "BathSpectrum",
+    "ModeSet",
     "SpectralMoments",
     "thermal_occupation",
     "coth_half",
@@ -114,11 +123,21 @@ def _direction_set(dimensionality: int, n_directions: int) -> np.ndarray:
     return np.vstack([pts, -pts])
 
 
+class ModeSet(NamedTuple):
+    """Read-only per-mode frequencies ``(M,)``, wave vectors ``(M, 3)`` and weights ``(M,)``."""
+
+    omega: np.ndarray
+    k: np.ndarray
+    g2: np.ndarray
+
+
 @dataclass(frozen=True)
 class BathSpectrum:
     """Discretized bath: per-mode wave vectors, frequencies and coupling weights.
 
-    Immutable after construction.
+    Immutable after construction.  ``omega``, ``k`` and ``g2`` always hold the
+    full mode set; :attr:`folded` is the half that the closed form sums over
+    when every mode has an inversion partner.
     """
 
     omega: np.ndarray
@@ -155,6 +174,38 @@ class BathSpectrum:
     @property
     def n_modes(self) -> int:
         return self.omega.size
+
+    @property
+    def inversion_closed(self) -> bool:
+        """True when every mode has an exact partner: the same ``omega`` and the negated ``k``."""
+        return self.folded.omega.size < self.n_modes
+
+    @cached_property
+    def folded(self) -> ModeSet:
+        """The mode set with every ``+k/-k`` pair folded into one mode.
+
+        Each pair keeps its first mode, weighted ``g2(k) + g2(-k)``.  A
+        dephasing coherence depends on a mode only through ``omega``, ``g2``
+        and ``|S(k)|``, and ``|S(-k)| = |S(k)|`` for real spins, so every mode
+        sum of :mod:`regdeph.core` is the same over this half.  A set that is
+        not inversion-closed is returned whole.
+
+        Partners are found bit for bit: modes sorted by ``(omega, k)`` and by
+        ``(omega, -k)`` line up exactly when every mode has one.  The sorts
+        are stable, so repeated wave vectors pair off in order of appearance.
+        """
+        kx, ky, kz = self.k.T
+        by_k = np.lexsort((kz, ky, kx, self.omega))
+        by_minus_k = np.lexsort((-kz, -ky, -kx, self.omega))
+        if not np.array_equal(self.k[by_k], -self.k[by_minus_k]):
+            return ModeSet(self.omega, self.k, self.g2)
+        partner = np.empty_like(by_k)
+        partner[by_k] = by_minus_k
+        keep = np.flatnonzero(np.arange(self.n_modes) < partner)
+        folded = ModeSet(self.omega[keep], self.k[keep], self.g2[keep] + self.g2[partner[keep]])
+        for arr in folded:
+            arr.setflags(write=False)
+        return folded
 
     def occupation(self) -> np.ndarray:
         """Mean thermal occupation of every mode."""

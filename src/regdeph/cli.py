@@ -141,7 +141,7 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, digest: str) -> int:
 
 
 def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | None:
-    if cfg.run.pair_m is not None and cfg.run.pair_n is not None:
+    if cfg.run.pair_m is not None:
         kbar = cfg.bath.peak.center if cfg.bath.peak is not None else None
         residual = (abs(cfg.run.pair_m * kbar * geometry.d / np.pi - cfg.run.pair_n)
                     if kbar is not None else None)

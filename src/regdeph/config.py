@@ -272,6 +272,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("run time grid needs 0 <= t0 <= t1")
     if r.code not in ("adjacent", "modulated"):
         raise ConfigError(f"run.code must be 'adjacent' or 'modulated', got {r.code!r}")
+    if (r.pair_m is None) != (r.pair_n is None):
+        raise ConfigError("run.pair_m and run.pair_n must be given together")
     if cfg.output.precision < 1 or cfg.output.precision > 17:
         raise ConfigError("output.precision must be in 1..17")
 

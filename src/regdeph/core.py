@@ -18,10 +18,15 @@ The (L, M) phase matrix and the (P, M) pair temporaries are built in blocks
 of at most ``CHUNK`` elements, so neither exists whole for large registers or
 label sets.  Every public function below is a thin view over this primitive.
 
-The phase formula assumes the bath's mode set is closed under ``k -> -k``
+The primitive sums over the bath's folded view
+(:attr:`regdeph.bath.BathSpectrum.folded`): one mode of every ``+k/-k`` pair,
+carrying the pair's summed weight.  Both kernels and ``|S(k)|`` are even under
+``k -> -k``, so this equals the sum over all modes at half the cost.  The
+phase formula assumes the bath's mode set is closed under ``k -> -k``
 (guaranteed by the builders in :mod:`regdeph.bath`); for a lone unpaired wave
 vector an additional cross term, odd in ``k``, would survive in multi-qubit
-coherences.
+coherences.  A set that is not closed has no pairs to fold and is summed
+whole.
 """
 from __future__ import annotations
 
@@ -178,7 +183,7 @@ def _structure_factors(labels, k_vecs, positions) -> np.ndarray:
 
 
 def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
-    """Damping and phase kernels on a time grid, each of shape (T, M).
+    """Damping and phase kernels of the folded modes on a time grid, each of shape (T, M).
 
     With ``x = omega*t``: damping ``g2 coth(omega/2T) 2 sin^2(x/2) / omega^2`` and
     phase ``g2 (x - sin x) / omega^2``.  Below ``x = 0.2`` the subtraction
@@ -188,7 +193,7 @@ def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValueError("times must be >= 0")
-    w = bath.omega
+    w, _, g2 = bath.folded
     x = np.multiply.outer(times, w)
     phase = np.sin(x)
     np.subtract(x, phase, out=phase)
@@ -200,7 +205,7 @@ def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
     damping *= 0.5
     np.sin(damping, out=damping)
     np.square(damping, out=damping)
-    weight = bath.g2 / w**2
+    weight = g2 / w**2
     damping *= 2.0 * coth_half(w, bath.temperature) * weight
     phase *= weight
     return damping, phase
@@ -214,7 +219,7 @@ def _coherence(labels, a, b, times, bath: BathSpectrum,
     pairs are taken in blocks that bound the (P, M) temporaries.
     """
     k_eta, k_phi = _time_kernels(bath, times)
-    s = _structure_factors(labels, bath.k, positions)
+    s = _structure_factors(labels, bath.folded.k, positions)
     mod2 = np.abs(s) ** 2
     a, b = np.asarray(a), np.asarray(b)
     eta = np.empty((len(k_eta), len(a)))
@@ -232,20 +237,36 @@ def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
     return _structure_factors([label], k_vecs, positions)[0]
 
 
-def _pair_weights(i: BasisLabel, j: BasisLabel, k_vec, positions) -> tuple[float, float]:
-    """Damping and phase weight of the pair ``(i, j)`` from one structure-factor call."""
-    si, sj = _structure_factors([i, j], [k_vec], positions)[:, 0]
-    return float(abs(si - sj) ** 2), float(abs(si) ** 2 - abs(sj) ** 2)
+def _pair_weights(i: BasisLabel, j: BasisLabel, k_vec,
+                  positions) -> tuple[np.ndarray, np.ndarray]:
+    """Damping weight ``|S_i - S_j|^2`` and phase weight ``|S_i|^2 - |S_j|^2`` at one wave vector.
+
+    ``positions`` is one register ``(L, 3)`` or a stack of registers
+    ``(n, L, 3)``, and the weights take its leading shape.  Both labels share
+    one phase array.  The site sums are plain reductions, not BLAS products,
+    so a register's weights are bit-identical alone and inside a stack.
+    """
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim not in (2, 3) or pos.shape[-1] != 3:
+        raise ValueError(f"positions must have shape (L, 3) or (n, L, 3), got {pos.shape}")
+    for label in (i, j):
+        if len(label) != pos.shape[-2]:
+            raise ValueError(f"label length {len(label)} does not match {pos.shape[-2]} positions")
+    phases = np.exp(1j * (pos @ np.asarray(k_vec, dtype=float)))
+    si, sj = (phases * i.as_array()).sum(-1), (phases * j.as_array()).sum(-1)
+    diff = si - sj
+    return (diff.real**2 + diff.imag**2,
+            si.real**2 + si.imag**2 - (sj.real**2 + sj.imag**2))
 
 
 def damping_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Squared modulus of the spin-difference structure factor at one wave vector."""
-    return _pair_weights(i, j, k_vec, positions)[0]
+    return float(_pair_weights(i, j, k_vec, positions)[0])
 
 
 def phase_weight(i: BasisLabel, j: BasisLabel, k_vec, positions) -> float:
     """Difference of the two labels' squared structure factors (may be negative)."""
-    return _pair_weights(i, j, k_vec, positions)[1]
+    return float(_pair_weights(i, j, k_vec, positions)[1])
 
 
 def damping_exponent(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
@@ -274,7 +295,7 @@ def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float
     ``label_phase(i) - label_phase(j) == lamb_phase(i, j)``.
     """
     _, k_phi = _time_kernels(bath, [t])
-    s = _structure_factors([i], bath.k, positions)
+    s = _structure_factors([i], bath.folded.k, positions)
     return float(k_phi[0] @ np.abs(s[0]) ** 2)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpectrum, SpectralMoments
-from .core import BasisLabel, _pair_weights, _time_kernels
+from .core import CHUNK, BasisLabel, _pair_weights, _time_kernels
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry, apply_disorder
 
@@ -135,15 +135,21 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     magnitude; each sample redraws the site offsets with a seed derived from
     ``(geometry.seed, sample_index)``, so the aggregate is deterministic and
     independent of evaluation order.  ``threads`` is accepted and ignored.
+
+    The samples' positions are stacked in blocks of at most ``CHUNK`` sites,
+    and each block's weights come from one batched call.
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples for an error estimate, got {n_samples}")
     k_vec = np.array([k_magnitude, 0.0, 0.0])
     ideal = geometry.ideal_positions()
     lam1, lam2 = np.empty((2, n_samples))
-    for idx in range(n_samples):
-        positions = apply_disorder(ideal, geometry.delta, (geometry.seed, idx))
-        lam1[idx], lam2[idx] = _pair_weights(i, j, k_vec, positions)
+    step = max(1, CHUNK // len(ideal))
+    for lo in range(0, n_samples, step):
+        hi = min(lo + step, n_samples)
+        positions = np.stack([apply_disorder(ideal, geometry.delta, (geometry.seed, idx))
+                              for idx in range(lo, hi)])
+        lam1[lo:hi], lam2[lo:hi] = _pair_weights(i, j, k_vec, positions)
 
     def estimate(values):
         return MonteCarloEstimate(mean=float(np.mean(values)),

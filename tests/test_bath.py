@@ -69,6 +69,33 @@ class TestDiscretize:
         bath = discretize_spectrum(PowerLawCoupling(), v=2.0, n_freq=16, omega_max=4.0)
         kset = {tuple(np.round(k, 12)) for k in bath.k}
         assert all(tuple(np.round(-np.array(k), 12)) in kset for k in kset)
+        # every builder's set folds to one mode per +k/-k pair, weights summed
+        for bath in (bath,
+                     discretize_spectrum(PowerLawCoupling(), v=1.0, dimensionality=3,
+                                         n_freq=7, omega_max=3.0, n_directions=14),
+                     gaussian_peak_modes(center=2.0, width=0.1, v=1.0, n_freq=21),
+                     gaussian_peak_modes(center=2.0, width=0.1, v=1.5, dimensionality=3,
+                                         n_freq=9, n_directions=8)):
+            assert bath.inversion_closed
+            omega, k, g2 = bath.folded
+            assert len(omega) == len(k) == len(g2) == bath.n_modes // 2
+            assert abs(g2.sum() - bath.g2.sum()) <= 1e-15 * bath.g2.sum()
+            # the kept modes and their partners are exactly the full set
+            halves = [(w, *s * kk) for s in (1, -1) for w, kk in zip(omega, k)]
+            assert sorted(halves) == sorted((w, *kk) for w, kk in zip(bath.omega, bath.k))
+            assert not any(arr.flags.writeable for arr in bath.folded)
+
+    def test_unpaired_mode_set_is_summed_whole(self):
+        lone = BathSpectrum(omega=np.array([1.0]), k=np.array([[0.0, 1.0, 0.0]]),
+                            g2=np.array([0.1]), v=1.0)
+        paired = discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=3, omega_max=3.0)
+        extra = BathSpectrum(omega=np.append(paired.omega, 1.5),
+                             k=np.vstack([paired.k, [[0.0, 0.0, 1.5]]]),
+                             g2=np.append(paired.g2, 0.2), v=1.0)
+        for bath in (lone, extra):
+            assert not bath.inversion_closed
+            for folded, full in zip(bath.folded, (bath.omega, bath.k, bath.g2)):
+                assert np.array_equal(folded, full)
 
     def test_three_dimensional_directions(self):
         bath = discretize_spectrum(PowerLawCoupling(), v=1.0, dimensionality=3,

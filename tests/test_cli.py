@@ -315,6 +315,16 @@ class TestExitCodes:
         assert "grid.directions" in capsys.readouterr().err
         assert not (out / "simulate.csv").exists()
 
+    @pytest.mark.parametrize("key", ["pair_m = 2", "pair_n = 1"])
+    def test_lone_pair_key_is_validation_failure(self, tmp_path, capsys, key):
+        text = f"[geometry]\ndims = 8,1,1\n\n[run]\ncode = modulated\n{key}\n"
+        out = tmp_path / "o"
+        assert main(["encode", "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "run.pair_m" in err and "run.pair_n" in err
+        assert not (out / "encoded_state.txt").exists()
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--quiet"]) == EXIT_IO

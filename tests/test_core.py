@@ -395,8 +395,78 @@ def test_chunked_results_match_unchunked(monkeypatch):
                 fac.eta_matrix, fac.phi_matrix, np.array([res.max_eta, res.max_abs_phi]))
 
     whole = run()
-    # 50 elements: 22 modes in blocks of 7 (or 8) and 15 pairs in blocks of 2
+    # 50 elements: the 22 modes fold to 11, taken in blocks of 7 (or 8),
+    # and 15 pairs in blocks of 4
     monkeypatch.setattr(core, "CHUNK", 50)
     assert len(labels) == 6 and bath.n_modes == 22
     for chunked, ref in zip(run(), whole):
         np.testing.assert_allclose(chunked, ref, rtol=0, atol=1e-12)
+
+
+def _fold_test_baths():
+    """Paired builder sets, unpaired sets, and a closed set with unequal partner weights."""
+    from regdeph.bath import gaussian_peak_modes
+
+    coupling = PowerLawCoupling(0.08, 1.0, 2.0)
+    paired = discretize_spectrum(coupling, v=1.0, n_freq=9, omega_max=4.0, temperature=0.6)
+    rng = np.random.default_rng(41)
+    k = rng.normal(size=(5, 3))
+    k = np.vstack([k, -k[::-1]])
+    return {
+        "1d": paired,
+        "3d": discretize_spectrum(coupling, v=1.3, dimensionality=3, n_freq=6, omega_max=4.0,
+                                  temperature=0.6, n_directions=10),
+        "peak-1d": gaussian_peak_modes(center=1.6, width=0.2, v=1.0, n_freq=15, amplitude=0.3),
+        "peak-3d": gaussian_peak_modes(center=1.6, width=0.2, v=0.8, dimensionality=3,
+                                       n_freq=7, amplitude=0.3, temperature=0.3,
+                                       n_directions=6),
+        "single-mode": single_mode_bath(omega=1.2, direction=(1.0, 1.0, 0.0), temperature=0.6),
+        "extra-unpaired": BathSpectrum(omega=np.append(paired.omega, 1.5),
+                                       k=np.vstack([paired.k, [[0.0, 1.5, 0.0]]]),
+                                       g2=np.append(paired.g2, 0.04), v=1.0, temperature=0.6),
+        "unequal-partners": BathSpectrum(omega=np.linalg.norm(k, axis=1), k=k,
+                                         g2=rng.uniform(0.0, 0.1, size=len(k)), v=1.0,
+                                         temperature=0.6),
+    }
+
+
+@pytest.mark.parametrize("name", list(_fold_test_baths()))
+def test_folded_sums_equal_direct_sums_over_all_modes(name):
+    from regdeph.bath import coth_half
+    from regdeph.regimes import damping_scale, phase_scale
+
+    bath = _fold_test_baths()[name]
+    assert bath.inversion_closed == (name not in ("single-mode", "extra-unpaired"))
+    rng = np.random.default_rng(43)
+    pos = rng.uniform(-1.5, 1.5, size=(4, 3))
+    labels = sorted({random_label(rng, 4) for _ in range(8)}, key=str)[:5]
+    amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+    state = RegisterState.from_unnormalized(dict(zip(labels, amps)))
+    times = np.linspace(0.0, 7.0, 8)
+
+    # the closed form written out once per mode of the full set, no folding
+    s = np.array([[np.sum(np.array(lab.spins) * np.exp(1j * (pos @ k))) for k in bath.k]
+                  for lab in labels])
+    x = np.multiply.outer(times, bath.omega)
+    weight = bath.g2 / bath.omega**2
+    k_eta = weight * coth_half(bath.omega, bath.temperature) * 2.0 * np.sin(x / 2) ** 2
+    k_phi = weight * (x - np.sin(x))
+    mod2 = np.abs(s) ** 2
+    eta = np.einsum("tm,abm->tab", k_eta, np.abs(s[:, None] - s[None]) ** 2)
+    phi = np.einsum("tm,abm->tab", k_phi, mod2[:, None] - mod2[None])
+    p = np.abs(list(state.amplitudes.values())) ** 2
+    fid = np.einsum("a,b,tab->t", p, p, np.exp(-eta) * np.cos(phi))
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    assert state.labels() == labels
+    close(fidelity_curve(state, times, bath, pos), fid)
+    close(factor_curves(labels[1], labels[3], times, bath, pos), (eta[:, 1, 3], phi[:, 1, 3]))
+    fac = pair_factors(labels, float(times[5]), bath, pos)
+    close(fac.eta_matrix, eta[5])
+    close(fac.phi_matrix, phi[5])
+    for n, lab in enumerate(labels):
+        close(label_phase(lab, float(times[4]), bath, pos), k_phi[4] @ mod2[n])
+    close(damping_scale(bath, float(times[6])), np.sum(k_eta[6]))
+    close(phase_scale(bath, float(times[6])), np.sum(k_phi[6]))

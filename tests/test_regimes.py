@@ -104,6 +104,26 @@ class TestDisorderAverages:
         c = disorder_average_weights(i, j, 3.0, geo, 200, threads=4)
         assert a == b == c
 
+    @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
+    def test_batched_weights_equal_per_sample_weights(self, monkeypatch, dims):
+        from regdeph import regimes
+        from regdeph.core import damping_weight, phase_weight
+        from regdeph.geometry import apply_disorder
+
+        rng = np.random.default_rng(7)
+        geo = RegisterGeometry(dims=dims, d=0.9, delta=0.4, seed=11)
+        i, j = (BasisLabel(tuple(rng.choice([-1, 1], size=geo.n_qubits))) for _ in range(2))
+        k_vec, n = np.array([1.7, 0.0, 0.0]), 40
+        # blocks of 3 samples on 27 sites, of 16 samples on 6 sites
+        monkeypatch.setattr(regimes, "CHUNK", 100)
+        batched = disorder_average_weights(i, j, 1.7, geo, n)
+        samples = [apply_disorder(geo.ideal_positions(), geo.delta, (geo.seed, idx))
+                   for idx in range(n)]
+        for est, weight in zip(batched, (damping_weight, phase_weight)):
+            values = np.array([weight(i, j, k_vec, pos) for pos in samples])
+            assert est.mean == float(np.mean(values))
+            assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(n))
+
     def test_needs_two_samples(self):
         lab = BasisLabel((1, 1, 1, 1))
         with pytest.raises(ValueError):
