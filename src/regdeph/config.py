@@ -272,6 +272,10 @@ def _validate(cfg: RunConfig):
         raise ConfigError("run time grid needs 0 <= t0 <= t1")
     if r.code not in ("adjacent", "modulated"):
         raise ConfigError(f"run.code must be 'adjacent' or 'modulated', got {r.code!r}")
+    if r.instances < 0:
+        raise ConfigError(f"run.instances must be >= 0, got {r.instances}")
+    if r.oracle_samples < 2:
+        raise ConfigError(f"run.oracle_samples must be >= 2, got {r.oracle_samples}")
     if (r.pair_m is None) != (r.pair_n is None):
         raise ConfigError("run.pair_m and run.pair_n must be given together")
     if cfg.output.precision < 1 or cfg.output.precision > 17:

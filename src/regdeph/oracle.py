@@ -3,13 +3,18 @@
 The coupling is diagonal in the register basis and different modes commute
 at equal times, so the joint propagator factorizes into independent blocks
 per (register label, mode).  The bath is kept as one truncated number-state
-column per (label, mode, sample), shape ``(labels, modes, dim, samples)``;
-reduced-density entries are products over modes of per-mode overlaps, so
-memory grows linearly in the number of modes.  Each block is integrated by a
-second-order midpoint split-step scheme built directly from the
-time-dependent interaction Hamiltonian — no damping/phase formulas from
-:mod:`regdeph.core` enter anywhere in the integration path.
+column per (label, mode, sample); reduced-density entries are products over
+modes of per-mode overlaps, so memory grows linearly in the number of modes.
+Each block is integrated by a second-order midpoint split-step scheme built
+directly from the time-dependent interaction Hamiltonian — no damping/phase
+formulas from :mod:`regdeph.core` enter anywhere in the integration path.
 :func:`analytic_blocks` gives the analytic propagators of the same blocks.
+
+A thermal instance streams its samples through blocks of at most
+``core.CHUNK`` column elements: each block's coherent columns are built,
+evolved, checked for leakage and reduced to per-sample overlaps before the
+next.  Its memory is the ``(S, M, dim, dim)`` propagators, one sample block
+and the ``(S, S, N)`` overlaps; it does not grow as ``S * M * dim * N``.
 
 Desk scale only: the label count is exponential in the register size.
 """
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState
 
@@ -92,15 +98,22 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
     """Truncated coherent-state columns, renormalized on the retained levels.
 
     ``alpha`` is one amplitude or an array of them; the result has shape
-    ``(dim,) + shape(alpha)``, one column per amplitude.
+    ``(dim,) + shape(alpha)``, one column per amplitude.  The column is the
+    cumulative product ``c_0 = exp(-|alpha|^2 / 2)``, ``c_n = c_{n-1} alpha /
+    sqrt(n)``; ``c_0`` is held at or above ``exp(-700)``, so that it stays a
+    normal double, which the renormalization absorbs.  Above
+    ``|alpha|^2 = 2100`` the squared norm of such a column would overflow, so
+    larger amplitudes raise ``ValueError``.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    n = np.arange(dim).reshape((dim,) + (1,) * alpha.ndim)
-    radius = np.abs(alpha)
-    # log(|alpha|^n exp(-|alpha|^2 / 2) / sqrt(n!)); zero amplitudes give the vacuum
-    logs = (n * np.log(np.where(radius > 0, radius, 1.0)) - 0.5 * radius**2
-            - 0.5 * np.cumsum(np.log(np.maximum(n, 1)), axis=0))
-    vec = np.where(radius > 0, np.exp(logs) * np.exp(1j * n * np.angle(alpha)), n == 0)
+    half_r2 = 0.5 * np.abs(alpha) ** 2
+    if np.any(half_r2 > 1050.0):
+        raise ValueError(f"coherent amplitude |alpha|^2 = {2 * np.max(half_r2):.4g} "
+                         f"exceeds 2100")
+    terms = np.empty((dim,) + alpha.shape, dtype=complex)
+    terms[0] = np.exp(-np.minimum(half_r2, 700.0))
+    terms[1:] = alpha / np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * alpha.ndim)
+    vec = np.cumprod(terms, axis=0)
     return vec / np.linalg.norm(vec, axis=0)
 
 
@@ -164,6 +177,27 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
     return blocks
 
 
+def _top_level(evolved: np.ndarray) -> float:
+    """Largest top-level probability of sample-major columns (S, M, N, dim)."""
+    return float(np.max(np.abs(evolved[..., -1]) ** 2))
+
+
+def _evolve(blocks: np.ndarray, alphas, leakage: float = 0.0) -> tuple[np.ndarray, float]:
+    """Sample-major evolved columns (S, M, N, dim) and the running leakage.
+
+    ``leakage`` is the worst top-level probability of the columns evolved
+    before; the one returned also covers these columns.  Raises
+    :class:`TruncationLeakageError` when it exceeds ``LEAKAGE_TOL``.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    columns = np.moveaxis(coherent_vector(alphas.T, blocks.shape[-1]), 0, -1)  # (M, N, dim)
+    evolved = columns @ blocks.swapaxes(-1, -2)
+    leakage = max(leakage, _top_level(evolved))
+    if leakage > LEAKAGE_TOL:
+        raise TruncationLeakageError(leakage)
+    return evolved, leakage
+
+
 def evolve_columns(blocks: np.ndarray, alphas) -> np.ndarray:
     """Evolve coherent bath columns through every block, shape (S, M, dim, N).
 
@@ -171,34 +205,47 @@ def evolve_columns(blocks: np.ndarray, alphas) -> np.ndarray:
     Raises :class:`TruncationLeakageError` when the top retained level of any
     evolved column holds more than ``LEAKAGE_TOL`` probability.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    columns = np.moveaxis(coherent_vector(alphas.T, blocks.shape[-1]), 0, 1)  # (M, dim, N)
-    evolved = blocks @ columns
-    leak = float(np.max(np.abs(evolved[..., -1, :]) ** 2))
-    if leak > LEAKAGE_TOL:
-        raise TruncationLeakageError(leak)
-    return evolved
+    return _evolve(blocks, alphas)[0].swapaxes(-1, -2)
+
+
+def _overlaps(evolved: np.ndarray) -> np.ndarray:
+    """Per-sample products over modes of ``<col_b | col_a>``, shape (S, S, N).
+
+    ``evolved`` is sample-major, (S, M, N, dim).  Only ``a <= b`` is
+    computed; entry ``(b, a)`` is the conjugate, so every sample's matrix is
+    exactly Hermitian.
+    """
+    n_labels = evolved.shape[0]
+    conj = np.conj(evolved)
+    out = np.empty((n_labels, n_labels, evolved.shape[2]), dtype=complex)
+    for a in range(n_labels):
+        row = np.einsum("mnd,bmnd->bmn", evolved[a], conj[a:]).prod(axis=1)
+        row[0] = row[0].real  # <col_a | col_a> is a norm
+        out[a, a:] = row
+        out[a:, a] = np.conj(row)
+    return out
 
 
 @dataclass
 class ThermalDensity:
-    """Monte Carlo reduced density with per-entry statistical error bars."""
+    """Monte Carlo reduced density with per-entry statistical error bars.
+
+    ``dim`` is the truncation dimension of every bath column and ``leakage``
+    the largest top-level probability of any evolved column.
+    """
 
     entries: dict[tuple[BasisLabel, BasisLabel], complex]
     stderr: dict[tuple[BasisLabel, BasisLabel], float]
     n_samples: int
+    dim: int
+    leakage: float
 
 
-def reduce_columns(state: RegisterState, columns: np.ndarray) -> ThermalDensity:
-    """Trace out the bath: entries and standard errors over the samples.
-
-    ``columns`` are the evolved bath columns of ``state.labels()``, shape
-    (S, M, dim, N).  Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the
-    product over modes of the overlaps ``<col_b | col_a>``.
-    """
+def _statistics(state: RegisterState, overlaps: np.ndarray, dim: int,
+                leakage: float) -> ThermalDensity:
+    """Entries and standard errors over the samples of the (S, S, N) overlaps."""
     labels = state.labels()
     amps = np.array([amp for _, amp in state.items()])
-    overlaps = np.einsum("amdn,bmdn->abmn", columns, np.conj(columns)).prod(axis=2)
     samples = (amps[:, None] * np.conj(amps)[None, :])[..., None] * overlaps
     n_samples = samples.shape[-1]
     means = samples.mean(axis=-1)
@@ -210,7 +257,18 @@ def reduce_columns(state: RegisterState, columns: np.ndarray) -> ThermalDensity:
     keys = list(itertools.product(labels, repeat=2))  # row-major (a, b), as in means
     return ThermalDensity(entries=dict(zip(keys, means.ravel().tolist())),
                           stderr=dict(zip(keys, errors.ravel().tolist())),
-                          n_samples=n_samples)
+                          n_samples=n_samples, dim=dim, leakage=leakage)
+
+
+def reduce_columns(state: RegisterState, columns: np.ndarray) -> ThermalDensity:
+    """Trace out the bath: entries and standard errors over the samples.
+
+    ``columns`` are the evolved bath columns of ``state.labels()``, shape
+    (S, M, dim, N).  Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the
+    product over modes of the overlaps ``<col_b | col_a>``.
+    """
+    evolved = columns.swapaxes(-1, -2)
+    return _statistics(state, _overlaps(evolved), evolved.shape[-1], _top_level(evolved))
 
 
 def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
@@ -222,7 +280,8 @@ def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
     with variance equal to the mean occupation; each sample draws one
     amplitude per mode, evolves the bath column of every (label, mode) block
     and traces out the bath.  At ``T = 0`` the mixture degenerates to the
-    vacuum and a single deterministic sample is used.
+    vacuum and a single deterministic sample is used.  The samples are
+    evolved and reduced in blocks of at most ``core.CHUNK`` column elements.
     """
     if bath.temperature == 0:
         alphas = np.zeros((1, bath.n_modes), complex)
@@ -238,7 +297,12 @@ def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
                                    alpha_max=float(np.max(np.abs(alphas))),
                                    n_qubits=state.n_qubits)
     blocks = integrated_blocks(bath, positions, state.labels(), t, steps, n_max + 1)
-    return reduce_columns(state, evolve_columns(blocks, alphas))
+    step = max(1, core.CHUNK // blocks[..., 0].size)  # one sample is S * M * dim elements
+    leakage, overlaps = 0.0, []
+    for start in range(0, len(alphas), step):
+        evolved, leakage = _evolve(blocks, alphas[start:start + step], leakage)
+        overlaps.append(_overlaps(evolved))
+    return _statistics(state, np.concatenate(overlaps, axis=-1), n_max + 1, leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +325,21 @@ class OracleInstance:
 
 @dataclass
 class InstanceCheck:
-    """Outcome of one cross-validation: worst deviation against its tolerance."""
+    """Outcome of one cross-validation: worst deviation against its tolerance.
+
+    ``dim``, ``steps``, ``n_samples`` and ``leakage`` describe the oracle run:
+    truncation dimension, integration steps, Monte Carlo samples and the
+    largest top-level probability of any evolved bath column.
+    """
 
     name: str
     deviation: float
     tolerance: float
     kind: str  # "absolute" (T=0) or "stderr-units" (thermal)
+    dim: int
+    steps: int
+    n_samples: int
+    leakage: float
 
     @property
     def passed(self) -> bool:
@@ -351,16 +424,18 @@ def check_instance(inst: OracleInstance, tolerance: float = 1e-4,
     result = thermal_reduced_density(
         inst.state, inst.t, inst.bath, inst.positions,
         n_samples=inst.n_samples, seed=inst.seed, steps=inst.steps)
+    run = dict(dim=result.dim, steps=inst.steps, n_samples=result.n_samples,
+               leakage=result.leakage)
     if inst.bath.temperature == 0:
         dev = max(abs(closed[key] - result.entries[key]) for key in closed)
         return InstanceCheck(name=inst.name, deviation=float(dev),
-                             tolerance=tolerance, kind="absolute")
+                             tolerance=tolerance, kind="absolute", **run)
     worst = 0.0
     for key, val in closed.items():
         allowed = 3.0 * result.stderr[key] + stderr_floor
         worst = max(worst, abs(val - result.entries[key]) / allowed)
     return InstanceCheck(name=inst.name, deviation=float(worst),
-                         tolerance=1.0, kind="stderr-units")
+                         tolerance=1.0, kind="stderr-units", **run)
 
 
 def default_suite(seed: int = 7, n_cold: int = 6, n_thermal: int = 1,

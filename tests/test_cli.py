@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -283,6 +284,20 @@ k_magnitude = 6.0
         assert main(["validate-oracle", "--config", str(cfg_path), "--quiet",
                      "--output", str(tmp_path / "out")]) == EXIT_OK
 
+    def test_validate_oracle_reports_run_sizes(self, tmp_path, capsys):
+        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 2\noracle_samples = 1200\n"
+        assert main(["validate-oracle", "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(tmp_path / "out")]) == EXIT_OK
+        pattern = re.compile(r"\S+: deviation = \S+ \((absolute|stderr-units), tolerance \S+\) "
+                             r"PASS \[dim = (\d+), steps = 3000, samples = (\d+), "
+                             r"leakage = (\S+)\]")
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            kind, dim, samples, leakage = pattern.fullmatch(line).groups()
+            assert int(samples) == (1200 if kind == "stderr-units" else 1)
+            assert int(dim) > 10 and 0.0 <= float(leakage) <= 1e-6
+
     def test_header_contains_version_seed_and_hash(self, tmp_path, capsys):
         cfg_path = _write(tmp_path, MINIMAL)
         assert main(["simulate", "--config", str(cfg_path),
@@ -324,6 +339,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "run.pair_m" in err and "run.pair_n" in err
         assert not (out / "encoded_state.txt").exists()
+
+    @pytest.mark.parametrize("line, key", [("instances = -3", "run.instances"),
+                                           ("oracle_samples = 1", "run.oracle_samples")])
+    def test_bad_oracle_run_size_is_validation_failure(self, tmp_path, capsys, line, key):
+        out = tmp_path / "o"
+        assert main(["validate-oracle", "--config", str(_write(tmp_path, f"[run]\n{line}\n")),
+                     "--quiet", "--output", str(out)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert key in captured.err
+        # rejected while parsing: no instance was checked and no output directory made
+        assert "deviation" not in captured.out and not out.exists()
 
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from regdeph import core, oracle
 from regdeph.bath import BathSpectrum
 from regdeph.core import BasisLabel, RegisterState, evolve
 from regdeph.oracle import (
@@ -55,6 +57,39 @@ def test_coherent_vector_columns_match_scalar_calls():
     for idx in np.ndindex(alphas.shape):
         assert np.max(np.abs(cols[(slice(None),) + idx] - coherent_vector(alphas[idx], 30))) < 1e-15
     assert cols[0, 0, 0] == 1.0 and np.all(cols[1:, 0, 0] == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(0.0), st.floats(np.log(1e-3), np.log(40.0)).map(np.exp)),
+       st.floats(0.0, 2 * np.pi), st.integers(1, 2000))
+def test_coherent_vector_against_mpmath(radius, angle, dim):
+    from mpmath import mp, mpc, sqrt as msqrt
+
+    alpha = radius * np.exp(1j * angle)
+    got = coherent_vector(alpha, dim)
+    if radius == 0.0:
+        assert got[0] == 1.0 and np.all(got[1:] == 0)
+    with mp.workdps(30):
+        # alpha^n / sqrt(n!), renormalized on the retained levels
+        terms, term, a = [], mpc(1), mpc(alpha)
+        for n in range(dim):
+            if n:
+                term = term * a / msqrt(n)
+            terms.append(term)
+        norm = msqrt(sum(abs(x) ** 2 for x in terms))
+        expected = np.array([complex(x / norm) for x in terms])
+    assert np.all(np.isfinite(got))
+    assert abs(np.linalg.norm(got) - 1.0) <= 1e-13
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_coherent_vector_range():
+    # exp(-|alpha|^2 / 2) underflows at |alpha|^2 = 2099; the renormalized column does not
+    vec = coherent_vector(np.sqrt(2099.0) * np.exp(0.4j), 2800)
+    assert np.all(np.isfinite(vec)) and abs(np.linalg.norm(vec) - 1.0) <= 1e-13
+    assert np.sum(np.arange(2800) * np.abs(vec) ** 2) == pytest.approx(2099.0, rel=1e-12)
+    with pytest.raises(ValueError, match="2116"):
+        coherent_vector(np.array([1.0, 46.0]), 10)
 
 
 def vacuum(bath, n_samples=1):
@@ -247,6 +282,63 @@ class TestThermalReducedDensity:
         with pytest.raises(ValueError):
             thermal_reduced_density(RegisterState.cat(1), 1.0, bath, line_positions(1),
                                     n_samples=1)
+
+
+def thermal_draws(bath, pos, state, t, n_samples, seed, steps):
+    """The amplitudes and propagators ``thermal_reduced_density`` builds for one instance."""
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(bath.occupation() / 2.0)
+    alphas = (rng.normal(size=(n_samples, bath.n_modes))
+              + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale
+    n_max = default_truncation(bath, pos, t, alpha_max=float(np.max(np.abs(alphas))),
+                               n_qubits=state.n_qubits)
+    return alphas, integrated_blocks(bath, pos, state.labels(), t, steps, n_max + 1)
+
+
+def test_blocked_thermal_density_matches_whole_array(monkeypatch):
+    w = np.array([0.7, 1.2])
+    bath = BathSpectrum(omega=np.repeat(w, 2), k=np.array([[0.7, 0, 0], [-0.7, 0, 0],
+                                                            [1.2, 0, 0], [-1.2, 0, 0]]),
+                        g2=np.array([0.03, 0.03, 0.05, 0.05]), v=1.0, temperature=0.9)
+    rng = np.random.default_rng(17)
+    labels = register_basis(2)
+    state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                             for lab in labels[:3]})
+    pos, t, n_samples, seed, steps = line_positions(2, d=0.9), 2.2, 50, 4, 400
+    alphas, blocks = thermal_draws(bath, pos, state, t, n_samples, seed, steps)
+    columns = evolve_columns(blocks, alphas)
+    whole = reduce_columns(state, columns)
+    # per sample, the overlap matrix is exactly Hermitian and equals the full einsum
+    overlaps = oracle._overlaps(columns.swapaxes(-1, -2))
+    assert np.array_equal(overlaps, np.conj(overlaps.swapaxes(0, 1)))
+    full = np.einsum("amdn,bmdn->abmn", columns, np.conj(columns)).prod(axis=2)
+    assert np.max(np.abs(overlaps - full)) <= 1e-15
+    per_sample = blocks[..., 0].size  # S * M * dim elements
+    # one sample per block, then blocks of 8 samples with an uneven last block of 2
+    for chunk in (per_sample, 8 * per_sample + 3):
+        monkeypatch.setattr(core, "CHUNK", chunk)
+        blocked = thermal_reduced_density(state, t, bath, pos, n_samples=n_samples,
+                                          seed=seed, steps=steps)
+        assert (blocked.n_samples, blocked.dim) == (n_samples, blocks.shape[-1])
+        assert blocked.leakage == pytest.approx(whole.leakage, rel=1e-12)
+        assert 0.0 < blocked.leakage <= LEAKAGE_TOL
+        for key, val in whole.entries.items():
+            assert abs(blocked.entries[key] - val) <= 1e-15
+            assert abs(blocked.stderr[key] - whole.stderr[key]) <= 1e-15
+
+
+def test_blocked_thermal_leakage_raises(monkeypatch):
+    bath = one_mode(omega=0.5, g2=0.5, temperature=1.0)  # strong drive, tiny space
+    state, pos = RegisterState.cat(2), line_positions(2)
+    monkeypatch.setattr(core, "CHUNK", 1)  # one sample per block
+    with pytest.raises(TruncationLeakageError) as err:
+        thermal_reduced_density(state, 6.0, bath, pos, n_samples=20, seed=1, steps=500, n_max=2)
+    alphas = thermal_draws(bath, pos, state, 6.0, 20, 1, 500)[0]
+    blocks = integrated_blocks(bath, pos, state.labels(), 6.0, 500, 3)
+    tops = [np.max(np.abs(blocks @ coherent_vector(a, 3).T[..., None])[..., -1, 0] ** 2)
+            for a in alphas]
+    # the first one-sample block already leaks: the raise reports it, not the worst of all
+    assert err.value.leakage == pytest.approx(tops[0], rel=1e-12) and tops[0] < max(tops)
 
 
 def test_default_truncation_grows_with_drive():
