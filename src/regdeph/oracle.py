@@ -99,19 +99,26 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
 
     ``alpha`` is one amplitude or an array of them; the result has shape
     ``(dim,) + shape(alpha)``, one column per amplitude.  The column is the
-    cumulative product ``c_0 = exp(-|alpha|^2 / 2)``, ``c_n = c_{n-1} alpha /
-    sqrt(n)``; ``c_0`` is held at or above ``exp(-700)``, so that it stays a
-    normal double, which the renormalization absorbs.  Above
-    ``|alpha|^2 = 2100`` the squared norm of such a column would overflow, so
-    larger amplitudes raise ``ValueError``.
+    cumulative product ``c_n = c_{n-1} alpha / sqrt(n)``.  Its entries grow
+    while ``n <= |alpha|^2``, so ``c_0`` is chosen to make the largest
+    retained one, at ``n = min(floor(|alpha|^2), dim - 1)``, of magnitude 1,
+    which the renormalization absorbs, so a column truncated far below
+    ``n = |alpha|^2`` still has a nonzero, finite norm.
+    ``c_0`` is held at or above ``exp(-700)``, so that it stays a normal
+    double; the largest entry is then at most ``exp(|alpha|^2 / 2 - 700)``.
+    Above ``|alpha|^2 = 2100`` the squared norm of such a column would
+    overflow, so larger amplitudes raise ``ValueError``.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    half_r2 = 0.5 * np.abs(alpha) ** 2
-    if np.any(half_r2 > 1050.0):
-        raise ValueError(f"coherent amplitude |alpha|^2 = {2 * np.max(half_r2):.4g} "
+    r2 = np.abs(alpha) ** 2
+    if np.any(r2 > 2100.0):
+        raise ValueError(f"coherent amplitude |alpha|^2 = {np.max(r2):.4g} "
                          f"exceeds 2100")
+    half_log_fact = 0.5 * np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
+    peak = np.minimum(np.floor(r2), dim - 1).astype(int)
+    log_peak = 0.5 * peak * np.log(np.where(peak > 0, r2, 1.0)) - half_log_fact[peak]
     terms = np.empty((dim,) + alpha.shape, dtype=complex)
-    terms[0] = np.exp(-np.minimum(half_r2, 700.0))
+    terms[0] = np.exp(-np.minimum(log_peak, 700.0))
     terms[1:] = alpha / np.sqrt(np.arange(1, dim)).reshape((-1,) + (1,) * alpha.ndim)
     vec = np.cumprod(terms, axis=0)
     return vec / np.linalg.norm(vec, axis=0)
