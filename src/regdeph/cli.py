@@ -49,22 +49,13 @@ def _fmt(value: float, precision: int) -> str:
 
 def _write_csv(path: Path, cfg_hash: str, header: str, rows, precision: int):
     """Write a CSV atomically: header comments, column names, formatted rows."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(f"# regdeph {__version__}\n")
-            fh.write(f"# config-sha256 = {cfg_hash}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v, precision) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    lines = [header] + [",".join(_fmt(v, precision) if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
+    _write_text(path, cfg_hash, "".join(line + "\n" for line in lines))
 
 
 def _write_text(path: Path, cfg_hash: str, body: str):
+    """Write a file atomically: the version and config-hash comments, then ``body``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w") as fh:

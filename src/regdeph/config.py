@@ -1,16 +1,18 @@
 """Run configuration: strict INI parsing, canonical serialization, builders.
 
-Unknown sections or keys are hard errors, every default is recorded in the
-resolved configuration, and ``parse -> serialize -> parse`` is the identity.
-The sha256 of the canonical serialization identifies a run in all output
-headers.
+The config dataclasses are the schema: each field names its INI key, and the
+field order is the canonical order.  Unknown sections or keys are hard errors,
+every default is recorded in the resolved configuration, and ``parse ->
+serialize -> parse`` is the identity.  The sha256 of the canonical
+serialization identifies a run in all output headers.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,141 +29,188 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
+def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=None):
+    """A field kept at INI key ``name`` ("section.key") and converted as ``kind``.
+    The canonical form omits an ``optional`` key while it holds its default, and
+    a key ``replaced_by`` another field while that field is set (not None)."""
+    section, key = name.split(".")
+    return field(default=default, metadata={"section": section, "key": key, "kind": kind,
+                                            "optional": optional, "replaced_by": replaced_by})
+
+
+def _sub(cls):
+    return field(default_factory=cls, metadata={"config": cls})
+
+
 @dataclass(frozen=True)
 class GeometryConfig:
-    dims: tuple[int, int, int] = (2, 1, 1)
-    d: float = 1.0
-    delta: float = 0.0
-    seed: int = 12345
+    dims: tuple[int, int, int] = _ini("geometry.dims", "dims", (2, 1, 1))
+    d: float = _ini("geometry.d", "float", 1.0)
+    delta: float = _ini("geometry.delta", "float", 0.0)
+    seed: int = _ini("geometry.seed", "int", 12345)
 
 
 @dataclass(frozen=True)
 class PeakConfig:
-    center: float  # dominant wavenumber
-    width: float   # wavenumber spread
-    n_freq: int = 201
-    n_sigma: float = 6.0
-    amplitude: float = 1.0
+    center: float = _ini("peak.center", "float")  # dominant wavenumber
+    width: float = _ini("peak.width", "float")    # wavenumber spread
+    n_freq: int = _ini("peak.n_freq", "int", 201)
+    n_sigma: float = _ini("peak.n_sigma", "float", 6.0)
+    amplitude: float = _ini("peak.amplitude", "float", 1.0)
 
 
 @dataclass(frozen=True)
 class BathConfig:
-    v: float = 1.0
-    T: float = 0.0
-    dimensionality: int = 1
-    coupling_amplitude: float = 1.0
-    coupling_exponent: float = 1.0
-    coupling_cutoff: float = 1.0
-    grid_modes: int = 1024
-    grid_omega_max: float = 10.0
-    grid_directions: int = 12
-    peak: PeakConfig | None = None
+    v: float = _ini("bath.v", "float", 1.0)
+    T: float = _ini("bath.T", "float", 0.0)
+    dimensionality: int = _ini("bath.dimensionality", "int", 1)
+    coupling_amplitude: float = _ini("coupling.A", "float", 1.0)
+    coupling_exponent: float = _ini("coupling.p", "float", 1.0)
+    coupling_cutoff: float = _ini("coupling.cutoff", "float", 1.0)
+    grid_modes: int = _ini("grid.modes", "int", 1024)
+    grid_omega_max: float = _ini("grid.omega_max", "float", 10.0)
+    grid_directions: int = _ini("grid.directions", "int", 12)
+    peak: PeakConfig | None = field(default=None, metadata={"config": PeakConfig})
 
 
 @dataclass(frozen=True)
 class StateConfig:
-    preset: str = "cat"
-    site: int = 0
-    entries: tuple[tuple[str, float, float], ...] | None = None
+    preset: str = _ini("state.preset", "str", "cat", replaced_by="entries")
+    entries: tuple[tuple[str, float, float], ...] | None = _ini(
+        "state.entries", "entries", None, optional=True)
+    site: int = _ini("state.site", "int", 0)
 
 
 @dataclass(frozen=True)
 class RunOptions:
-    t0: float = 0.0
-    t1: float = 10.0
-    steps: int = 101
-    m: int = 1
-    m_max: int = 10
-    eps_tol: float = 0.1
-    code: str = "adjacent"
-    pair_m: int | None = None
-    pair_n: int | None = None
-    track_pairs: str = ""
-    delta_min: float = 0.0
-    delta_max: float = 0.5
-    delta_steps: int = 6
-    samples: int = 500
-    k_magnitude: float = 1.0
-    label_i: str = ""
-    label_j: str = ""
-    instances: int = 6
-    oracle_samples: int = 4000
+    t0: float = _ini("run.t0", "float", 0.0)
+    t1: float = _ini("run.t1", "float", 10.0)
+    steps: int = _ini("run.steps", "int", 101)
+    m: int = _ini("run.m", "int", 1)
+    m_max: int = _ini("run.m_max", "int", 10)
+    eps_tol: float = _ini("run.eps_tol", "float", 0.1)
+    code: str = _ini("run.code", "str", "adjacent")
+    pair_m: int | None = _ini("run.pair_m", "int", None, optional=True)
+    pair_n: int | None = _ini("run.pair_n", "int", None, optional=True)
+    track_pairs: str = _ini("run.track_pairs", "str", "", optional=True)
+    delta_min: float = _ini("run.delta_min", "float", 0.0)
+    delta_max: float = _ini("run.delta_max", "float", 0.5)
+    delta_steps: int = _ini("run.delta_steps", "int", 6)
+    samples: int = _ini("run.samples", "int", 500)
+    k_magnitude: float = _ini("run.k_magnitude", "float", 1.0)
+    label_i: str = _ini("run.label_i", "str", "", optional=True)
+    label_j: str = _ini("run.label_j", "str", "", optional=True)
+    instances: int = _ini("run.instances", "int", 6)
+    oracle_samples: int = _ini("run.oracle_samples", "int", 4000)
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    dir: str = "out"
-    precision: int = 12
-    export_positions: bool = False
-    export_modes: bool = False
+    dir: str = _ini("output.dir", "str", "out")
+    precision: int = _ini("output.precision", "int", 12)
+    export_positions: bool = _ini("output.export_positions", "bool", False)
+    export_modes: bool = _ini("output.export_modes", "bool", False)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    geometry: GeometryConfig = field(default_factory=GeometryConfig)
-    bath: BathConfig = field(default_factory=BathConfig)
-    state: StateConfig = field(default_factory=StateConfig)
-    run: RunOptions = field(default_factory=RunOptions)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    geometry: GeometryConfig = _sub(GeometryConfig)
+    bath: BathConfig = _sub(BathConfig)
+    state: StateConfig = _sub(StateConfig)
+    run: RunOptions = _sub(RunOptions)
+    output: OutputConfig = _sub(OutputConfig)
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, geometry=replace(self.geometry, seed=seed))
 
 
-# (section, key) -> conversion; None marks optional keys without defaults
-_SCHEMA = {
-    "geometry": {"dims": "dims", "d": "float", "delta": "float", "seed": "int"},
-    "bath": {"v": "float", "T": "float", "dimensionality": "int"},
-    "coupling": {"A": "float", "p": "float", "cutoff": "float"},
-    "grid": {"modes": "int", "omega_max": "float", "directions": "int"},
-    "peak": {"center": "float", "width": "float", "n_freq": "int",
-             "n_sigma": "float", "amplitude": "float"},
-    "state": {"preset": "str", "site": "int", "entries": "entries"},
-    "run": {"t0": "float", "t1": "float", "steps": "int", "m": "int",
-            "m_max": "int", "eps_tol": "float", "code": "str", "pair_m": "int",
-            "pair_n": "int", "track_pairs": "str", "delta_min": "float",
-            "delta_max": "float", "delta_steps": "int", "samples": "int",
-            "k_magnitude": "float", "label_i": "str", "label_j": "str",
-            "instances": "int", "oracle_samples": "int"},
-    "output": {"dir": "str", "precision": "int", "export_positions": "bool",
-               "export_modes": "bool"},
-}
+def _keys(config):
+    """``(owner, field)`` of every INI key of a config class or instance, in canonical
+    order.  An instance's unset optional sub-configs (``peak = None``) are skipped."""
+    for f in fields(config):
+        if "config" not in f.metadata:
+            yield config, f
+            continue
+        sub = f.metadata["config"] if isinstance(config, type) else getattr(config, f.name)
+        if sub is not None:
+            yield from _keys(sub)
 
 
-def _convert(section: str, key: str, raw: str, kind: str):
+_SCHEMA: dict[str, dict[str, str]] = {}  # section -> key -> conversion kind
+for _, _f in _keys(RunConfig):
+    _SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = _f.metadata["kind"]
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
+def _state_rows(text: str) -> tuple[tuple[str, float, float], ...]:
+    """Parse 'label re im' rows, one a line; blank lines and '#' comments are skipped."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            try:
+                label, re_part, im_part = tokens
+                rows.append((label, _finite(re_part), _finite(im_part)))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected 'label re im' with finite "
+                                 f"re and im, got {line.strip()!r}") from None
+    if not rows:
+        raise ValueError("no 'label re im' rows")
+    return tuple(rows)
+
+
+def _boolean(raw: str) -> bool:
+    lowered = raw.strip().lower()
+    if lowered not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[lowered]
+
+
+def _dims(raw: str) -> tuple[int, int, int]:
+    parts = tuple(int(p) for p in raw.replace(",", " ").split())
+    if len(parts) != 3:
+        raise ValueError("dims needs exactly three integers")
+    return parts
+
+
+# kind -> INI text to value, and value to canonical text (entries span lines: see _format)
+_PARSE = {"int": int, "float": _finite, "bool": _boolean, "str": str.strip, "dims": _dims,
+          "entries": _state_rows}
+_FORMAT = {"int": str, "float": repr, "bool": lambda v: "true" if v else "false", "str": str,
+           "dims": lambda v: ",".join(map(str, v))}
+
+
+def _convert(section: str, key: str, raw: str):
+    if key not in _SCHEMA[section]:
+        raise ConfigError(f"unknown key {section}.{key}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "on", "1"):
-                return True
-            if lowered in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "str":
-            return raw.strip()
-        if kind == "dims":
-            parts = tuple(int(p) for p in raw.replace(",", " ").split())
-            if len(parts) != 3:
-                raise ValueError("dims needs exactly three integers")
-            return parts
-        if kind == "entries":
-            entries = []
-            for line in raw.strip().splitlines():
-                tokens = line.split()
-                if len(tokens) != 3:
-                    raise ValueError(
-                        f"state entry must be 'label re im', got {line!r}")
-                entries.append((tokens[0], float(tokens[1]), float(tokens[2])))
-            if not entries:
-                raise ValueError("entries block is empty")
-            return tuple(entries)
-        raise AssertionError(kind)
+        return _PARSE[_SCHEMA[section][key]](raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for {section}.{key}: {exc}") from None
+
+
+def _from_values(cls, values: dict[str, dict]):
+    """Build ``cls`` from the parsed ``{section: {key: value}}``; absent keys keep defaults."""
+    kwargs = {}
+    for f in fields(cls):
+        meta = f.metadata
+        if "config" in meta:  # an optional sub-config exists once one of its sections does
+            if f.default is MISSING or any(g.metadata["section"] in values
+                                           for g in fields(meta["config"])):
+                kwargs[f.name] = _from_values(meta["config"], values)
+        elif meta["key"] in values.get(meta["section"], {}):
+            kwargs[f.name] = values[meta["section"]][meta["key"]]
+    missing = [f.metadata for f in fields(cls) if f.name not in kwargs and f.default is MISSING]
+    if missing:
+        raise ConfigError(f"[{missing[0]['section']}] requires keys: "
+                          f"{', '.join(sorted(meta['key'] for meta in missing))}")
+    return cls(**kwargs)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -181,62 +230,10 @@ def parse_config(text: str) -> RunConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
-        values[section] = {}
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {section}.{key}")
-            values[section][key] = _convert(section, key, raw, _SCHEMA[section][key])
-
-    def pick(section, key, default):
-        return values.get(section, {}).get(key, default)
-
-    geometry = GeometryConfig(
-        dims=pick("geometry", "dims", (2, 1, 1)),
-        d=pick("geometry", "d", 1.0),
-        delta=pick("geometry", "delta", 0.0),
-        seed=pick("geometry", "seed", 12345),
-    )
-    peak = None
-    if "peak" in values:
-        missing = {"center", "width"} - set(values["peak"])
-        if missing:
-            raise ConfigError(f"[peak] requires keys: {', '.join(sorted(missing))}")
-        peak = PeakConfig(
-            center=values["peak"]["center"],
-            width=values["peak"]["width"],
-            n_freq=pick("peak", "n_freq", 201),
-            n_sigma=pick("peak", "n_sigma", 6.0),
-            amplitude=pick("peak", "amplitude", 1.0),
-        )
-    bath = BathConfig(
-        v=pick("bath", "v", 1.0),
-        T=pick("bath", "T", 0.0),
-        dimensionality=pick("bath", "dimensionality", 1),
-        coupling_amplitude=pick("coupling", "A", 1.0),
-        coupling_exponent=pick("coupling", "p", 1.0),
-        coupling_cutoff=pick("coupling", "cutoff", 1.0),
-        grid_modes=pick("grid", "modes", 1024),
-        grid_omega_max=pick("grid", "omega_max", 10.0),
-        grid_directions=pick("grid", "directions", 12),
-        peak=peak,
-    )
-    state = StateConfig(
-        preset=pick("state", "preset", "cat"),
-        site=pick("state", "site", 0),
-        entries=pick("state", "entries", None),
-    )
-    if state.entries is not None and "preset" in values.get("state", {}):
+        values[section] = {key: _convert(section, key, raw) for key, raw in parser.items(section)}
+    if {"preset", "entries"} <= values.get("state", {}).keys():
         raise ConfigError("state.preset and state.entries are mutually exclusive")
-    run_kwargs = {key: values["run"][key]
-                  for key in _SCHEMA["run"] if key in values.get("run", {})}
-    run = RunOptions(**run_kwargs)
-    output = OutputConfig(
-        dir=pick("output", "dir", "out"),
-        precision=pick("output", "precision", 12),
-        export_positions=pick("output", "export_positions", False),
-        export_modes=pick("output", "export_modes", False),
-    )
-    cfg = RunConfig(geometry=geometry, bath=bath, state=state, run=run, output=output)
+    cfg = _from_values(RunConfig, values)
     _validate(cfg)
     return cfg
 
@@ -278,69 +275,31 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"run.oracle_samples must be >= 2, got {r.oracle_samples}")
     if (r.pair_m is None) != (r.pair_n is None):
         raise ConfigError("run.pair_m and run.pair_n must be given together")
+    if bool(r.label_i) != bool(r.label_j):
+        raise ConfigError("run.label_i and run.label_j must be given together")
     if cfg.output.precision < 1 or cfg.output.precision > 17:
         raise ConfigError("output.precision must be in 1..17")
 
 
+def _format(key: str, kind: str, value) -> str:
+    if kind == "entries":
+        return "\n    ".join([f"{key} ="] + [f"{label} {re!r} {im!r}" for label, re, im in value])
+    return f"{key} = {_FORMAT[kind](value)}"
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical INI text with every resolved value, including defaults."""
-    lines = []
-
-    def fmt(value):
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
-
-    g = cfg.geometry
-    lines += ["[geometry]",
-              f"dims = {g.dims[0]},{g.dims[1]},{g.dims[2]}",
-              f"d = {fmt(g.d)}", f"delta = {fmt(g.delta)}", f"seed = {g.seed}", ""]
-    b = cfg.bath
-    lines += ["[bath]", f"v = {fmt(b.v)}", f"T = {fmt(b.T)}",
-              f"dimensionality = {b.dimensionality}", ""]
-    lines += ["[coupling]", f"A = {fmt(b.coupling_amplitude)}",
-              f"p = {fmt(b.coupling_exponent)}", f"cutoff = {fmt(b.coupling_cutoff)}", ""]
-    lines += ["[grid]", f"modes = {b.grid_modes}", f"omega_max = {fmt(b.grid_omega_max)}",
-              f"directions = {b.grid_directions}", ""]
-    if b.peak is not None:
-        p = b.peak
-        lines += ["[peak]", f"center = {fmt(p.center)}", f"width = {fmt(p.width)}",
-                  f"n_freq = {p.n_freq}", f"n_sigma = {fmt(p.n_sigma)}",
-                  f"amplitude = {fmt(p.amplitude)}", ""]
-    s = cfg.state
-    lines += ["[state]"]
-    if s.entries is None:
-        lines += [f"preset = {s.preset}"]
-    else:
-        lines += ["entries ="]
-        for label, re_part, im_part in s.entries:
-            lines += [f"    {label} {repr(re_part)} {repr(im_part)}"]
-    lines += [f"site = {s.site}", ""]
-    r = cfg.run
-    lines += ["[run]", f"t0 = {fmt(r.t0)}", f"t1 = {fmt(r.t1)}", f"steps = {r.steps}",
-              f"m = {r.m}", f"m_max = {r.m_max}", f"eps_tol = {fmt(r.eps_tol)}",
-              f"code = {r.code}"]
-    if r.pair_m is not None:
-        lines += [f"pair_m = {r.pair_m}"]
-    if r.pair_n is not None:
-        lines += [f"pair_n = {r.pair_n}"]
-    if r.track_pairs:
-        lines += [f"track_pairs = {r.track_pairs}"]
-    lines += [f"delta_min = {fmt(r.delta_min)}", f"delta_max = {fmt(r.delta_max)}",
-              f"delta_steps = {r.delta_steps}", f"samples = {r.samples}",
-              f"k_magnitude = {fmt(r.k_magnitude)}"]
-    if r.label_i:
-        lines += [f"label_i = {r.label_i}"]
-    if r.label_j:
-        lines += [f"label_j = {r.label_j}"]
-    lines += [f"instances = {r.instances}", f"oracle_samples = {r.oracle_samples}", ""]
-    o = cfg.output
-    lines += ["[output]", f"dir = {o.dir}", f"precision = {o.precision}",
-              f"export_positions = {fmt(o.export_positions)}",
-              f"export_modes = {fmt(o.export_modes)}", ""]
-    return "\n".join(lines)
+    lines, section = [], None
+    for obj, f in _keys(cfg):
+        meta, value = f.metadata, getattr(obj, f.name)
+        if (meta["optional"] and value == f.default
+                or meta["replaced_by"] and getattr(obj, meta["replaced_by"]) is not None):
+            continue
+        if meta["section"] != section:
+            section = meta["section"]
+            lines += ["", f"[{section}]"] if lines else [f"[{section}]"]
+        lines.append(_format(meta["key"], meta["kind"], value))
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -409,32 +368,18 @@ def build_state(cfg: RunConfig, n_qubits: int) -> RegisterState:
 
 def load_state_file(text: str, n_qubits: int | None = None) -> RegisterState:
     """Read a whitespace-separated 'label re im' state file."""
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 3:
-            raise ConfigError(f"state file line {lineno}: expected 'label re im'")
-        try:
-            entries.append((tokens[0], float(tokens[1]), float(tokens[2])))
-        except ValueError:
-            raise ConfigError(f"state file line {lineno}: bad amplitude") from None
-    if not entries:
-        raise ConfigError("state file has no entries")
+    try:
+        entries = _state_rows(text)
+    except ValueError as exc:
+        raise ConfigError(f"state file: {exc}") from None
     return state_from_entries(entries, n_qubits)
 
 
 def dump_state(state: RegisterState) -> str:
     """Serialize a state in the 'label re im' file format, labels sorted."""
-    rows = []
-    for label in sorted(state.labels(), key=str):
-        amp = state.amplitudes[label]
-        rows.append(f"{label} {amp.real!r} {amp.imag!r}")
-    return "\n".join(rows) + "\n"
+    rows = sorted(state.items(), key=lambda row: str(row[0]))
+    return "".join(f"{label} {amp.real!r} {amp.imag!r}\n" for label, amp in rows)
 
 
 def time_grid(cfg: RunConfig) -> np.ndarray:
-    r = cfg.run
-    return np.linspace(r.t0, r.t1, r.steps)
+    return np.linspace(cfg.run.t0, cfg.run.t1, cfg.run.steps)

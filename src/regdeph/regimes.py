@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpectrum, SpectralMoments
-from .core import CHUNK, BasisLabel, _pair_weights, _time_kernels
+from . import core
+from .core import BasisLabel, _pair_weights, _time_kernels
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry, apply_disorder
 
@@ -127,16 +128,16 @@ class MonteCarloEstimate:
 
 
 def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
-                             geometry: RegisterGeometry, n_samples: int,
-                             threads: int = 1) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
+                             geometry: RegisterGeometry,
+                             n_samples: int) -> tuple[MonteCarloEstimate, MonteCarloEstimate]:
     """Monte Carlo means of the damping and phase weights over site disorder.
 
     The wave vector is held fixed along the first lattice axis with the given
     magnitude; each sample redraws the site offsets with a seed derived from
     ``(geometry.seed, sample_index)``, so the aggregate is deterministic and
-    independent of evaluation order.  ``threads`` is accepted and ignored.
+    independent of evaluation order.
 
-    The samples' positions are stacked in blocks of at most ``CHUNK`` sites,
+    The samples' positions are stacked in blocks of at most ``core.CHUNK`` sites,
     and each block's weights come from one batched call.
     """
     if n_samples < 2:
@@ -144,7 +145,7 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     k_vec = np.array([k_magnitude, 0.0, 0.0])
     ideal = geometry.ideal_positions()
     lam1, lam2 = np.empty((2, n_samples))
-    step = max(1, CHUNK // len(ideal))
+    step = max(1, core.CHUNK // len(ideal))
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)
         positions = np.stack([apply_disorder(ideal, geometry.delta, (geometry.seed, idx))

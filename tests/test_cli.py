@@ -62,6 +62,78 @@ steps = 9
 precision = 12
 """
 
+# every settable key except state.preset, which state.entries replaces
+ALL_KEYS = """\
+[geometry]
+dims = 4,1,1
+d = 1.25
+delta = 0.05
+seed = 2024
+
+[bath]
+v = 1.5
+T = 0.25
+dimensionality = 3
+
+[coupling]
+A = 0.15
+p = 3.0
+cutoff = 2.5
+
+[grid]
+modes = 128
+omega_max = 8.0
+directions = 6
+
+[peak]
+center = 1.2566370614359172
+width = 0.03
+n_freq = 101
+n_sigma = 5.0
+amplitude = 0.5
+
+[state]
+entries =
+    +-+- 0.6 0.0
+    -+-+ 0.0 -0.8
+site = 2
+
+[run]
+t0 = 0.5
+t1 = 6.0
+steps = 12
+m = 2
+m_max = 6
+eps_tol = 1e-05
+code = modulated
+pair_m = 2
+pair_n = 1
+track_pairs = ++++,+++-;+-+-,-+-+
+delta_min = 0.01
+delta_max = 0.3
+delta_steps = 4
+samples = 64
+k_magnitude = 3.5
+label_i = ++--
+label_j = --++
+instances = 3
+oracle_samples = 1500
+
+[output]
+dir = results
+precision = 10
+export_positions = true
+export_modes = yes
+"""
+
+# config_hash of each config, recorded before the config schema was derived from the
+# dataclass fields; a serializer that reorders keys or reformats a value changes them
+PINNED_HASHES = {
+    "MINIMAL": "ad41ad34a16570453f9f9a9435d33538033f4f2640fdeae9a05db0e04ce014d7",
+    "FULL": "86ec743d7f22ad780f2ba682fed38fac66923e5194741cb01533a3be18d951c6",
+    "ALL_KEYS": "7e7efd609b47ad76d61101af46e45aee7f1f41afc50900aee1082d684d67fc55",
+}
+
 
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
@@ -73,7 +145,7 @@ class TestParsing:
         assert cfg.output.precision == 12
 
     def test_round_trip_identity(self):
-        for text in (MINIMAL, FULL):
+        for text in (MINIMAL, FULL, ALL_KEYS):
             cfg = parse_config(text)
             again = parse_config(serialize_config(cfg))
             assert again == cfg
@@ -88,6 +160,33 @@ entries =
 """
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_canonical_hash_is_pinned(self, name):
+        assert config_hash(parse_config(globals()[name])) == PINNED_HASHES[name]
+
+    def test_all_keys_config_sets_every_key(self):
+        text = serialize_config(parse_config(ALL_KEYS))
+        keys = [line.split(" =")[0] for line in text.splitlines() if " =" in line]
+        assert len(keys) == len(set(keys)) == 43 and "preset" not in keys
+        assert "[peak]" in text and "entries =\n    +-+- 0.6 0.0\n" in text
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("geometry", "d", "nan"), ("bath", "T", "inf"), ("run", "t1", "-inf"),
+        ("coupling", "A", "NaN"),
+    ])
+    def test_non_finite_float_is_error(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"invalid value for {section}\.{key}"):
+            parse_config(f"[{section}]\n{key} = {value}\n")
+
+    def test_non_finite_state_entry_is_error(self):
+        with pytest.raises(ConfigError, match="invalid value for state.entries"):
+            parse_config("[geometry]\ndims = 1,1,1\n\n[state]\nentries =\n    + nan 0\n")
+
+    @pytest.mark.parametrize("key", ["label_i = +--+", "label_j = ++++"])
+    def test_lone_label_key_is_error(self, key):
+        with pytest.raises(ConfigError, match="run.label_i and run.label_j"):
+            parse_config(f"[geometry]\ndims = 4,1,1\n\n[run]\n{key}\n")
 
     def test_unknown_key_is_error(self):
         with pytest.raises(ConfigError, match="unknown key geometry.spacing"):
@@ -131,6 +230,11 @@ class TestStateFiles:
     def test_wrong_register_size(self):
         with pytest.raises(ConfigError, match="qubits"):
             load_state_file("++ 1 0\n", n_qubits=3)
+
+    @pytest.mark.parametrize("row", ["- 0", "- 0 inf", "- x 0"])
+    def test_bad_row_names_its_line(self, row):
+        with pytest.raises(ConfigError, match="state file: line 3"):
+            load_state_file(f"# comment\n+ 1 0\n{row}\n")
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -350,6 +454,22 @@ class TestExitCodes:
         assert key in captured.err
         # rejected while parsing: no instance was checked and no output directory made
         assert "deviation" not in captured.out and not out.exists()
+
+    @pytest.mark.parametrize("section, line", [("geometry", "d = nan"), ("bath", "T = inf")])
+    def test_non_finite_value_is_validation_failure(self, tmp_path, capsys, section, line):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(_write(tmp_path, f"[{section}]\n{line}\n")),
+                     "--quiet", "--output", str(out)]) == EXIT_VALIDATION
+        assert f"invalid value for {section}." in capsys.readouterr().err
+        assert not (out / "simulate.csv").exists()
+
+    def test_lone_label_is_validation_failure(self, tmp_path, capsys):
+        text = "[geometry]\ndims = 4,1,1\n\n[run]\nlabel_i = +--+\nsamples = 10\n"
+        out = tmp_path / "o"
+        assert main(["disorder-scan", "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        assert "run.label_i and run.label_j" in capsys.readouterr().err
+        assert not (out / "disorder_scan.csv").exists()
 
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),

@@ -101,12 +101,11 @@ class TestDisorderAverages:
         geo = geometry(delta=0.5, seed=123)
         a = disorder_average_weights(i, j, 3.0, geo, 200)
         b = disorder_average_weights(i, j, 3.0, geo, 200)
-        c = disorder_average_weights(i, j, 3.0, geo, 200, threads=4)
-        assert a == b == c
+        assert a == b
 
     @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
     def test_batched_weights_equal_per_sample_weights(self, monkeypatch, dims):
-        from regdeph import regimes
+        from regdeph import core, regimes
         from regdeph.core import damping_weight, phase_weight
         from regdeph.geometry import apply_disorder
 
@@ -114,9 +113,17 @@ class TestDisorderAverages:
         geo = RegisterGeometry(dims=dims, d=0.9, delta=0.4, seed=11)
         i, j = (BasisLabel(tuple(rng.choice([-1, 1], size=geo.n_qubits))) for _ in range(2))
         k_vec, n = np.array([1.7, 0.0, 0.0]), 40
+        block_sizes = []
+
+        def recorded(*args):
+            block_sizes.append(len(args[-1]))
+            return core._pair_weights(*args)
+
         # blocks of 3 samples on 27 sites, of 16 samples on 6 sites
-        monkeypatch.setattr(regimes, "CHUNK", 100)
+        monkeypatch.setattr(core, "CHUNK", 100)
+        monkeypatch.setattr(regimes, "_pair_weights", recorded)
         batched = disorder_average_weights(i, j, 1.7, geo, n)
+        assert max(block_sizes) == 100 // geo.n_qubits and sum(block_sizes) == n
         samples = [apply_disorder(geo.ideal_positions(), geo.delta, (geo.seed, idx))
                    for idx in range(n)]
         for est, weight in zip(batched, (damping_weight, phase_weight)):
