@@ -185,23 +185,14 @@ def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     return EXIT_OK
 
 
-def _default_scan_labels(n_qubits: int) -> tuple[BasisLabel, BasisLabel]:
-    up = BasisLabel((1,) * n_qubits)
-    spins = [1] * n_qubits
-    spins[0] = -1
-    return up, BasisLabel(tuple(spins))
-
-
 def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     run = cfg.run
-    if run.delta_steps < 1:
-        raise ConfigError(f"run.delta_steps must be >= 1, got {run.delta_steps}")
     geometry = build_geometry(cfg)
     if run.label_i and run.label_j:
         label_i = parse_label(run.label_i, geometry.n_qubits)
         label_j = parse_label(run.label_j, geometry.n_qubits)
     else:
-        label_i, label_j = _default_scan_labels(geometry.n_qubits)
+        label_i, label_j = RegisterState.single_flip(geometry.n_qubits).labels()
     deltas = np.linspace(run.delta_min, run.delta_max, run.delta_steps)
     rows = []
     for delta in deltas:

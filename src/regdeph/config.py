@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import io
 import math
+import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -29,13 +30,17 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=None):
+def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=None,
+         gt=None, ge=None):
     """A field kept at INI key ``name`` ("section.key") and converted as ``kind``.
     The canonical form omits an ``optional`` key while it holds its default, and
-    a key ``replaced_by`` another field while that field is set (not None)."""
+    a key ``replaced_by`` another field while that field is set (not None).
+    A value must be greater than ``gt`` or at least ``ge`` when one is given."""
     section, key = name.split(".")
+    bound = (">", gt) if gt is not None else (">=", ge) if ge is not None else None
     return field(default=default, metadata={"section": section, "key": key, "kind": kind,
-                                            "optional": optional, "replaced_by": replaced_by})
+                                            "optional": optional, "replaced_by": replaced_by,
+                                            "bound": bound})
 
 
 def _sub(cls):
@@ -45,30 +50,30 @@ def _sub(cls):
 @dataclass(frozen=True)
 class GeometryConfig:
     dims: tuple[int, int, int] = _ini("geometry.dims", "dims", (2, 1, 1))
-    d: float = _ini("geometry.d", "float", 1.0)
-    delta: float = _ini("geometry.delta", "float", 0.0)
+    d: float = _ini("geometry.d", "float", 1.0, gt=0)
+    delta: float = _ini("geometry.delta", "float", 0.0, ge=0)
     seed: int = _ini("geometry.seed", "int", 12345)
 
 
 @dataclass(frozen=True)
 class PeakConfig:
-    center: float = _ini("peak.center", "float")  # dominant wavenumber
-    width: float = _ini("peak.width", "float")    # wavenumber spread
-    n_freq: int = _ini("peak.n_freq", "int", 201)
-    n_sigma: float = _ini("peak.n_sigma", "float", 6.0)
-    amplitude: float = _ini("peak.amplitude", "float", 1.0)
+    center: float = _ini("peak.center", "float", gt=0)  # dominant wavenumber
+    width: float = _ini("peak.width", "float", gt=0)    # wavenumber spread
+    n_freq: int = _ini("peak.n_freq", "int", 201, ge=1)
+    n_sigma: float = _ini("peak.n_sigma", "float", 6.0, gt=0)
+    amplitude: float = _ini("peak.amplitude", "float", 1.0, ge=0)
 
 
 @dataclass(frozen=True)
 class BathConfig:
-    v: float = _ini("bath.v", "float", 1.0)
-    T: float = _ini("bath.T", "float", 0.0)
+    v: float = _ini("bath.v", "float", 1.0, gt=0)
+    T: float = _ini("bath.T", "float", 0.0, ge=0)
     dimensionality: int = _ini("bath.dimensionality", "int", 1)
-    coupling_amplitude: float = _ini("coupling.A", "float", 1.0)
+    coupling_amplitude: float = _ini("coupling.A", "float", 1.0, ge=0)
     coupling_exponent: float = _ini("coupling.p", "float", 1.0)
-    coupling_cutoff: float = _ini("coupling.cutoff", "float", 1.0)
-    grid_modes: int = _ini("grid.modes", "int", 1024)
-    grid_omega_max: float = _ini("grid.omega_max", "float", 10.0)
+    coupling_cutoff: float = _ini("coupling.cutoff", "float", 1.0, gt=0)
+    grid_modes: int = _ini("grid.modes", "int", 1024, ge=1)
+    grid_omega_max: float = _ini("grid.omega_max", "float", 10.0, gt=0)
     grid_directions: int = _ini("grid.directions", "int", 12)
     peak: PeakConfig | None = field(default=None, metadata={"config": PeakConfig})
 
@@ -85,23 +90,23 @@ class StateConfig:
 class RunOptions:
     t0: float = _ini("run.t0", "float", 0.0)
     t1: float = _ini("run.t1", "float", 10.0)
-    steps: int = _ini("run.steps", "int", 101)
-    m: int = _ini("run.m", "int", 1)
-    m_max: int = _ini("run.m_max", "int", 10)
-    eps_tol: float = _ini("run.eps_tol", "float", 0.1)
+    steps: int = _ini("run.steps", "int", 101, ge=1)
+    m: int = _ini("run.m", "int", 1, ge=1)
+    m_max: int = _ini("run.m_max", "int", 10, ge=1)
+    eps_tol: float = _ini("run.eps_tol", "float", 0.1, gt=0)
     code: str = _ini("run.code", "str", "adjacent")
     pair_m: int | None = _ini("run.pair_m", "int", None, optional=True)
     pair_n: int | None = _ini("run.pair_n", "int", None, optional=True)
     track_pairs: str = _ini("run.track_pairs", "str", "", optional=True)
-    delta_min: float = _ini("run.delta_min", "float", 0.0)
-    delta_max: float = _ini("run.delta_max", "float", 0.5)
-    delta_steps: int = _ini("run.delta_steps", "int", 6)
-    samples: int = _ini("run.samples", "int", 500)
+    delta_min: float = _ini("run.delta_min", "float", 0.0, ge=0)
+    delta_max: float = _ini("run.delta_max", "float", 0.5, ge=0)
+    delta_steps: int = _ini("run.delta_steps", "int", 6, ge=1)
+    samples: int = _ini("run.samples", "int", 500, ge=2)
     k_magnitude: float = _ini("run.k_magnitude", "float", 1.0)
     label_i: str = _ini("run.label_i", "str", "", optional=True)
     label_j: str = _ini("run.label_j", "str", "", optional=True)
-    instances: int = _ini("run.instances", "int", 6)
-    oracle_samples: int = _ini("run.oracle_samples", "int", 4000)
+    instances: int = _ini("run.instances", "int", 6, ge=0)
+    oracle_samples: int = _ini("run.oracle_samples", "int", 4000, ge=2)
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,8 @@ _PARSE = {"int": int, "float": _finite, "bool": _boolean, "str": str.strip, "dim
 _FORMAT = {"int": str, "float": repr, "bool": lambda v: "true" if v else "false", "str": str,
            "dims": lambda v: ",".join(map(str, v))}
 
+_HOLDS = {">": operator.gt, ">=": operator.ge}  # bound of a field -> its test
+
 
 def _convert(section: str, key: str, raw: str):
     if key not in _SCHEMA[section]:
@@ -239,40 +246,28 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig):
-    g = cfg.geometry
-    if any(n < 1 for n in g.dims):
-        raise ConfigError(f"geometry.dims must be positive, got {g.dims}")
-    if g.d <= 0:
-        raise ConfigError(f"geometry.d must be positive, got {g.d}")
-    if g.delta < 0:
-        raise ConfigError(f"geometry.delta must be >= 0, got {g.delta}")
+    for obj, f in _keys(cfg):
+        meta, value = f.metadata, getattr(obj, f.name)
+        if meta["bound"]:
+            op, limit = meta["bound"]
+            if not _HOLDS[op](value, limit):
+                raise ConfigError(f"{meta['section']}.{meta['key']} must be {op} {limit}, "
+                                  f"got {value!r}")
+    if any(n < 1 for n in cfg.geometry.dims):
+        raise ConfigError(f"geometry.dims must be positive, got {cfg.geometry.dims}")
     b = cfg.bath
-    if b.v <= 0:
-        raise ConfigError(f"bath.v must be positive, got {b.v}")
-    if b.T < 0:
-        raise ConfigError(f"bath.T must be >= 0, got {b.T}")
     if b.dimensionality not in (1, 3):
         raise ConfigError(f"bath.dimensionality must be 1 or 3, got {b.dimensionality}")
-    if b.grid_modes < 1:
-        raise ConfigError(f"grid.modes must be >= 1, got {b.grid_modes}")
-    if b.grid_omega_max <= 0:
-        raise ConfigError(f"grid.omega_max must be positive, got {b.grid_omega_max}")
     if b.dimensionality == 3 and (b.grid_directions < 2 or b.grid_directions % 2):
         raise ConfigError(f"grid.directions must be even and >= 2 for a 3-D bath, "
                           f"got {b.grid_directions}")
     if cfg.state.entries is None and cfg.state.preset not in ("cat", "single-flip"):
         raise ConfigError(f"state.preset must be 'cat' or 'single-flip', got {cfg.state.preset!r}")
     r = cfg.run
-    if r.steps < 1:
-        raise ConfigError(f"run.steps must be >= 1, got {r.steps}")
     if r.t0 < 0 or r.t1 < r.t0:
         raise ConfigError("run time grid needs 0 <= t0 <= t1")
     if r.code not in ("adjacent", "modulated"):
         raise ConfigError(f"run.code must be 'adjacent' or 'modulated', got {r.code!r}")
-    if r.instances < 0:
-        raise ConfigError(f"run.instances must be >= 0, got {r.instances}")
-    if r.oracle_samples < 2:
-        raise ConfigError(f"run.oracle_samples must be >= 2, got {r.oracle_samples}")
     if (r.pair_m is None) != (r.pair_n is None):
         raise ConfigError("run.pair_m and run.pair_n must be given together")
     if bool(r.label_i) != bool(r.label_j):

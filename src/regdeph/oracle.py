@@ -10,11 +10,12 @@ directly from the time-dependent interaction Hamiltonian — no damping/phase
 formulas from :mod:`regdeph.core` enter anywhere in the integration path.
 :func:`analytic_blocks` gives the analytic propagators of the same blocks.
 
-A thermal instance streams its samples through blocks of at most
-``core.CHUNK`` column elements: each block's coherent columns are built,
-evolved, checked for leakage and reduced to per-sample overlaps before the
-next.  Its memory is the ``(S, M, dim, dim)`` propagators, one sample block
-and the ``(S, S, N)`` overlaps; it does not grow as ``S * M * dim * N``.
+:func:`reduced_density` is the one way the bath is traced out.  It streams
+the samples through blocks of at most ``core.CHUNK`` column elements: each
+block's coherent columns are built, evolved, checked for leakage and reduced
+to per-sample overlaps before the next.  Its memory is the ``(S, M, dim,
+dim)`` propagators and their transposed copy, one sample block and the
+``(S, S, N)`` overlaps; it does not grow as ``S * M * dim * N``.
 
 Desk scale only: the label count is exponential in the register size.
 """
@@ -38,8 +39,7 @@ __all__ = [
     "coherent_vector",
     "integrated_blocks",
     "analytic_blocks",
-    "evolve_columns",
-    "reduce_columns",
+    "reduced_density",
     "thermal_reduced_density",
     "default_truncation",
     "random_instances",
@@ -77,17 +77,14 @@ def _sector_couplings(bath: BathSpectrum, positions, labels) -> np.ndarray:
     return np.sqrt(bath.g2)[None, :] * (spins @ phases)
 
 
-def default_truncation(bath: BathSpectrum, positions, t: float,
-                       alpha_max: float = 0.0, n_qubits: int | None = None) -> int:
+def default_truncation(bath: BathSpectrum, positions, alpha_max: float = 0.0) -> int:
     """Truncation dimension heuristic: mean scale plus a wide safety band.
 
-    Uses the largest displacement any register label can induce by time ``t``
-    plus the largest initial coherent amplitude; the leakage monitor remains
-    the hard check.
+    Uses the largest displacement any register label can induce, ``2|b|/omega``
+    at any time, plus the largest initial coherent amplitude; the leakage
+    monitor remains the hard check.
     """
-    if n_qubits is None:
-        n_qubits = np.asarray(positions).shape[0]
-    labels = register_basis(n_qubits)
+    labels = register_basis(np.asarray(positions).shape[0])
     b = _sector_couplings(bath, positions, labels)
     disp = 2.0 * np.abs(b) / bath.omega[None, :]
     a = float(np.max(disp)) + float(alpha_max)
@@ -184,35 +181,20 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
     return blocks
 
 
-def _top_level(evolved: np.ndarray) -> float:
-    """Largest top-level probability of sample-major columns (S, M, N, dim)."""
-    return float(np.max(np.abs(evolved[..., -1]) ** 2))
-
-
-def _evolve(blocks: np.ndarray, alphas, leakage: float = 0.0) -> tuple[np.ndarray, float]:
+def _evolve(blocks_t: np.ndarray, alphas: np.ndarray, leakage: float) -> tuple[np.ndarray, float]:
     """Sample-major evolved columns (S, M, N, dim) and the running leakage.
 
+    ``blocks_t`` are the propagators transposed in their last two axes.
     ``leakage`` is the worst top-level probability of the columns evolved
-    before; the one returned also covers these columns.  Raises
+    before; the one returned also covers these.  Raises
     :class:`TruncationLeakageError` when it exceeds ``LEAKAGE_TOL``.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    columns = np.moveaxis(coherent_vector(alphas.T, blocks.shape[-1]), 0, -1)  # (M, N, dim)
-    evolved = columns @ blocks.swapaxes(-1, -2)
-    leakage = max(leakage, _top_level(evolved))
+    columns = np.moveaxis(coherent_vector(alphas.T, blocks_t.shape[-1]), 0, -1)  # (M, N, dim)
+    evolved = columns @ blocks_t
+    leakage = max(leakage, float(np.max(np.abs(evolved[..., -1]) ** 2)))
     if leakage > LEAKAGE_TOL:
         raise TruncationLeakageError(leakage)
     return evolved, leakage
-
-
-def evolve_columns(blocks: np.ndarray, alphas) -> np.ndarray:
-    """Evolve coherent bath columns through every block, shape (S, M, dim, N).
-
-    ``alphas`` holds one coherent amplitude per sample and mode, shape (N, M).
-    Raises :class:`TruncationLeakageError` when the top retained level of any
-    evolved column holds more than ``LEAKAGE_TOL`` probability.
-    """
-    return _evolve(blocks, alphas)[0].swapaxes(-1, -2)
 
 
 def _overlaps(evolved: np.ndarray) -> np.ndarray:
@@ -248,12 +230,26 @@ class ThermalDensity:
     leakage: float
 
 
-def _statistics(state: RegisterState, overlaps: np.ndarray, dim: int,
-                leakage: float) -> ThermalDensity:
-    """Entries and standard errors over the samples of the (S, S, N) overlaps."""
-    labels = state.labels()
+def reduced_density(state: RegisterState, blocks: np.ndarray, alphas) -> ThermalDensity:
+    """Trace out the bath: entries and standard errors over the samples.
+
+    ``blocks`` are the (S, M, dim, dim) propagators of ``state.labels()``;
+    ``alphas`` holds one coherent amplitude per sample and mode, (N, M).
+    Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the product over
+    modes of the evolved columns' overlaps ``<col_b | col_a>``.  Raises
+    :class:`TruncationLeakageError` when an evolved column holds more than
+    ``LEAKAGE_TOL`` probability in its top retained level.
+    """
+    alphas = np.asarray(alphas, dtype=complex)
+    blocks_t = np.ascontiguousarray(blocks.swapaxes(-1, -2))
+    step = max(1, core.CHUNK // blocks[..., 0].size)  # one sample is S * M * dim elements
+    leakage, overlaps = 0.0, []
+    for start in range(0, len(alphas), step):
+        evolved, leakage = _evolve(blocks_t, alphas[start:start + step], leakage)
+        overlaps.append(_overlaps(evolved))
     amps = np.array([amp for _, amp in state.items()])
-    samples = (amps[:, None] * np.conj(amps)[None, :])[..., None] * overlaps
+    samples = ((amps[:, None] * np.conj(amps)[None, :])[..., None]
+               * np.concatenate(overlaps, axis=-1))
     n_samples = samples.shape[-1]
     means = samples.mean(axis=-1)
     if n_samples > 1:
@@ -261,34 +257,22 @@ def _statistics(state: RegisterState, overlaps: np.ndarray, dim: int,
         errors = np.sqrt(var / n_samples)
     else:
         errors = np.zeros(means.shape)
-    keys = list(itertools.product(labels, repeat=2))  # row-major (a, b), as in means
+    keys = list(itertools.product(state.labels(), repeat=2))  # row-major (a, b), as in means
     return ThermalDensity(entries=dict(zip(keys, means.ravel().tolist())),
                           stderr=dict(zip(keys, errors.ravel().tolist())),
-                          n_samples=n_samples, dim=dim, leakage=leakage)
-
-
-def reduce_columns(state: RegisterState, columns: np.ndarray) -> ThermalDensity:
-    """Trace out the bath: entries and standard errors over the samples.
-
-    ``columns`` are the evolved bath columns of ``state.labels()``, shape
-    (S, M, dim, N).  Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the
-    product over modes of the overlaps ``<col_b | col_a>``.
-    """
-    evolved = columns.swapaxes(-1, -2)
-    return _statistics(state, _overlaps(evolved), evolved.shape[-1], _top_level(evolved))
+                          n_samples=n_samples, dim=blocks.shape[-1], leakage=leakage)
 
 
 def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
                             positions, n_samples: int = 1000, seed: int = 0,
-                            steps: int = 2048, n_max: int | None = None) -> ThermalDensity:
+                            steps: int = 2048) -> ThermalDensity:
     """Reduced register density against a thermal bath, by coherent-state sampling.
 
     The thermal state of each mode is a Gaussian mixture of coherent states
     with variance equal to the mean occupation; each sample draws one
-    amplitude per mode, evolves the bath column of every (label, mode) block
-    and traces out the bath.  At ``T = 0`` the mixture degenerates to the
-    vacuum and a single deterministic sample is used.  The samples are
-    evolved and reduced in blocks of at most ``core.CHUNK`` column elements.
+    amplitude per mode, and :func:`reduced_density` traces out the bath.  At
+    ``T = 0`` the mixture degenerates to the vacuum and a single
+    deterministic sample is used.
     """
     if bath.temperature == 0:
         alphas = np.zeros((1, bath.n_modes), complex)
@@ -299,17 +283,9 @@ def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
         scale = np.sqrt(bath.occupation() / 2.0)
         alphas = (rng.normal(size=(n_samples, bath.n_modes))
                   + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale[None, :]
-    if n_max is None:
-        n_max = default_truncation(bath, positions, t,
-                                   alpha_max=float(np.max(np.abs(alphas))),
-                                   n_qubits=state.n_qubits)
-    blocks = integrated_blocks(bath, positions, state.labels(), t, steps, n_max + 1)
-    step = max(1, core.CHUNK // blocks[..., 0].size)  # one sample is S * M * dim elements
-    leakage, overlaps = 0.0, []
-    for start in range(0, len(alphas), step):
-        evolved, leakage = _evolve(blocks, alphas[start:start + step], leakage)
-        overlaps.append(_overlaps(evolved))
-    return _statistics(state, np.concatenate(overlaps, axis=-1), n_max + 1, leakage)
+    dim = default_truncation(bath, positions, alpha_max=float(np.max(np.abs(alphas)))) + 1
+    blocks = integrated_blocks(bath, positions, state.labels(), t, steps, dim)
+    return reduced_density(state, blocks, alphas)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ strong-disorder limits numerically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,17 +57,7 @@ class RegimeReport:
     classification: str
 
     def as_dict(self) -> dict:
-        return {
-            "p_ind1a": self.p_ind1a,
-            "p_ind1b": self.p_ind1b,
-            "p_ind2a": self.p_ind2a,
-            "p_ind2b": self.p_ind2b,
-            "p_coll1a": self.p_coll1a,
-            "p_coll1b": self.p_coll1b,
-            "p_coll2": self.p_coll2,
-            "pairing_distance": self.pairing_distance,
-            "classification": self.classification,
-        }
+        return asdict(self)
 
 
 def classify(geometry: RegisterGeometry, moments: SpectralMoments,
@@ -94,12 +84,6 @@ def classify(geometry: RegisterGeometry, moments: SpectralMoments,
     p_coll1a = moments.mean1 * d / v
     p_coll1b = moments.mean2 * d / v
     p_coll2 = max(moments.width1, moments.width2) * m * d / v
-    return _classify_params(p_ind1a, p_ind1b, p_ind2a, p_ind2b,
-                            p_coll1a, p_coll1b, p_coll2, m)
-
-
-def _classify_params(p_ind1a, p_ind1b, p_ind2a, p_ind2b,
-                     p_coll1a, p_coll1b, p_coll2, m) -> RegimeReport:
     independent1 = p_ind1a >= _SHARP and p_ind1b >= _SHARP
     independent2 = p_ind2a >= _MARGIN and p_ind2b >= _MARGIN
     small_disorder = p_ind1a <= _SHARP / _MARGIN and p_ind1b <= _SHARP / _MARGIN

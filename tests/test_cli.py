@@ -135,6 +135,27 @@ PINNED_HASHES = {
 }
 
 
+PEAK = "[peak]\ncenter = 1.0\nwidth = 0.1\n"
+
+# one config per bound, each with the start of the error it must raise
+OUT_OF_RANGE = [
+    ("[peak]\ncenter = 0\nwidth = 0.1\n", "peak.center must be > 0"),
+    ("[peak]\ncenter = 1.0\nwidth = 0\n", "peak.width must be > 0"),
+    (PEAK + "n_freq = 0\n", "peak.n_freq must be >= 1"),
+    (PEAK + "n_sigma = 0\n", "peak.n_sigma must be > 0"),
+    (PEAK + "amplitude = -1\n", "peak.amplitude must be >= 0"),
+    ("[coupling]\nA = -0.5\n", "coupling.A must be >= 0"),
+    ("[coupling]\ncutoff = 0\n", "coupling.cutoff must be > 0"),
+    ("[run]\nsamples = 1\n", "run.samples must be >= 2"),
+    ("[run]\ndelta_steps = 0\n", "run.delta_steps must be >= 1"),
+    ("[run]\ndelta_min = -0.1\n", "run.delta_min must be >= 0"),
+    ("[run]\ndelta_max = -0.1\n", "run.delta_max must be >= 0"),
+    ("[run]\nm = 0\n", "run.m must be >= 1"),
+    ("[run]\nm_max = 0\n", "run.m_max must be >= 1"),
+    ("[run]\neps_tol = 0\n", "run.eps_tol must be > 0"),
+]
+
+
 class TestParsing:
     def test_minimal_config_fills_defaults(self):
         cfg = parse_config(MINIMAL)
@@ -195,6 +216,12 @@ entries =
     def test_unknown_section_is_error(self):
         with pytest.raises(ConfigError, match=r"unknown section \[extras\]"):
             parse_config(MINIMAL + "\n[extras]\nx = 1\n")
+
+    @pytest.mark.parametrize("text, message", OUT_OF_RANGE,
+                             ids=[message.split()[0] for _, message in OUT_OF_RANGE])
+    def test_out_of_range_value_names_the_key(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
 
     def test_negative_delta_names_the_key(self):
         with pytest.raises(ConfigError, match="geometry.delta"):
@@ -462,6 +489,18 @@ class TestExitCodes:
                      "--quiet", "--output", str(out)]) == EXIT_VALIDATION
         assert f"invalid value for {section}." in capsys.readouterr().err
         assert not (out / "simulate.csv").exists()
+
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", PEAK + "n_sigma = 0\n", "peak.n_sigma"),
+        ("simulate", "[coupling]\ncutoff = 0\n", "coupling.cutoff"),
+        ("disorder-scan", "[run]\ndelta_steps = 0\n", "run.delta_steps"),
+    ], ids=["peak.n_sigma", "coupling.cutoff", "run.delta_steps"])
+    def test_out_of_range_value_is_validation_failure(self, tmp_path, capsys, command, text, key):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not out.exists()  # rejected while parsing, before the directory is made
 
     def test_lone_label_is_validation_failure(self, tmp_path, capsys):
         text = "[geometry]\ndims = 4,1,1\n\n[run]\nlabel_i = +--+\nsamples = 10\n"

@@ -14,10 +14,9 @@ from regdeph.oracle import (
     coherent_vector,
     default_suite,
     default_truncation,
-    evolve_columns,
     integrated_blocks,
     random_instances,
-    reduce_columns,
+    reduced_density,
     register_basis,
     thermal_reduced_density,
 )
@@ -96,6 +95,15 @@ def vacuum(bath, n_samples=1):
     return np.zeros((n_samples, bath.n_modes), complex)
 
 
+def coherent_columns(blocks, alphas):
+    """Coherent columns of ``alphas`` (N, M) evolved through every block, shape (S, M, dim, N).
+
+    The vacuum column of a block is its first column, ``blocks[..., 0]``.
+    """
+    vectors = coherent_vector(np.asarray(alphas, dtype=complex).T, blocks.shape[-1])
+    return blocks @ np.moveaxis(vectors, 0, 1)  # (M, dim, N) columns
+
+
 def stepwise_blocks(bath, positions, labels, t, steps, dim):
     """Reference: the split-step product taken one midpoint step at a time."""
     spins = np.array([lab.as_array() for lab in labels])
@@ -147,8 +155,8 @@ def test_coherent_initial_state_matches_closed_form():
     bath = one_mode(omega=1.1, g2=0.06)
     labels, pos, t = register_basis(1), line_positions(1), 3.0
     alphas = np.array([[0.8 - 0.4j]])
-    a = evolve_columns(integrated_blocks(bath, pos, labels, t, 6000, 31), alphas)
-    b = evolve_columns(analytic_blocks(bath, pos, labels, t, 31), alphas)
+    a = coherent_columns(integrated_blocks(bath, pos, labels, t, 6000, 31), alphas)
+    b = coherent_columns(analytic_blocks(bath, pos, labels, t, 31), alphas)
     assert np.max(np.abs(a - b)) < 1e-6
 
 
@@ -172,9 +180,9 @@ def test_closed_form_agrees_with_trotter_on_random_instances():
         k[:, 0] = omega * rng.choice([-1, 1], size=n_modes)
         bath = BathSpectrum(omega=omega, k=k, g2=rng.uniform(0.01, 0.06, size=n_modes), v=1.0)
         labels, pos = RegisterState.cat(n).labels(), line_positions(n)
-        dim = default_truncation(bath, pos, 3.0) + 1
-        a = evolve_columns(integrated_blocks(bath, pos, labels, 3.0, 8000, dim), vacuum(bath))
-        b = evolve_columns(analytic_blocks(bath, pos, labels, 3.0, dim), vacuum(bath))
+        dim = default_truncation(bath, pos) + 1
+        a = integrated_blocks(bath, pos, labels, 3.0, 8000, dim)[..., 0]
+        b = analytic_blocks(bath, pos, labels, 3.0, dim)[..., 0]
         # |prod a_m - prod b_m| <= sum |a_m - b_m|: per-mode bound for the joint entries
         assert np.max(np.abs(a - b)) < 1e-6 / n_modes
 
@@ -186,15 +194,14 @@ def test_phase_ablation_breaks_agreement():
     pos = line_positions(2, d=np.pi / 3)
     state = RegisterState.from_unnormalized({BasisLabel((1, 1)): 1.0, BasisLabel((1, -1)): 1.0})
     labels = state.labels()
-    dim = default_truncation(bath, pos, t) + 1
-    ref = evolve_columns(integrated_blocks(bath, pos, labels, t, 20000, dim), vacuum(bath))
-    full = evolve_columns(analytic_blocks(bath, pos, labels, t, dim), vacuum(bath))
-    ablated = evolve_columns(analytic_blocks(bath, pos, labels, t, dim, include_phase=False),
-                             vacuum(bath))
-    assert np.max(np.abs(ref - full)) < 1e-6
+    dim = default_truncation(bath, pos) + 1
+    ref = integrated_blocks(bath, pos, labels, t, 20000, dim)
+    full = analytic_blocks(bath, pos, labels, t, dim)
+    ablated = analytic_blocks(bath, pos, labels, t, dim, include_phase=False)
+    assert np.max(np.abs(ref[..., 0] - full[..., 0])) < 1e-6
     pair = (BasisLabel((1, 1)), BasisLabel((1, -1)))
-    rho_ref = reduce_columns(state, ref).entries
-    rho_ablated = reduce_columns(state, ablated).entries
+    rho_ref = reduced_density(state, ref, vacuum(bath)).entries
+    rho_ablated = reduced_density(state, ablated, vacuum(bath)).entries
     assert abs(rho_ref[pair] - rho_ablated[pair]) > 1e-2
 
 
@@ -205,11 +212,10 @@ def test_norm_preserved_and_populations_static():
     amps = {lab: complex(rng.normal(), rng.normal()) for lab in labels[:3]}
     state = RegisterState.from_unnormalized(amps)
     pos = line_positions(2)
-    dim = default_truncation(bath, pos, 4.0) + 1
-    out = evolve_columns(integrated_blocks(bath, pos, state.labels(), 4.0, 3000, dim),
-                         vacuum(bath))
-    assert np.max(np.abs(np.linalg.norm(out, axis=2) - 1.0)) < 1e-9
-    rho = reduce_columns(state, out).entries
+    dim = default_truncation(bath, pos) + 1
+    blocks = integrated_blocks(bath, pos, state.labels(), 4.0, 3000, dim)
+    assert np.max(np.abs(np.linalg.norm(blocks[..., 0], axis=-1) - 1.0)) < 1e-9
+    rho = reduced_density(state, blocks, vacuum(bath)).entries
     for lab, amp in state.items():
         assert rho[(lab, lab)] == pytest.approx(abs(amp) ** 2, abs=1e-9)
 
@@ -217,32 +223,35 @@ def test_norm_preserved_and_populations_static():
 def test_step_halving_converges_below_1e8():
     bath = one_mode(omega=1.0, g2=0.04)
     labels, pos = register_basis(1), line_positions(1)
-    coarse = evolve_columns(integrated_blocks(bath, pos, labels, 2.0, 8192, 15), vacuum(bath))
-    fine = evolve_columns(integrated_blocks(bath, pos, labels, 2.0, 16384, 15), vacuum(bath))
+    coarse = integrated_blocks(bath, pos, labels, 2.0, 8192, 15)[..., 0]
+    fine = integrated_blocks(bath, pos, labels, 2.0, 16384, 15)[..., 0]
     assert np.max(np.abs(coarse - fine)) < 1e-8
 
 
 def test_truncation_leakage_raises_with_value():
     bath = one_mode(omega=0.5, g2=0.5)  # strong drive, tiny space
-    blocks = integrated_blocks(bath, line_positions(2), RegisterState.cat(2).labels(), 6.0, 500, 3)
+    state = RegisterState.cat(2)
+    blocks = integrated_blocks(bath, line_positions(2), state.labels(), 6.0, 500, 3)
     with pytest.raises(TruncationLeakageError) as err:
-        evolve_columns(blocks, vacuum(bath))
+        reduced_density(state, blocks, vacuum(bath))
     assert err.value.leakage > 1e-6
 
 
 def test_mode_leakage_reads_top_level():
     blocks = np.broadcast_to(np.eye(6, dtype=complex), (1, 1, 6, 6))
-    assert np.max(np.abs(evolve_columns(blocks, [[0.0]])[..., -1, :])) == 0.0
+    state = RegisterState.from_unnormalized({BasisLabel((1,)): 1.0})
+    assert np.max(np.abs(coherent_columns(blocks, [[0.0]])[..., -1, :])) == 0.0
+    assert reduced_density(state, blocks, [[0.0]]).leakage == 0.0
     # identity blocks: the reported leakage is the top-level probability of the column
     for alpha, raises in ((0.2, False), (0.6, True)):
         top = abs(coherent_vector(alpha, 6)[-1]) ** 2
         assert (top > LEAKAGE_TOL) == raises
         if raises:
             with pytest.raises(TruncationLeakageError) as err:
-                evolve_columns(blocks, [[alpha]])
+                reduced_density(state, blocks, [[alpha]])
             assert err.value.leakage == top
         else:
-            evolve_columns(blocks, [[alpha]])
+            assert reduced_density(state, blocks, [[alpha]]).leakage == top
 
 
 class TestThermalReducedDensity:
@@ -290,9 +299,8 @@ def thermal_draws(bath, pos, state, t, n_samples, seed, steps):
     scale = np.sqrt(bath.occupation() / 2.0)
     alphas = (rng.normal(size=(n_samples, bath.n_modes))
               + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale
-    n_max = default_truncation(bath, pos, t, alpha_max=float(np.max(np.abs(alphas))),
-                               n_qubits=state.n_qubits)
-    return alphas, integrated_blocks(bath, pos, state.labels(), t, steps, n_max + 1)
+    dim = default_truncation(bath, pos, alpha_max=float(np.max(np.abs(alphas)))) + 1
+    return alphas, integrated_blocks(bath, pos, state.labels(), t, steps, dim)
 
 
 def test_blocked_thermal_density_matches_whole_array(monkeypatch):
@@ -306,14 +314,17 @@ def test_blocked_thermal_density_matches_whole_array(monkeypatch):
                                              for lab in labels[:3]})
     pos, t, n_samples, seed, steps = line_positions(2, d=0.9), 2.2, 50, 4, 400
     alphas, blocks = thermal_draws(bath, pos, state, t, n_samples, seed, steps)
-    columns = evolve_columns(blocks, alphas)
-    whole = reduce_columns(state, columns)
+    per_sample = blocks[..., 0].size  # S * M * dim elements
+    monkeypatch.setattr(core, "CHUNK", n_samples * per_sample)  # one block holds every sample
+    whole = thermal_reduced_density(state, t, bath, pos, n_samples=n_samples,
+                                    seed=seed, steps=steps)
+    assert whole.entries == reduced_density(state, blocks, alphas).entries
     # per sample, the overlap matrix is exactly Hermitian and equals the full einsum
+    columns = coherent_columns(blocks, alphas)
     overlaps = oracle._overlaps(columns.swapaxes(-1, -2))
     assert np.array_equal(overlaps, np.conj(overlaps.swapaxes(0, 1)))
     full = np.einsum("amdn,bmdn->abmn", columns, np.conj(columns)).prod(axis=2)
     assert np.max(np.abs(overlaps - full)) <= 1e-15
-    per_sample = blocks[..., 0].size  # S * M * dim elements
     # one sample per block, then blocks of 8 samples with an uneven last block of 2
     for chunk in (per_sample, 8 * per_sample + 3):
         monkeypatch.setattr(core, "CHUNK", chunk)
@@ -330,20 +341,19 @@ def test_blocked_thermal_density_matches_whole_array(monkeypatch):
 def test_blocked_thermal_leakage_raises(monkeypatch):
     bath = one_mode(omega=0.5, g2=0.5, temperature=1.0)  # strong drive, tiny space
     state, pos = RegisterState.cat(2), line_positions(2)
-    monkeypatch.setattr(core, "CHUNK", 1)  # one sample per block
-    with pytest.raises(TruncationLeakageError) as err:
-        thermal_reduced_density(state, 6.0, bath, pos, n_samples=20, seed=1, steps=500, n_max=2)
     alphas = thermal_draws(bath, pos, state, 6.0, 20, 1, 500)[0]
     blocks = integrated_blocks(bath, pos, state.labels(), 6.0, 500, 3)
-    tops = [np.max(np.abs(blocks @ coherent_vector(a, 3).T[..., None])[..., -1, 0] ** 2)
-            for a in alphas]
+    monkeypatch.setattr(core, "CHUNK", 1)  # one sample per block
+    with pytest.raises(TruncationLeakageError) as err:
+        reduced_density(state, blocks, alphas)
+    tops = np.max(np.abs(coherent_columns(blocks, alphas)[..., -1, :]) ** 2, axis=(0, 1))
     # the first one-sample block already leaks: the raise reports it, not the worst of all
     assert err.value.leakage == pytest.approx(tops[0], rel=1e-12) and tops[0] < max(tops)
 
 
 def test_default_truncation_grows_with_drive():
-    weak = default_truncation(one_mode(g2=0.01), line_positions(2), 3.0)
-    strong = default_truncation(one_mode(g2=0.5), line_positions(2), 3.0)
+    weak = default_truncation(one_mode(g2=0.01), line_positions(2))
+    strong = default_truncation(one_mode(g2=0.5), line_positions(2))
     assert strong > weak >= 11
 
 
