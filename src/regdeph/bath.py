@@ -12,6 +12,14 @@ Because a pair contributes to every coherence through ``omega``, ``g2`` and
 pair with the pair's summed weight, and :mod:`regdeph.core` sums over that
 half.  The full set stays on ``omega``, ``k`` and ``g2`` for everything else:
 mode counts, CSV export, spectral moments and the brute-force oracle.
+
+The builders place ``J`` frequency shells on a uniform grid and split each
+shell over one inversion-closed direction set, and they record that grid on
+the bath (:class:`ShellGrid`): the folded modes are then shell-major,
+``j*D + d`` over the ``J`` shells and the ``D`` kept half-directions.
+:mod:`regdeph.core` uses the grid to evaluate structure factors as a
+geometric ladder and the time kernels once per shell.  A hand-built bath
+carries no grid and is summed mode by mode.
 """
 from __future__ import annotations
 
@@ -26,6 +34,7 @@ __all__ = [
     "GaussianPeakCoupling",
     "BathSpectrum",
     "ModeSet",
+    "ShellGrid",
     "SpectralMoments",
     "thermal_occupation",
     "coth_half",
@@ -131,13 +140,23 @@ class ModeSet(NamedTuple):
     g2: np.ndarray
 
 
+class ShellGrid(NamedTuple):
+    """The builders' mode grid: shell frequencies ``(J,)``, uniformly spaced, and the
+    kept half of the direction set ``(D, 3)``.  Folded mode ``j*D + d`` has frequency
+    ``freqs[j]`` and wave vector ``(freqs[j] / v) * dirs[d]``."""
+
+    freqs: np.ndarray
+    dirs: np.ndarray
+
+
 @dataclass(frozen=True)
 class BathSpectrum:
     """Discretized bath: per-mode wave vectors, frequencies and coupling weights.
 
     Immutable after construction.  ``omega``, ``k`` and ``g2`` always hold the
     full mode set; :attr:`folded` is the half that the closed form sums over
-    when every mode has an inversion partner.
+    when every mode has an inversion partner.  ``grid`` is the builders' shell
+    grid, or None for a hand-built set.
     """
 
     omega: np.ndarray
@@ -147,6 +166,7 @@ class BathSpectrum:
     temperature: float = 0.0
     dimensionality: int = 1
     coupling: PowerLawCoupling | GaussianPeakCoupling | None = None
+    grid: ShellGrid | None = None
 
     def __post_init__(self):
         omega = np.ascontiguousarray(np.asarray(self.omega, dtype=float))
@@ -193,18 +213,26 @@ class BathSpectrum:
         Partners are found bit for bit: modes sorted by ``(omega, k)`` and by
         ``(omega, -k)`` line up exactly when every mode has one.  The sorts
         are stable, so repeated wave vectors pair off in order of appearance.
+        A bath with a ``grid`` must fold to exactly its shell-major modes.
         """
         kx, ky, kz = self.k.T
         by_k = np.lexsort((kz, ky, kx, self.omega))
         by_minus_k = np.lexsort((-kz, -ky, -kx, self.omega))
-        if not np.array_equal(self.k[by_k], -self.k[by_minus_k]):
-            return ModeSet(self.omega, self.k, self.g2)
-        partner = np.empty_like(by_k)
-        partner[by_k] = by_minus_k
-        keep = np.flatnonzero(np.arange(self.n_modes) < partner)
-        folded = ModeSet(self.omega[keep], self.k[keep], self.g2[keep] + self.g2[partner[keep]])
-        for arr in folded:
-            arr.setflags(write=False)
+        folded = ModeSet(self.omega, self.k, self.g2)
+        if np.array_equal(self.k[by_k], -self.k[by_minus_k]):
+            partner = np.empty_like(by_k)
+            partner[by_k] = by_minus_k
+            keep = np.flatnonzero(np.arange(self.n_modes) < partner)
+            folded = ModeSet(self.omega[keep], self.k[keep], self.g2[keep] + self.g2[partner[keep]])
+            for arr in folded:
+                arr.setflags(write=False)
+        if self.grid is not None:
+            freqs, dirs = self.grid
+            gaps = np.diff(freqs)
+            if not (np.array_equal(folded.omega, np.repeat(freqs, len(dirs)))
+                    and np.array_equal(folded.k, (freqs[:, None, None] / self.v * dirs).reshape(-1, 3))
+                    and np.all(np.abs(gaps - gaps[:1]) <= 1e-12 * freqs[-1])):
+                raise ValueError("grid: the folded modes are not its uniform shells, shell-major")
         return folded
 
     def occupation(self) -> np.ndarray:
@@ -228,6 +256,7 @@ def _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_direct
     return BathSpectrum(
         omega=omega, k=k, g2=g2, v=v, temperature=temperature,
         dimensionality=dimensionality, coupling=coupling,
+        grid=ShellGrid(freqs, dirs[:n_dir // 2]),
     )
 
 

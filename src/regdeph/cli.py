@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -86,8 +87,29 @@ def _parse_track_pairs(text: str, n_qubits: int) -> list[tuple[BasisLabel, Basis
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"run.track_pairs entry must be 'label,label': {chunk!r}")
-        pairs.append((parse_label(parts[0], n_qubits), parse_label(parts[1], n_qubits)))
+        pairs.append(tuple(parse_label(part, n_qubits, "run.track_pairs") for part in parts))
     return pairs
+
+
+def _check_register(command: str, cfg: RunConfig):
+    """Raise the errors of ``command`` that depend on the register size.
+
+    ``run_command`` calls this before it makes the output directory.  The
+    state of ``encode`` is logical: one qubit per pair of physical qubits.
+    """
+    n_qubits = math.prod(cfg.geometry.dims)
+    if command == "encode":
+        if n_qubits % 2:
+            raise ConfigError(f"geometry.dims: encode needs an even number of physical "
+                              f"qubits, got {n_qubits}")
+        n_qubits //= 2
+    if command in ("simulate", "encode"):
+        build_state(cfg, n_qubits)
+    if command == "simulate":
+        _parse_track_pairs(cfg.run.track_pairs, n_qubits)
+    if command == "disorder-scan" and cfg.run.label_i:
+        parse_label(cfg.run.label_i, n_qubits, "run.label_i")
+        parse_label(cfg.run.label_j, n_qubits, "run.label_j")
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str) -> int:
@@ -165,10 +187,7 @@ def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str) -> int:
 
 def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     geometry = build_geometry(cfg)
-    if geometry.n_qubits % 2 != 0:
-        raise ConfigError("encode needs an even number of physical qubits")
-    n_logical = geometry.n_qubits // 2
-    state = build_state(cfg, n_logical)
+    state = build_state(cfg, geometry.n_qubits // 2)
     if cfg.run.code == "adjacent":
         encoded = encode_adjacent(state)
     else:
@@ -188,9 +207,8 @@ def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
 def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str) -> int:
     run = cfg.run
     geometry = build_geometry(cfg)
-    if run.label_i and run.label_j:
-        label_i = parse_label(run.label_i, geometry.n_qubits)
-        label_j = parse_label(run.label_j, geometry.n_qubits)
+    if run.label_i:
+        label_i, label_j = (parse_label(text) for text in (run.label_i, run.label_j))
     else:
         label_i, label_j = RegisterState.single_flip(geometry.n_qubits).labels()
     deltas = np.linspace(run.delta_min, run.delta_max, run.delta_steps)
@@ -238,6 +256,7 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,
     """Dispatch one command against a resolved config; returns the exit code."""
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
+    _check_register(command, cfg)
     digest = config_hash(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
     out.mkdir(parents=True, exist_ok=True)

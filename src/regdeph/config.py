@@ -326,25 +326,29 @@ def build_bath(cfg: RunConfig) -> BathSpectrum:
                                temperature=b.T, n_directions=b.grid_directions)
 
 
-def parse_label(text: str, n_qubits: int | None = None) -> BasisLabel:
-    label = BasisLabel.from_string(text)
+def parse_label(text: str, n_qubits: int | None = None, key: str = "label") -> BasisLabel:
+    """Parse a '+'/'-' label; errors name ``key``, the config key the text came from."""
+    try:
+        label = BasisLabel.from_string(text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     if n_qubits is not None and len(label) != n_qubits:
-        raise ConfigError(f"label {text!r} has {len(label)} qubits, expected {n_qubits}")
+        raise ConfigError(f"{key}: label {text!r} has {len(label)} qubits, expected {n_qubits}")
     return label
 
 
-def state_from_entries(entries, n_qubits: int | None = None) -> RegisterState:
+def state_from_entries(entries, n_qubits: int | None = None,
+                       key: str = "state.entries") -> RegisterState:
     """Build a state from (label, re, im) rows; norm checked then made exact."""
     amps: dict[BasisLabel, complex] = {}
     for label_text, re_part, im_part in entries:
-        label = parse_label(label_text, n_qubits)
+        label = parse_label(label_text, n_qubits, key)
         if label in amps:
-            raise ConfigError(f"duplicate state entry for label {label_text!r}")
+            raise ConfigError(f"{key}: duplicate entry for label {label_text!r}")
         amps[label] = complex(re_part, im_part)
     norm2 = sum(abs(c) ** 2 for c in amps.values())
     if abs(norm2 - 1.0) > STATE_NORM_TOL:
-        raise ConfigError(f"state entries have squared norm {norm2!r}, expected 1 "
-                          f"within {STATE_NORM_TOL:g}")
+        raise ConfigError(f"{key}: squared norm {norm2!r}, expected 1 within {STATE_NORM_TOL:g}")
     return RegisterState.from_unnormalized(amps)
 
 
@@ -356,7 +360,7 @@ def build_state(cfg: RunConfig, n_qubits: int) -> RegisterState:
         return RegisterState.cat(n_qubits)
     if s.preset == "single-flip":
         if not 0 <= s.site < n_qubits:
-            raise ConfigError(f"state.site {s.site} out of range for {n_qubits} qubits")
+            raise ConfigError(f"state.site: {s.site} is out of range for {n_qubits} qubits")
         return RegisterState.single_flip(n_qubits, site=s.site)
     raise ConfigError(f"unknown state preset {s.preset!r}")
 
@@ -367,7 +371,7 @@ def load_state_file(text: str, n_qubits: int | None = None) -> RegisterState:
         entries = _state_rows(text)
     except ValueError as exc:
         raise ConfigError(f"state file: {exc}") from None
-    return state_from_entries(entries, n_qubits)
+    return state_from_entries(entries, n_qubits, key="state file")
 
 
 def dump_state(state: RegisterState) -> str:

@@ -85,6 +85,42 @@ class TestDiscretize:
             assert sorted(halves) == sorted((w, *kk) for w, kk in zip(bath.omega, bath.k))
             assert not any(arr.flags.writeable for arr in bath.folded)
 
+    @pytest.mark.parametrize("bath, n_dir", [
+        (discretize_spectrum(PowerLawCoupling(), v=2.0, n_freq=16, omega_max=4.0), 1),
+        (discretize_spectrum(PowerLawCoupling(), v=1.3, dimensionality=3, n_freq=107,
+                             omega_max=6.0, n_directions=14), 7),
+        (gaussian_peak_modes(center=2.0, width=0.1, v=1.0, n_freq=21), 1),
+        (gaussian_peak_modes(center=2.0, width=0.1, v=1.5, dimensionality=3, n_freq=45,
+                             n_directions=8), 4),
+        (gaussian_peak_modes(center=2.0, width=0.1, v=1.0, dimensionality=3, n_freq=1,
+                             n_directions=2), 1),
+    ], ids=["1d", "3d", "peak-1d", "peak-3d", "one-shell"])
+    def test_builders_fold_shell_major_over_their_grid(self, bath, n_dir):
+        freqs, dirs = bath.grid
+        assert dirs.shape == (n_dir, 3) and bath.n_modes == 2 * len(freqs) * n_dir
+        gaps = np.diff(freqs)
+        assert np.all(np.abs(gaps - gaps[:1]) <= 1e-13 * freqs[-1])
+        omega, k, _ = bath.folded
+        for j, d in np.ndindex(len(freqs), n_dir):
+            assert omega[j * n_dir + d] == freqs[j]
+            assert np.array_equal(k[j * n_dir + d], freqs[j] / bath.v * dirs[d])
+
+    def test_hand_built_set_has_no_grid_and_a_wrong_grid_is_rejected(self):
+        from regdeph.bath import ShellGrid, _assemble
+
+        bath = discretize_spectrum(PowerLawCoupling(), v=1.0, dimensionality=3, n_freq=4,
+                                   omega_max=3.0, n_directions=6)
+        assert BathSpectrum(omega=bath.omega, k=bath.k, g2=bath.g2, v=1.0).grid is None
+        freqs, dirs = bath.grid
+        uneven = np.array([1.0, 2.0, 3.5])
+        for wrong in (BathSpectrum(omega=bath.omega, k=bath.k, g2=bath.g2, v=1.0,
+                                   grid=ShellGrid(freqs[::-1], dirs)),
+                      BathSpectrum(omega=bath.omega, k=bath.k, g2=bath.g2, v=1.0,
+                                   grid=ShellGrid(freqs, -dirs)),
+                      _assemble(uneven, uneven, None, 1.0, 0.0, 3, 6)):
+            with pytest.raises(ValueError, match="grid"):
+                wrong.folded
+
     def test_unpaired_mode_set_is_summed_whole(self):
         lone = BathSpectrum(omega=np.array([1.0]), k=np.array([[0.0, 1.0, 0.0]]),
                             g2=np.array([0.1]), v=1.0)

@@ -510,6 +510,28 @@ class TestExitCodes:
         assert "run.label_i and run.label_j" in capsys.readouterr().err
         assert not (out / "disorder_scan.csv").exists()
 
+    @pytest.mark.parametrize("command, text, key", [
+        ("simulate", "[run]\ntrack_pairs = +++,--\n", "run.track_pairs"),
+        ("simulate", "[run]\ntrack_pairs = ++,+x\n", "run.track_pairs"),
+        ("simulate", "[state]\nentries =\n    +++ 1 0\n", "state.entries"),
+        ("simulate", "[state]\npreset = single-flip\nsite = 2\n", "state.site"),
+        ("encode", "[geometry]\ndims = 3,1,1\n", "geometry.dims"),
+        ("encode", "[geometry]\ndims = 4,1,1\n\n[state]\nentries =\n    ++++ 1 0\n",
+         "state.entries"),
+        ("encode", "[geometry]\ndims = 4,1,1\n\n[state]\npreset = single-flip\nsite = 2\n",
+         "state.site"),
+        ("disorder-scan", "[run]\nlabel_i = +++\nlabel_j = --\n", "run.label_i"),
+        ("disorder-scan", "[run]\nlabel_i = ++\nlabel_j = -\n", "run.label_j"),
+    ], ids=["track_pairs-length", "track_pairs-symbol", "entries", "site", "encode-odd",
+            "encode-entries", "encode-site", "label_i", "label_j"])
+    def test_register_size_error_names_the_key(self, tmp_path, capsys, command, text, key):
+        # 2 qubits unless the config says otherwise; encode's state has half as many
+        out = tmp_path / "o"
+        assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        assert f"error: {key}: " in capsys.readouterr().err
+        assert not out.exists()  # rejected before the directory is made
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--quiet"]) == EXIT_IO

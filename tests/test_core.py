@@ -420,6 +420,15 @@ def _fold_test_baths():
         "peak-3d": gaussian_peak_modes(center=1.6, width=0.2, v=0.8, dimensionality=3,
                                        n_freq=7, amplitude=0.3, temperature=0.3,
                                        n_directions=6),
+        # shell counts that span several ladder anchors and are not multiples of the
+        # ladder step B = ceil(sqrt(J)): 101 = 9*11 + 2, 107 = 9*11 + 8, 45 = 6*7 + 3
+        "1d-ladder": discretize_spectrum(coupling, v=1.0, n_freq=101, omega_max=6.0,
+                                         temperature=0.6),
+        "3d-ladder": discretize_spectrum(coupling, v=1.3, dimensionality=3, n_freq=107,
+                                         omega_max=6.0, temperature=0.6, n_directions=10),
+        "peak-3d-ladder": gaussian_peak_modes(center=1.6, width=0.2, v=0.8, dimensionality=3,
+                                              n_freq=45, amplitude=0.3, temperature=0.3,
+                                              n_directions=6),
         "single-mode": single_mode_bath(omega=1.2, direction=(1.0, 1.0, 0.0), temperature=0.6),
         "extra-unpaired": BathSpectrum(omega=np.append(paired.omega, 1.5),
                                        k=np.vstack([paired.k, [[0.0, 1.5, 0.0]]]),
@@ -470,3 +479,70 @@ def test_folded_sums_equal_direct_sums_over_all_modes(name):
         close(label_phase(lab, float(times[4]), bath, pos), k_phi[4] @ mod2[n])
     close(damping_scale(bath, float(times[6])), np.sum(k_eta[6]))
     close(phase_scale(bath, float(times[6])), np.sum(k_phi[6]))
+
+
+def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
+    # every builder bath: the ladder against one directly evaluated phase per site and
+    # mode, with the phase blocks bounded by CHUNK and L*D*(ceil(J/B) + B) transcendentals
+    from regdeph import core
+
+    rng = np.random.default_rng(47)
+    pos = rng.uniform(-3.0, 3.0, size=(6, 3))
+    labels = sorted({random_label(rng, 6) for _ in range(8)}, key=str)[:5]
+    builders = {name: bath for name, bath in _fold_test_baths().items() if bath.grid is not None}
+    assert len(builders) == 7
+    for name, bath in builders.items():
+        n_shell, n_dir = len(bath.grid.freqs), len(bath.grid.dirs)
+        rung = int(np.ceil(np.sqrt(n_shell)))
+        sizes = {"exp": [], "multiply": []}
+        with monkeypatch.context() as m:
+            # 60 elements: blocks of 5 sites and then 1 when B = 11
+            m.setattr(core, "CHUNK", 60)
+            for fn in sizes:
+                def recorded(*args, _fn=getattr(np, fn), _sizes=sizes[fn], **kwargs):
+                    out = _fn(*args, **kwargs)
+                    _sizes.append(out.size)
+                    return out
+                m.setattr(np, fn, recorded)
+            ladder = core._structure_factors(labels, bath, pos)
+        dense = core._structure_factors(labels, bath.folded.k, pos)
+        assert ladder.shape == dense.shape == (len(labels), n_shell * n_dir)
+        scale = max(1.0, np.abs(dense).max())
+        assert np.abs(ladder - dense).max() <= 1e-13 * scale, name
+        assert max(sizes["exp"] + sizes["multiply"]) <= 60, name
+        assert sum(sizes["exp"]) == len(pos) * n_dir * (-(-n_shell // rung) + rung), name
+
+
+def test_time_blocks_equal_one_block(monkeypatch):
+    from regdeph import core
+    from regdeph.bath import gaussian_peak_modes
+
+    rng = np.random.default_rng(53)
+    bath = gaussian_peak_modes(center=1.4, width=0.3, v=1.0, dimensionality=3, n_freq=20,
+                               amplitude=0.2, temperature=0.4, n_directions=6)
+    pos = rng.uniform(-2.0, 2.0, size=(5, 3))
+    labels = sorted({random_label(rng, 5) for _ in range(10)}, key=str)[:6]
+    state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                             for lab in labels})
+    times = np.linspace(0.0, 9.0, 23)
+    kernels, rows = core._time_kernels, []
+
+    def recorded(bath, times):
+        rows.append(len(times))
+        return kernels(bath, times)
+
+    def run():
+        return (fidelity_curve(state, times, bath, pos),
+                *factor_curves(labels[0], labels[2], times, bath, pos))
+
+    monkeypatch.setattr(core, "_time_kernels", recorded)
+    monkeypatch.setattr(core, "CHUNK", len(times) * 60)  # 60 folded modes: one block
+    whole = run()
+    assert rows == [len(times)] * 2
+    rows.clear()
+    # 250 elements: blocks of 4 time rows, and of 4 of the 15 pairs
+    monkeypatch.setattr(core, "CHUNK", 250)
+    assert bath.folded.omega.size == 60
+    for blocked, ref in zip(run(), whole):
+        np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
+    assert max(rows) == 4 and sum(rows) == 2 * len(times)
