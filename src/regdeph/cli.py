@@ -3,12 +3,16 @@
 Every command reads one INI config; the resolved configuration (defaults
 filled, seed override applied) is hashed and the hash embedded in all output
 headers, so identical config+seed reruns produce byte-identical files.
+
+Every command computes first and writes last: a handler builds everything,
+raises every error and returns its files as text, and only then does
+``run_command`` make the output directory and write them.  So no error
+leaves an output directory behind.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -48,11 +52,11 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _write_csv(path: Path, cfg_hash: str, header: str, rows, precision: int):
-    """Write a CSV atomically: header comments, column names, formatted rows."""
+def _csv(header: str, rows, precision: int) -> str:
+    """CSV text: the column names, then one line per row with floats at ``precision``."""
     lines = [header] + [",".join(_fmt(v, precision) if isinstance(v, float) else str(v)
                                  for v in row) for row in rows]
-    _write_text(path, cfg_hash, "".join(line + "\n" for line in lines))
+    return "".join(line + "\n" for line in lines)
 
 
 def _write_text(path: Path, cfg_hash: str, body: str):
@@ -69,16 +73,16 @@ def _write_text(path: Path, cfg_hash: str, body: str):
         raise
 
 
-def _maybe_exports(cfg: RunConfig, geometry, bath, out_dir: Path, digest: str):
+def _maybe_exports(cfg: RunConfig, geometry, bath) -> dict[str, str]:
     precision = cfg.output.precision
+    files = {}
     if cfg.output.export_positions:
-        _write_csv(out_dir / "positions.csv", digest, "index,x,y,z",
-                   ((i, float(x), float(y), float(z))
-                    for i, x, y, z in geometry.positions_csv_rows()), precision)
+        rows = ((i, float(x), float(y), float(z)) for i, x, y, z in geometry.positions_csv_rows())
+        files["positions.csv"] = _csv("index,x,y,z", rows, precision)
     if cfg.output.export_modes:
-        _write_csv(out_dir / "modes.csv", digest, "omega,g2,kx,ky,kz",
-                   ((float(w), float(g), float(kx), float(ky), float(kz))
-                    for w, g, kx, ky, kz in bath.modes_csv_rows()), precision)
+        rows = (tuple(map(float, row)) for row in bath.modes_csv_rows())
+        files["modes.csv"] = _csv("omega,g2,kx,ky,kz", rows, precision)
+    return files
 
 
 def _parse_track_pairs(text: str, n_qubits: int) -> list[tuple[BasisLabel, BasisLabel]]:
@@ -91,34 +95,13 @@ def _parse_track_pairs(text: str, n_qubits: int) -> list[tuple[BasisLabel, Basis
     return pairs
 
 
-def _check_register(command: str, cfg: RunConfig):
-    """Raise the errors of ``command`` that depend on the register size.
-
-    ``run_command`` calls this before it makes the output directory.  The
-    state of ``encode`` is logical: one qubit per pair of physical qubits.
-    """
-    n_qubits = math.prod(cfg.geometry.dims)
-    if command == "encode":
-        if n_qubits % 2:
-            raise ConfigError(f"geometry.dims: encode needs an even number of physical "
-                              f"qubits, got {n_qubits}")
-        n_qubits //= 2
-    if command in ("simulate", "encode"):
-        build_state(cfg, n_qubits)
-    if command == "simulate":
-        _parse_track_pairs(cfg.run.track_pairs, n_qubits)
-    if command == "disorder-scan" and cfg.run.label_i:
-        parse_label(cfg.run.label_i, n_qubits, "run.label_i")
-        parse_label(cfg.run.label_j, n_qubits, "run.label_j")
-
-
-def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     state = build_state(cfg, geometry.n_qubits)
+    tracked = _parse_track_pairs(cfg.run.track_pairs, geometry.n_qubits)
     times = time_grid(cfg)
     fid = fidelity_curve(state, times, bath, geometry.positions)
-    tracked = _parse_track_pairs(cfg.run.track_pairs, geometry.n_qubits)
     columns = ["t", "F"]
     extra = []
     for idx, (i, j) in enumerate(tracked):
@@ -131,14 +114,11 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, digest: str) -> int:
         for eta, phi in extra:
             row += [float(eta[n]), float(phi[n])]
         rows.append(row)
-    _write_csv(out_dir / "simulate.csv", digest, ",".join(columns), rows,
-               cfg.output.precision)
-    _maybe_exports(cfg, geometry, bath, out_dir, digest)
-    print(f"wrote {out_dir / 'simulate.csv'}")
-    return EXIT_OK
+    files = {"simulate.csv": _csv(",".join(columns), rows, cfg.output.precision)}
+    return EXIT_OK, files | _maybe_exports(cfg, geometry, bath)
 
 
-def _cmd_classify(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_classify(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     moments = spectral_moments(bath)
@@ -150,7 +130,7 @@ def _cmd_classify(cfg: RunConfig, out_dir: Path, digest: str) -> int:
         else:
             print(f"{key} = {value}")
     print(json.dumps(data, sort_keys=True))
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | None:
@@ -165,7 +145,7 @@ def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | N
                         m_max=cfg.run.m_max, eps_tol=cfg.run.eps_tol)
 
 
-def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     geometry = build_geometry(cfg)
     if cfg.bath.peak is None:
         raise ConfigError("pairing needs a [peak] section with the dominant wavenumber")
@@ -176,17 +156,21 @@ def _cmd_pairing(cfg: RunConfig, out_dir: Path, digest: str) -> int:
         print("pairing = none")
         print(f"# no (m, n) with residual <= {cfg.run.eps_tol:g} for m <= {cfg.run.m_max}",
               file=sys.stderr)
-        return EXIT_TOLERANCE
+        return EXIT_TOLERANCE, {}
     print(f"m = {plan.m}")
     print(f"n = {plan.n}")
     print(f"epsilon = {_fmt(plan.residual, cfg.output.precision)}")
     if plan.pairs:
         print("pairs = " + ";".join(f"{a},{b}" for a, b in plan.pairs))
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
-def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_encode(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    """Encode the configured state, which lives on the logical qubits: one per physical pair."""
     geometry = build_geometry(cfg)
+    if geometry.n_qubits % 2:
+        raise ConfigError(f"geometry.dims: encode needs an even number of physical "
+                          f"qubits, got {geometry.n_qubits}")
     state = build_state(cfg, geometry.n_qubits // 2)
     if cfg.run.code == "adjacent":
         encoded = encode_adjacent(state)
@@ -194,21 +178,19 @@ def _cmd_encode(cfg: RunConfig, out_dir: Path, digest: str) -> int:
         plan = _resolve_plan(cfg, geometry)
         if plan is None:
             print("pairing = none", file=sys.stderr)
-            return EXIT_TOLERANCE
+            return EXIT_TOLERANCE, {}
         encoded = encode_modulated(state, plan)
         eps = "unknown" if plan.residual is None else _fmt(plan.residual, cfg.output.precision)
         print(f"pairing m = {plan.m}, n = {plan.n}, epsilon = {eps}")
-    path = out_dir / "encoded_state.txt"
-    _write_text(path, digest, dump_state(encoded))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return EXIT_OK, {"encoded_state.txt": dump_state(encoded)}
 
 
-def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     run = cfg.run
     geometry = build_geometry(cfg)
     if run.label_i:
-        label_i, label_j = (parse_label(text) for text in (run.label_i, run.label_j))
+        label_i, label_j = (parse_label(getattr(run, key), geometry.n_qubits, f"run.{key}")
+                            for key in ("label_i", "label_j"))
     else:
         label_i, label_j = RegisterState.single_flip(geometry.n_qubits).labels()
     deltas = np.linspace(run.delta_min, run.delta_max, run.delta_steps)
@@ -219,14 +201,11 @@ def _cmd_disorder_scan(cfg: RunConfig, out_dir: Path, digest: str) -> int:
         est1, est2 = disorder_average_weights(label_i, label_j, run.k_magnitude,
                                               geo, run.samples)
         rows.append([float(delta), est1.mean, est1.stderr, est2.mean, est2.stderr])
-    _write_csv(out_dir / "disorder_scan.csv", digest,
-               "delta,mean_lambda1,stderr1,mean_lambda2,stderr2",
-               rows, cfg.output.precision)
-    print(f"wrote {out_dir / 'disorder_scan.csv'}")
-    return EXIT_OK
+    header = "delta,mean_lambda1,stderr1,mean_lambda2,stderr2"
+    return EXIT_OK, {"disorder_scan.csv": _csv(header, rows, cfg.output.precision)}
 
 
-def _cmd_validate_oracle(cfg: RunConfig, out_dir: Path, digest: str) -> int:
+def _cmd_validate_oracle(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     suite = default_suite(seed=cfg.geometry.seed, n_cold=cfg.run.instances,
                           thermal_samples=cfg.run.oracle_samples)
     all_ok = True
@@ -238,7 +217,7 @@ def _cmd_validate_oracle(cfg: RunConfig, out_dir: Path, digest: str) -> int:
               f"[dim = {check.dim}, steps = {check.steps}, samples = {check.n_samples}, "
               f"leakage = {check.leakage:.3e}]")
         all_ok = all_ok and check.passed
-    return EXIT_OK if all_ok else EXIT_TOLERANCE
+    return (EXIT_OK if all_ok else EXIT_TOLERANCE), {}
 
 
 _HANDLERS = {
@@ -253,13 +232,14 @@ _HANDLERS = {
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,
                 quiet: bool = False) -> int:
-    """Dispatch one command against a resolved config; returns the exit code."""
+    """Run one command against a resolved config and return its exit code.
+
+    The handler computes everything and returns its files; only then is the
+    output directory made and each file written atomically under the hash header.
+    """
     if command not in _HANDLERS:
         raise ConfigError(f"unknown command {command!r}; choose from {', '.join(COMMANDS)}")
-    _check_register(command, cfg)
     digest = config_hash(cfg)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not quiet:
         print(f"# regdeph {__version__}")
         print(f"# command = {command}")
@@ -267,7 +247,13 @@ def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,
         print(f"# config-sha256 = {digest}")
         for line in serialize_config(cfg).strip().splitlines():
             print(f"# {line}")
-    return _HANDLERS[command](cfg, out, digest)
+    code, files = _HANDLERS[command](cfg)
+    out = Path(out_dir) if out_dir is not None else Path(cfg.output.dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        _write_text(out / name, digest, body)
+        print(f"wrote {out / name}")
+    return code
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,8 @@ class PairingPlan:
     ``residual`` is ``|m * kbar * d / pi - n|``; at zero the pair separation is
     an exact half-wavelength multiple of the dominant mode, and it is ``None``
     when the dominant wavenumber is unknown.  ``pairs`` lists the disjoint
-    (site, partner) cover when a register size was supplied.
+    (site, partner) cover when a register size was supplied; it must be the
+    block cover :meth:`physical_pairs` gives, which encoding and decoding use.
     """
 
     m: int
@@ -49,6 +50,9 @@ class PairingPlan:
     def __post_init__(self):
         if self.m < 1 or self.n < 0 or (self.residual is not None and self.residual < 0):
             raise ValueError("need m >= 1, n >= 0, residual >= 0")
+        if self.pairs and self.pairs != _block_pairs(self.m, len(self.pairs)):
+            raise ValueError(f"pairs {self.pairs} are not the blocks of pairing distance "
+                             f"m={self.m}")
 
     def physical_pairs(self, n_logical: int) -> tuple[tuple[int, int], ...]:
         """Disjoint (site, site+m) cover of ``2*n_logical`` sites, in blocks of 2m."""
@@ -66,6 +70,10 @@ def _block_pairs(m: int, n_logical: int) -> tuple[tuple[int, int], ...]:
         for r in range(m):
             pairs.append((base + r, base + r + m))
     return tuple(pairs)
+
+
+# the adjacent code is the modulated one at distance 1 with even parity
+_ADJACENT = PairingPlan(m=1, n=0, residual=None)
 
 
 def find_pairing(kbar: float, d: float, m_max: int = 10, eps_tol: float = 0.1,
@@ -93,27 +101,21 @@ def find_pairing(kbar: float, d: float, m_max: int = 10, eps_tol: float = 0.1,
     return None
 
 
-def _encode_label(label: BasisLabel, pairs, partner_sign) -> BasisLabel:
-    n_logical = len(label)
-    spins = [0] * (2 * n_logical)
-    for q, (site, partner) in enumerate(pairs):
-        s = label.spins[q]
+def _encode_label(label: BasisLabel, plan: PairingPlan) -> BasisLabel:
+    sign = (-1) ** (plan.n + 1)
+    spins = [0] * (2 * len(label))
+    for s, (site, partner) in zip(label.spins, plan.physical_pairs(len(label))):
         spins[site] = s
-        spins[partner] = partner_sign * s
+        spins[partner] = sign * s
     return BasisLabel(tuple(spins))
 
 
-def _encode(obj, pairs, partner_sign):
-    if isinstance(obj, BasisLabel):
-        if len(obj) != len(pairs):
-            raise ValueError(f"label of {len(obj)} qubits does not match {len(pairs)} pairs")
-        return _encode_label(obj, pairs, partner_sign)
-    if isinstance(obj, RegisterState):
-        if obj.n_qubits != len(pairs):
-            raise ValueError(f"state of {obj.n_qubits} qubits does not match {len(pairs)} pairs")
-        return RegisterState({_encode_label(lab, pairs, partner_sign): amp
-                              for lab, amp in obj.items()})
-    raise TypeError(f"cannot encode {type(obj).__name__}")
+def _encode(logical, plan: PairingPlan):
+    if isinstance(logical, BasisLabel):
+        return _encode_label(logical, plan)
+    if isinstance(logical, RegisterState):
+        return RegisterState({_encode_label(lab, plan): amp for lab, amp in logical.items()})
+    raise TypeError(f"cannot encode {type(logical).__name__}")
 
 
 def encode_adjacent(logical):
@@ -123,9 +125,7 @@ def encode_adjacent(logical):
     basis label or a register state; superpositions map linearly with
     amplitudes unchanged.
     """
-    n = len(logical) if isinstance(logical, BasisLabel) else logical.n_qubits
-    pairs = tuple((2 * q, 2 * q + 1) for q in range(n))
-    return _encode(logical, pairs, -1)
+    return _encode(logical, _ADJACENT)
 
 
 def encode_modulated(logical, plan: PairingPlan):
@@ -135,10 +135,7 @@ def encode_modulated(logical, plan: PairingPlan):
     parity aligns the partner spin instead, compensating the sign the dominant
     mode accumulates over the ``m``-site separation.
     """
-    n_logical = len(logical) if isinstance(logical, BasisLabel) else logical.n_qubits
-    pairs = plan.pairs if len(plan.pairs) == n_logical else plan.physical_pairs(n_logical)
-    sign = (-1) ** (plan.n + 1)
-    return _encode(logical, pairs, sign)
+    return _encode(logical, plan)
 
 
 @dataclass(frozen=True)
@@ -153,35 +150,22 @@ class DecodeResult:
         return not self.mismatched_pairs
 
 
-def _decode(physical: BasisLabel, pairs, partner_sign) -> DecodeResult:
-    if len(physical) != 2 * len(pairs):
-        raise ValueError(f"physical label of {len(physical)} qubits does not match "
-                         f"{len(pairs)} pairs")
-    logical = []
-    bad = []
-    for q, (site, partner) in enumerate(pairs):
-        s = physical.spins[site]
-        logical.append(s)
-        if physical.spins[partner] != partner_sign * s:
-            bad.append(q)
-    return DecodeResult(logical=BasisLabel(tuple(logical)), mismatched_pairs=tuple(bad))
-
-
 def decode_adjacent(physical: BasisLabel) -> DecodeResult:
     """Left inverse of :func:`encode_adjacent`; mismatches are reported, not fixed."""
-    if len(physical) % 2 != 0:
-        raise ValueError("physical register must have an even number of qubits")
-    n = len(physical) // 2
-    pairs = tuple((2 * q, 2 * q + 1) for q in range(n))
-    return _decode(physical, pairs, -1)
+    return decode_modulated(physical, _ADJACENT)
 
 
 def decode_modulated(physical: BasisLabel, plan: PairingPlan) -> DecodeResult:
     """Left inverse of :func:`encode_modulated`; mismatches are reported, not fixed."""
     if len(physical) % 2 != 0:
         raise ValueError("physical register must have an even number of qubits")
+    sign = (-1) ** (plan.n + 1)
     pairs = plan.physical_pairs(len(physical) // 2)
-    return _decode(physical, pairs, (-1) ** (plan.n + 1))
+    spins = physical.spins
+    bad = tuple(q for q, (site, partner) in enumerate(pairs)
+                if spins[partner] != sign * spins[site])
+    return DecodeResult(logical=BasisLabel(tuple(spins[site] for site, _ in pairs)),
+                        mismatched_pairs=bad)
 
 
 @dataclass(frozen=True)
@@ -203,11 +187,8 @@ def subdecoherence_residual(code, geometry: RegisterGeometry, bath: BathSpectrum
     resulting physical labels.
     """
     if code == "adjacent":
-        encoder = encode_adjacent
-    elif isinstance(code, PairingPlan):
-        def encoder(obj):
-            return encode_modulated(obj, code)
-    else:
+        code = _ADJACENT
+    elif not isinstance(code, PairingPlan):
         raise ValueError(f"unknown code {code!r}: expected 'adjacent' or a PairingPlan")
 
     encoded: list[BasisLabel] = []
@@ -215,7 +196,7 @@ def subdecoherence_residual(code, geometry: RegisterGeometry, bath: BathSpectrum
     for obj in states:
         labels = [obj] if isinstance(obj, BasisLabel) else obj.labels()
         for lab in labels:
-            phys = encoder(lab)
+            phys = encode_modulated(lab, code)
             if phys not in seen:
                 seen.add(phys)
                 encoded.append(phys)

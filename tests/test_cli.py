@@ -532,6 +532,19 @@ class TestExitCodes:
         assert f"error: {key}: " in capsys.readouterr().err
         assert not out.exists()  # rejected before the directory is made
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("pairing", "[geometry]\ndims = 4,1,1\n", "pairing needs a [peak] section"),
+        ("encode", "[geometry]\ndims = 4,1,1\n\n[run]\ncode = modulated\n",
+         "modulated pairing needs run.pair_m/pair_n or a [peak] section"),
+    ], ids=["pairing-no-peak", "encode-modulated-no-plan"])
+    def test_missing_pairing_input_leaves_no_directory(self, tmp_path, capsys, command, text,
+                                                       message):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_VALIDATION
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()  # the handler raises before the directory is made
+
     def test_missing_config_is_io_failure(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--quiet"]) == EXIT_IO

@@ -142,6 +142,19 @@ class TestModulatedEncoding:
         res = decode_modulated(encode_modulated(lab, plan), plan)
         assert res.logical == lab and res.clean
 
+    def test_pairs_must_be_the_block_cover(self):
+        # a cover other than the blocks would encode with one layout and decode with another
+        with pytest.raises(ValueError, match="not the blocks"):
+            PairingPlan(m=1, n=0, residual=None, pairs=((0, 2), (1, 3)))
+        with pytest.raises(ValueError):
+            PairingPlan(m=2, n=1, residual=0.0, pairs=((0, 2), (1, 3), (4, 6)))
+        plan = find_pairing(0.5 * np.pi, 1.0, n_logical=4)
+        lab = BasisLabel((1, -1, -1, 1))
+        encoded = encode_modulated(lab, plan)
+        assert [encoded.spins[site] for site, _ in plan.pairs] == list(lab.spins)
+        res = decode_modulated(encoded, plan)
+        assert res.logical == lab and res.clean
+
     def test_size_mismatch_rejected(self):
         plan = PairingPlan(m=2, n=1, residual=0.0)
         with pytest.raises(ValueError):
