@@ -164,8 +164,6 @@ class BathSpectrum:
     g2: np.ndarray
     v: float
     temperature: float = 0.0
-    dimensionality: int = 1
-    coupling: PowerLawCoupling | GaussianPeakCoupling | None = None
     grid: ShellGrid | None = None
 
     def __post_init__(self):
@@ -247,17 +245,14 @@ class BathSpectrum:
             yield w, g, kx, ky, kz
 
 
-def _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions):
+def _assemble(freqs, weights, v, temperature, dimensionality, n_directions):
     dirs = _direction_set(dimensionality, n_directions)
     n_dir = len(dirs)
     omega = np.repeat(freqs, n_dir)
     g2 = np.repeat(weights / n_dir, n_dir)
     k = (np.repeat(freqs, n_dir)[:, None] / v) * np.tile(dirs, (len(freqs), 1))
-    return BathSpectrum(
-        omega=omega, k=k, g2=g2, v=v, temperature=temperature,
-        dimensionality=dimensionality, coupling=coupling,
-        grid=ShellGrid(freqs, dirs[:n_dir // 2]),
-    )
+    return BathSpectrum(omega=omega, k=k, g2=g2, v=v, temperature=temperature,
+                        grid=ShellGrid(freqs, dirs[:n_dir // 2]))
 
 
 def discretize_spectrum(
@@ -284,7 +279,7 @@ def discretize_spectrum(
     step = omega_max / n_freq
     freqs = step * np.arange(1, n_freq + 1)
     weights = coupling.g2(freqs) * step
-    return _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions)
+    return _assemble(freqs, weights, v, temperature, dimensionality, n_directions)
 
 
 def gaussian_peak_modes(
@@ -310,7 +305,7 @@ def gaussian_peak_modes(
     freqs = np.linspace(lo, hi, n_freq)
     step = (hi - lo) / max(n_freq - 1, 1) if n_freq > 1 else width
     weights = coupling.g2(freqs) * step
-    return _assemble(freqs, weights, coupling, v, temperature, dimensionality, n_directions)
+    return _assemble(freqs, weights, v, temperature, dimensionality, n_directions)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,14 @@ def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | N
                         m_max=cfg.run.m_max, eps_tol=cfg.run.eps_tol)
 
 
+def _no_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    """A failed pairing search: the outcome on stdout, the reason on stderr."""
+    print("pairing = none")
+    print(f"# no (m, n) with residual <= {cfg.run.eps_tol:g} for m <= {cfg.run.m_max}",
+          file=sys.stderr)
+    return EXIT_TOLERANCE, {}
+
+
 def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     geometry = build_geometry(cfg)
     if cfg.bath.peak is None:
@@ -153,10 +161,7 @@ def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     plan = find_pairing(cfg.bath.peak.center, geometry.d, m_max=cfg.run.m_max,
                         eps_tol=cfg.run.eps_tol, n_logical=n_logical)
     if plan is None:
-        print("pairing = none")
-        print(f"# no (m, n) with residual <= {cfg.run.eps_tol:g} for m <= {cfg.run.m_max}",
-              file=sys.stderr)
-        return EXIT_TOLERANCE, {}
+        return _no_pairing(cfg)
     print(f"m = {plan.m}")
     print(f"n = {plan.n}")
     print(f"epsilon = {_fmt(plan.residual, cfg.output.precision)}")
@@ -177,8 +182,7 @@ def _cmd_encode(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     else:
         plan = _resolve_plan(cfg, geometry)
         if plan is None:
-            print("pairing = none", file=sys.stderr)
-            return EXIT_TOLERANCE, {}
+            return _no_pairing(cfg)
         encoded = encode_modulated(state, plan)
         eps = "unknown" if plan.residual is None else _fmt(plan.residual, cfg.output.precision)
         print(f"pairing m = {plan.m}, n = {plan.n}, epsilon = {eps}")
@@ -279,9 +283,6 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         return run_command(args.command, cfg, out_dir=args.output, quiet=args.quiet)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except TruncationLeakageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE

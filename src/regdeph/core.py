@@ -11,8 +11,11 @@ grid, from three pieces:
 * the structure factors ``S_a(k) = sum_l s_l exp(i k . r_l)`` of every label;
 * two time kernels per mode, ``g2 coth(omega/2T) 2 sin^2(omega t/2) / omega^2``
   (damping) and ``g2 (omega t - sin omega t) / omega^2`` (phase);
-* the pair reduction ``eta_ab = K_eta @ |S_a - S_b|^2`` and
-  ``phi_ab = K_phi @ (|S_a|^2 - |S_b|^2)``, two matrix products over modes.
+* the reductions over modes: the damping of each pair,
+  ``eta_ab = K_eta @ |S_a - S_b|^2``, and the phase of each label,
+  ``phase_a = K_phi @ |S_a|^2``.  Every basis label picks up its own phase,
+  and the Lamb phase of a coherence is the difference of two of them,
+  ``phi_ab = phase_a - phase_b``.
 
 Every public function below is a thin view over this primitive.
 
@@ -51,9 +54,11 @@ and mode, and count as ``J = M`` shells of one mode each in the kernels.
 Memory is bounded by ``CHUNK``, read at call time: the phase blocks of the
 structure factors (blocks of sites, one direction and whole anchors, or whole
 mode columns on the dense path), the ``(T, M)`` kernels of one block of
-times and the ``(P, M)`` weights of one block of pairs each hold at most
-``CHUNK`` elements, or one row when a row alone is larger.  The kernels are
-built once per time point; the pair weights once per block of times.
+times and the ``(P, M)`` damping weights of one block of pairs each hold at
+most ``CHUNK`` elements, or one row when a row alone is larger.  Only the
+damping has per-pair weights; the phases need the labels' ``|S|^2`` alone.
+The kernels and the label phases are built once per time point; the damping
+weights once per block of times.
 """
 from __future__ import annotations
 
@@ -294,33 +299,31 @@ def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
 
 def _coherence(labels, a, b, times, bath: BathSpectrum,
                positions) -> tuple[np.ndarray, np.ndarray]:
-    """The pair reduction: eta and phi of the pairs ``(labels[a], labels[b])``, shape (T, P).
+    """Damping of the pairs ``(labels[a], labels[b])`` (T, P) and phase of each label (T, n).
 
-    ``eta = K_eta @ |S_a - S_b|^2`` and ``phi = K_phi @ (|S_a|^2 - |S_b|^2)``.
-    Times and pairs are taken in blocks that bound the (T, M) kernels and the
-    (P, M) weights: the kernels are built once per time block, the weights
-    once per time and pair block.
+    ``eta_ab = K_eta @ |S_a - S_b|^2`` and ``phase_a = K_phi @ |S_a|^2``; the
+    Lamb phase of a pair is the difference of its labels' phases.  Times are
+    taken in blocks that bound the (T, M) kernels, pairs in blocks that bound
+    the (P, M) damping weights: the kernels and the label phases are built
+    once per time block, the weights once per time and pair block.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     s = _structure_factors(labels, bath, positions)
     mod2 = np.abs(s) ** 2
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
     eta = np.empty((len(times), len(a)))
-    phi = np.empty_like(eta)
+    phase = np.empty((len(times), len(s)))
     step = max(1, CHUNK // s.shape[1])
     for t0 in range(0, len(times), step):
         rows = slice(t0, t0 + step)
         k_eta, k_phi = _time_kernels(bath, times[rows])
+        phase[rows] = k_phi @ mod2.T
         for lo in range(0, len(a), step):
-            pa, pb = a[lo:lo + step], b[lo:lo + step]
-            diff = s[pa]
-            diff -= s[pb]
+            diff = s[a[lo:lo + step]]
+            diff -= s[b[lo:lo + step]]
             weight = np.abs(diff)
             eta[rows, lo:lo + step] = k_eta @ np.square(weight, out=weight).T
-            weight = mod2[pa]
-            weight -= mod2[pb]
-            phi[rows, lo:lo + step] = k_phi @ weight.T
-    return eta, phi
+    return eta, phase
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
@@ -376,7 +379,8 @@ def lamb_phase(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
     Grows roughly linearly in time once ``omega*t >> 1``; identically zero for
     sign-symmetric label pairs.
     """
-    return float(_coherence([i, j], [0], [1], [t], bath, positions)[1][0, 0])
+    phase = _coherence([i, j], [], [], [t], bath, positions)[1][0]
+    return float(phase[0] - phase[1])
 
 
 def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float:
@@ -385,9 +389,7 @@ def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float
     Differences of label phases reproduce the pairwise Lamb phase:
     ``label_phase(i) - label_phase(j) == lamb_phase(i, j)``.
     """
-    _, k_phi = _time_kernels(bath, [t])
-    s = _structure_factors([i], bath, positions)
-    return float(k_phi[0] @ np.abs(s[0]) ** 2)
+    return float(_coherence([i], [], [], [t], bath, positions)[1][0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,11 +422,11 @@ def pair_factors(labels: Iterable[BasisLabel], t: float, bath: BathSpectrum,
     """Damping/phase factors for all ordered pairs drawn from ``labels``."""
     labels = tuple(labels)
     a, b = np.triu_indices(len(labels), 1)
-    eta, phi = _coherence(labels, a, b, [t], bath, positions)
-    eta_matrix, phi_matrix = np.zeros((2, len(labels), len(labels)))
+    eta, phase = _coherence(labels, a, b, [t], bath, positions)
+    eta_matrix = np.zeros((len(labels), len(labels)))
     eta_matrix[a, b] = eta_matrix[b, a] = eta[0]
-    phi_matrix[a, b], phi_matrix[b, a] = phi[0], -phi[0]
-    return DecoherenceFactors(t=t, labels=labels, eta_matrix=eta_matrix, phi_matrix=phi_matrix)
+    return DecoherenceFactors(t=t, labels=labels, eta_matrix=eta_matrix,
+                              phi_matrix=phase[0][:, None] - phase[0][None, :])
 
 
 def evolve(state: RegisterState, t: float, bath: BathSpectrum,
@@ -455,8 +457,8 @@ def fidelity(state: RegisterState, t: float, bath: BathSpectrum, positions) -> f
 def factor_curves(i: BasisLabel, j: BasisLabel, times, bath: BathSpectrum,
                   positions) -> tuple[np.ndarray, np.ndarray]:
     """Damping exponent and phase of one coherence over a whole time grid."""
-    eta, phi = _coherence([i, j], [0], [1], times, bath, positions)
-    return eta[:, 0], phi[:, 0]
+    eta, phase = _coherence([i, j], [0], [1], times, bath, positions)
+    return eta[:, 0], phase[:, 0] - phase[:, 1]
 
 
 def fidelity_curve(state: RegisterState, times, bath: BathSpectrum,
@@ -465,5 +467,6 @@ def fidelity_curve(state: RegisterState, times, bath: BathSpectrum,
     labels = state.labels()
     p = np.abs(list(state.amplitudes.values())) ** 2
     a, b = np.triu_indices(len(labels), 1)
-    eta, phi = _coherence(labels, a, b, times, bath, positions)
+    eta, phase = _coherence(labels, a, b, times, bath, positions)
+    phi = phase[:, a] - phase[:, b]
     return np.sum(p**2) + 2.0 * (np.exp(-eta) * np.cos(phi)) @ (p[a] * p[b])

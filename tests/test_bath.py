@@ -117,7 +117,7 @@ class TestDiscretize:
                                    grid=ShellGrid(freqs[::-1], dirs)),
                       BathSpectrum(omega=bath.omega, k=bath.k, g2=bath.g2, v=1.0,
                                    grid=ShellGrid(freqs, -dirs)),
-                      _assemble(uneven, uneven, None, 1.0, 0.0, 3, 6)):
+                      _assemble(uneven, uneven, 1.0, 0.0, 3, 6)):
             with pytest.raises(ValueError, match="grid"):
                 wrong.folded
 

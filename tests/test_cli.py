@@ -385,6 +385,27 @@ eps_tol = 0.0001
         assert main(["pairing", "--config", str(cfg_path), "--quiet",
                      "--output", str(tmp_path / "out")]) == EXIT_TOLERANCE
 
+    @pytest.mark.parametrize("command", ["pairing", "encode"])
+    def test_failed_pairing_search_reports_on_stdout(self, tmp_path, capsys, command):
+        text = """\
+[geometry]
+dims = 4,1,1
+
+[peak]
+center = 1.2
+width = 0.1
+
+[run]
+code = modulated
+m_max = 2
+eps_tol = 0.0001
+"""
+        assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(tmp_path / "out")]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert captured.out == "pairing = none\n"
+        assert captured.err == "# no (m, n) with residual <= 0.0001 for m <= 2\n"
+
     def test_disorder_scan_writes_csv(self, tmp_path):
         text = """\
 [geometry]

@@ -392,7 +392,10 @@ def test_chunked_results_match_unchunked(monkeypatch):
         res = subdecoherence_residual("adjacent", code_geo, bath, 2.3, logical)
         return (fidelity_curve(state, times, bath, geo.positions),
                 *factor_curves(labels[0], labels[1], times, bath, geo.positions),
-                fac.eta_matrix, fac.phi_matrix, np.array([res.max_eta, res.max_abs_phi]))
+                fac.eta_matrix, fac.phi_matrix, np.array([res.max_eta, res.max_abs_phi]),
+                np.array([label_phase(lab, 2.3, bath, geo.positions) for lab in labels]),
+                np.array([lamb_phase(labels[2], labels[4], 2.3, bath, geo.positions),
+                          damping_exponent(labels[2], labels[4], 2.3, bath, geo.positions)]))
 
     whole = run()
     # 50 elements: the 22 modes fold to 11, taken in blocks of 7 (or 8),
