@@ -106,7 +106,6 @@ class RunOptions:
     label_i: str = _ini("run.label_i", "str", "", optional=True)
     label_j: str = _ini("run.label_j", "str", "", optional=True)
     instances: int = _ini("run.instances", "int", 6, ge=0)
-    oracle_samples: int = _ini("run.oracle_samples", "int", 4000, ge=2)
 
 
 @dataclass(frozen=True)
@@ -261,6 +260,12 @@ def _validate(cfg: RunConfig):
     if b.dimensionality == 3 and (b.grid_directions < 2 or b.grid_directions % 2):
         raise ConfigError(f"grid.directions must be even and >= 2 for a 3-D bath, "
                           f"got {b.grid_directions}")
+    # below these exponents the continuum damping of a power-law bath diverges in
+    # the infrared, and the discrete value only grows with the grid
+    p_min = 0.0 if b.T > 0 else -1.0
+    if b.peak is None and b.coupling_exponent <= p_min:
+        raise ConfigError(f"coupling.p must be > {p_min:g} for a power-law bath at bath.T = "
+                          f"{b.T!r}, got {b.coupling_exponent!r}")
     if cfg.state.entries is None and cfg.state.preset not in ("cat", "single-flip"):
         raise ConfigError(f"state.preset must be 'cat' or 'single-flip', got {cfg.state.preset!r}")
     r = cfg.run

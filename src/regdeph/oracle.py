@@ -2,20 +2,19 @@
 
 The coupling is diagonal in the register basis and different modes commute
 at equal times, so the joint propagator factorizes into independent blocks
-per (register label, mode).  The bath is kept as one truncated number-state
-column per (label, mode, sample); reduced-density entries are products over
-modes of per-mode overlaps, so memory grows linearly in the number of modes.
-Each block is integrated by a second-order midpoint split-step scheme built
-directly from the time-dependent interaction Hamiltonian — no damping/phase
-formulas from :mod:`regdeph.core` enter anywhere in the integration path.
+per (register label, mode).  Each block is integrated by a second-order
+midpoint split-step scheme built directly from the time-dependent interaction
+Hamiltonian — no damping/phase formulas from :mod:`regdeph.core` enter
+anywhere in the integration path.
 :func:`analytic_blocks` gives the analytic propagators of the same blocks.
 
-:func:`reduced_density` is the one way the bath is traced out.  It streams
-the samples through blocks of at most ``core.CHUNK`` column elements: each
-block's coherent columns are built, evolved, checked for leakage and reduced
-to per-sample overlaps before the next.  Its memory is the ``(S, M, dim,
-dim)`` propagators and their transposed copy, one sample block and the
-``(S, S, N)`` overlaps; it does not grow as ``S * M * dim * N``.
+:func:`reduced_density` is the one way the bath is traced out, for cold
+and thermal baths alike.  A thermal mode is diagonal in the number basis,
+with Bose populations ``p_n`` (the vacuum at ``T = 0``), so a reduced-density
+entry is exactly ``c_a c_b* prod_m sum_n p_mn <B_bm e_n | B_am e_n>``: no
+sampling, no random numbers and no standard errors.  Entries are products
+over modes of per-mode overlaps, so memory grows linearly in the number of
+modes.
 
 Desk scale only: the label count is exponential in the register size.
 """
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState
 
@@ -77,17 +75,16 @@ def _sector_couplings(bath: BathSpectrum, positions, labels) -> np.ndarray:
     return np.sqrt(bath.g2)[None, :] * (spins @ phases)
 
 
-def default_truncation(bath: BathSpectrum, positions, alpha_max: float = 0.0) -> int:
+def default_truncation(bath: BathSpectrum, positions) -> int:
     """Truncation dimension heuristic: mean scale plus a wide safety band.
 
     Uses the largest displacement any register label can induce, ``2|b|/omega``
-    at any time, plus the largest initial coherent amplitude; the leakage
-    monitor remains the hard check.
+    at any time; the leakage monitor remains the hard check.
     """
     labels = register_basis(np.asarray(positions).shape[0])
     b = _sector_couplings(bath, positions, labels)
     disp = 2.0 * np.abs(b) / bath.omega[None, :]
-    a = float(np.max(disp)) + float(alpha_max)
+    a = float(np.max(disp))
     return int(np.ceil(a * a + 6.0 * a)) + 10
 
 
@@ -105,6 +102,10 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
     double; the largest entry is then at most ``exp(|alpha|^2 / 2 - 700)``.
     Above ``|alpha|^2 = 2100`` the squared norm of such a column would
     overflow, so larger amplitudes raise ``ValueError``.
+
+    The oracle's own bath trace does not use it: a thermal mode is traced over
+    number states.  It builds coherent bath columns for callers that start the
+    bath in a coherent state.
     """
     alpha = np.asarray(alpha, dtype=complex)
     r2 = np.abs(alpha) ** 2
@@ -181,111 +182,79 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
     return blocks
 
 
-def _evolve(blocks_t: np.ndarray, alphas: np.ndarray, leakage: float) -> tuple[np.ndarray, float]:
-    """Sample-major evolved columns (S, M, N, dim) and the running leakage.
+def _bose_populations(bath: BathSpectrum) -> np.ndarray:
+    """Thermal number-state populations of every mode, shape (M, n_th).
 
-    ``blocks_t`` are the propagators transposed in their last two axes.
-    ``leakage`` is the worst top-level probability of the columns evolved
-    before; the one returned also covers these.  Raises
-    :class:`TruncationLeakageError` when it exceeds ``LEAKAGE_TOL``.
+    Mode ``m`` holds level ``n`` with probability proportional to ``x_m^n``,
+    ``x_m = exp(-omega_m / T)``.  The series stops at the first level
+    ``n_th`` whose dropped tail ``x_max^n_th`` is at most ``LEAKAGE_TOL``;
+    each row is renormalized to sum to 1 on the retained levels.  At
+    ``T = 0`` every row is ``[1.0]``, the vacuum.
     """
-    columns = np.moveaxis(coherent_vector(alphas.T, blocks_t.shape[-1]), 0, -1)  # (M, N, dim)
-    evolved = columns @ blocks_t
-    leakage = max(leakage, float(np.max(np.abs(evolved[..., -1]) ** 2)))
-    if leakage > LEAKAGE_TOL:
-        raise TruncationLeakageError(leakage)
-    return evolved, leakage
-
-
-def _overlaps(evolved: np.ndarray) -> np.ndarray:
-    """Per-sample products over modes of ``<col_b | col_a>``, shape (S, S, N).
-
-    ``evolved`` is sample-major, (S, M, N, dim).  Only ``a <= b`` is
-    computed; entry ``(b, a)`` is the conjugate, so every sample's matrix is
-    exactly Hermitian.
-    """
-    n_labels = evolved.shape[0]
-    conj = np.conj(evolved)
-    out = np.empty((n_labels, n_labels, evolved.shape[2]), dtype=complex)
-    for a in range(n_labels):
-        row = np.einsum("mnd,bmnd->bmn", evolved[a], conj[a:]).prod(axis=1)
-        row[0] = row[0].real  # <col_a | col_a> is a norm
-        out[a, a:] = row
-        out[a:, a] = np.conj(row)
-    return out
+    n_th = max(1, int(np.ceil(-np.log(LEAKAGE_TOL) * bath.temperature / np.min(bath.omega))))
+    occupation = bath.occupation()
+    weights = (occupation / (1.0 + occupation))[:, None] ** np.arange(n_th)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 @dataclass
 class ThermalDensity:
-    """Monte Carlo reduced density with per-entry statistical error bars.
+    """Reduced register density after the bath is traced out.
 
-    ``dim`` is the truncation dimension of every bath column and ``leakage``
-    the largest top-level probability of any evolved column.
+    ``dim`` is the truncation dimension of every bath block and ``leakage``
+    the largest population-weighted top-level probability of any block.
     """
 
     entries: dict[tuple[BasisLabel, BasisLabel], complex]
-    stderr: dict[tuple[BasisLabel, BasisLabel], float]
-    n_samples: int
     dim: int
     leakage: float
 
 
-def reduced_density(state: RegisterState, blocks: np.ndarray, alphas) -> ThermalDensity:
-    """Trace out the bath: entries and standard errors over the samples.
+def reduced_density(state: RegisterState, blocks: np.ndarray, populations) -> ThermalDensity:
+    """Trace out the bath exactly over the number states of each mode.
 
     ``blocks`` are the (S, M, dim, dim) propagators of ``state.labels()``;
-    ``alphas`` holds one coherent amplitude per sample and mode, (N, M).
-    Entry ``(a, b)`` of one sample is ``c_a c_b*`` times the product over
-    modes of the evolved columns' overlaps ``<col_b | col_a>``.  Raises
-    :class:`TruncationLeakageError` when an evolved column holds more than
-    ``LEAKAGE_TOL`` probability in its top retained level.
+    ``populations`` holds one row of number-state probabilities per mode,
+    (M, n), for the levels ``0..n-1``.  Entry ``(a, b)`` is ``c_a c_b*``
+    times the product over modes of ``sum_n p_n <B_b e_n | B_a e_n>``: the
+    retained columns of every block are scaled by ``sqrt(p)`` and reduced by
+    one einsum per label row.  Only the overlaps with ``a <= b`` are
+    computed; those with ``b > a`` are their conjugates.  Raises
+    :class:`TruncationLeakageError` when a block holds more than
+    ``LEAKAGE_TOL`` population-weighted probability in its top retained level.
     """
-    alphas = np.asarray(alphas, dtype=complex)
-    blocks_t = np.ascontiguousarray(blocks.swapaxes(-1, -2))
-    step = max(1, core.CHUNK // blocks[..., 0].size)  # one sample is S * M * dim elements
-    leakage, overlaps = 0.0, []
-    for start in range(0, len(alphas), step):
-        evolved, leakage = _evolve(blocks_t, alphas[start:start + step], leakage)
-        overlaps.append(_overlaps(evolved))
+    populations = np.asarray(populations, dtype=float)
+    columns = blocks[..., :populations.shape[1]] * np.sqrt(populations)[:, None, :]
+    leakage = float(np.max(np.sum(np.abs(columns[..., -1, :]) ** 2, axis=-1)))
+    if leakage > LEAKAGE_TOL:
+        raise TruncationLeakageError(leakage)
+    n_labels, conj = len(columns), np.conj(columns)
+    overlaps = np.empty((n_labels, n_labels), dtype=complex)
+    for a in range(n_labels):
+        row = np.einsum("mdn,bmdn->bm", columns[a], conj[a:]).prod(axis=1)
+        row[0] = row[0].real  # <col_a | col_a> is a norm
+        overlaps[a, a:] = row
+        overlaps[a:, a] = np.conj(row)
     amps = np.array([amp for _, amp in state.items()])
-    samples = ((amps[:, None] * np.conj(amps)[None, :])[..., None]
-               * np.concatenate(overlaps, axis=-1))
-    n_samples = samples.shape[-1]
-    means = samples.mean(axis=-1)
-    if n_samples > 1:
-        var = samples.real.var(axis=-1, ddof=1) + samples.imag.var(axis=-1, ddof=1)
-        errors = np.sqrt(var / n_samples)
-    else:
-        errors = np.zeros(means.shape)
-    keys = list(itertools.product(state.labels(), repeat=2))  # row-major (a, b), as in means
-    return ThermalDensity(entries=dict(zip(keys, means.ravel().tolist())),
-                          stderr=dict(zip(keys, errors.ravel().tolist())),
-                          n_samples=n_samples, dim=blocks.shape[-1], leakage=leakage)
+    rho = amps[:, None] * np.conj(amps)[None, :] * overlaps
+    keys = list(itertools.product(state.labels(), repeat=2))  # row-major (a, b), as in rho
+    return ThermalDensity(entries=dict(zip(keys, rho.ravel().tolist())),
+                          dim=blocks.shape[-1], leakage=leakage)
 
 
 def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
-                            positions, n_samples: int = 1000, seed: int = 0,
-                            steps: int = 2048) -> ThermalDensity:
-    """Reduced register density against a thermal bath, by coherent-state sampling.
+                            positions, steps: int = 2048) -> ThermalDensity:
+    """Reduced register density against a thermal bath, by the exact number-state trace.
 
-    The thermal state of each mode is a Gaussian mixture of coherent states
-    with variance equal to the mean occupation; each sample draws one
-    amplitude per mode, and :func:`reduced_density` traces out the bath.  At
-    ``T = 0`` the mixture degenerates to the vacuum and a single
-    deterministic sample is used.
+    Each mode starts in its Bose mixture (:func:`_bose_populations`, the
+    vacuum at ``T = 0``); :func:`reduced_density` traces out the bath.  The
+    truncation is the cold band ``default_truncation + 1`` raised by the
+    highest retained initial level.  No random numbers are drawn.
     """
-    if bath.temperature == 0:
-        alphas = np.zeros((1, bath.n_modes), complex)
-    else:
-        if n_samples < 2:
-            raise ValueError("thermal sampling needs n_samples >= 2")
-        rng = np.random.default_rng(seed)
-        scale = np.sqrt(bath.occupation() / 2.0)
-        alphas = (rng.normal(size=(n_samples, bath.n_modes))
-                  + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale[None, :]
-    dim = default_truncation(bath, positions, alpha_max=float(np.max(np.abs(alphas)))) + 1
+    populations = _bose_populations(bath)
+    dim = default_truncation(bath, positions) + populations.shape[1]
     blocks = integrated_blocks(bath, positions, state.labels(), t, steps, dim)
-    return reduced_density(state, blocks, alphas)
+    return reduced_density(state, blocks, populations)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +263,12 @@ def thermal_reduced_density(state: RegisterState, t: float, bath: BathSpectrum,
 
 @dataclass
 class OracleInstance:
-    """One small register+bath system for cross-validation."""
+    """One small register+bath system for cross-validation.
+
+    ``n_samples`` and ``seed`` are not used by the oracle, whose thermal trace
+    is exact; they are kept, with the draws that make them, so that existing
+    instance lists and the code that selects instances by them are unchanged.
+    """
 
     name: str
     state: RegisterState
@@ -310,19 +284,19 @@ class OracleInstance:
 class InstanceCheck:
     """Outcome of one cross-validation: worst deviation against its tolerance.
 
-    ``dim``, ``steps``, ``n_samples`` and ``leakage`` describe the oracle run:
-    truncation dimension, integration steps, Monte Carlo samples and the
-    largest top-level probability of any evolved bath column.
+    Every instance, cold or thermal, is compared per entry in absolute terms.
+    ``dim``, ``steps`` and ``leakage`` describe the oracle run: truncation
+    dimension, integration steps and the largest population-weighted
+    top-level probability of any bath block.
     """
 
     name: str
     deviation: float
     tolerance: float
-    kind: str  # "absolute" (T=0) or "stderr-units" (thermal)
     dim: int
     steps: int
-    n_samples: int
     leakage: float
+    kind: str = "absolute"
 
     @property
     def passed(self) -> bool:
@@ -358,6 +332,8 @@ def random_instances(n_instances: int, seed: int = 7,
     Multi-qubit baths use inversion-symmetric frequency shells; single-mode
     instances are restricted to one qubit or to a collective wave vector
     (perpendicular to the register axis), where no unpaired cross term exists.
+    ``n_samples`` only fills :attr:`OracleInstance.n_samples`, which the
+    oracle does not use.
     """
     rng = np.random.default_rng(seed)
     instances = []
@@ -393,37 +369,30 @@ def random_instances(n_instances: int, seed: int = 7,
     return instances
 
 
-def check_instance(inst: OracleInstance, tolerance: float = 1e-4,
-                   stderr_floor: float = 1e-9) -> InstanceCheck:
+def check_instance(inst: OracleInstance, tolerance: float = 1e-4) -> InstanceCheck:
     """Compare the closed-form reduced density against the integrated oracle.
 
-    At ``T = 0`` the comparison is absolute per entry; at ``T > 0`` deviations
-    are measured in units of three Monte Carlo standard errors (with a small
-    absolute floor for entries whose sampling variance vanishes).
+    The comparison is absolute per entry at every temperature: the oracle's
+    thermal trace is exact, so its deviation is the integrator's step error
+    plus the truncated Bose tail, itself at most ``LEAKAGE_TOL``.
     """
     from .core import evolve  # deferred: the dynamics here never use it
 
     closed = evolve(inst.state, inst.t, inst.bath, inst.positions)
-    result = thermal_reduced_density(
-        inst.state, inst.t, inst.bath, inst.positions,
-        n_samples=inst.n_samples, seed=inst.seed, steps=inst.steps)
-    run = dict(dim=result.dim, steps=inst.steps, n_samples=result.n_samples,
-               leakage=result.leakage)
-    if inst.bath.temperature == 0:
-        dev = max(abs(closed[key] - result.entries[key]) for key in closed)
-        return InstanceCheck(name=inst.name, deviation=float(dev),
-                             tolerance=tolerance, kind="absolute", **run)
-    worst = 0.0
-    for key, val in closed.items():
-        allowed = 3.0 * result.stderr[key] + stderr_floor
-        worst = max(worst, abs(val - result.entries[key]) / allowed)
-    return InstanceCheck(name=inst.name, deviation=float(worst),
-                         tolerance=1.0, kind="stderr-units", **run)
+    result = thermal_reduced_density(inst.state, inst.t, inst.bath, inst.positions,
+                                     steps=inst.steps)
+    dev = max(abs(closed[key] - result.entries[key]) for key in closed)
+    return InstanceCheck(name=inst.name, deviation=float(dev), tolerance=tolerance,
+                         dim=result.dim, steps=inst.steps, leakage=result.leakage)
 
 
 def default_suite(seed: int = 7, n_cold: int = 6, n_thermal: int = 1,
                   thermal_samples: int = 4000) -> list[OracleInstance]:
-    """The named validation suite run by the command-line ``validate-oracle``."""
+    """The named validation suite run by the command-line ``validate-oracle``.
+
+    ``thermal_samples`` only fills :attr:`OracleInstance.n_samples` of the
+    thermal instances, which the oracle does not use.
+    """
     suite = random_instances(n_cold, seed=seed, temperature=0.0)
     suite += random_instances(n_thermal, seed=seed + 1, temperature=0.8,
                               n_samples=thermal_samples)

@@ -70,16 +70,17 @@ def test_criterion_1_oracle_equivalence():
             check = check_instance(inst, tolerance=1e-4)
             worst_abs = max(worst_abs, check.deviation)
             assert check.passed, f"{inst.name}: |entry dev| = {check.deviation:.2e}"
-        thermal = random_instances(2, seed=202, temperature=0.8, n_samples=10_000)
-        worst_sigma = 0.0
+        thermal = random_instances(20, seed=202, temperature=0.8)
+        worst_thermal = 0.0
         for inst in thermal:
-            check = check_instance(inst)
-            worst_sigma = max(worst_sigma, check.deviation)
-            assert check.passed, f"{inst.name}: deviation {check.deviation:.2f} stderr units"
+            check = check_instance(inst, tolerance=1e-4)
+            worst_thermal = max(worst_thermal, check.deviation)
+            assert check.kind == "absolute"
+            assert check.passed, f"{inst.name}: |entry dev| = {check.deviation:.2e}"
         elapsed = time.time() - start
         assert elapsed < 120.0, f"suite took {elapsed:.1f}s"
         print(f"  20 cold instances, worst |dev| = {worst_abs:.2e} (tol 1e-4); "
-              f"2 thermal instances at 1e4 samples, worst = {worst_sigma:.2f} of 3 stderr; "
+              f"20 thermal instances (T = 0.8), worst |dev| = {worst_thermal:.2e} (tol 1e-4); "
               f"{elapsed:.1f}s")
 
 
@@ -91,7 +92,7 @@ def test_criterion_2_evolution_operator_phase():
         pos = line_positions(2, d=np.pi / 3)
         state = RegisterState.from_unnormalized(
             {BasisLabel((1, 1)): 1.0, BasisLabel((1, -1)): 1.0})
-        labels, vacuum = state.labels(), np.zeros((1, bath.n_modes))
+        labels, vacuum = state.labels(), np.ones((bath.n_modes, 1))  # level-0 populations
         dim = default_truncation(bath, pos) + 1
         ref = integrated_blocks(bath, pos, labels, t, 20_000, dim)
         full = analytic_blocks(bath, pos, labels, t, dim)

@@ -117,7 +117,6 @@ k_magnitude = 3.5
 label_i = ++--
 label_j = --++
 instances = 3
-oracle_samples = 1500
 
 [output]
 dir = results
@@ -126,12 +125,13 @@ export_positions = true
 export_modes = yes
 """
 
-# config_hash of each config, recorded before the config schema was derived from the
-# dataclass fields; a serializer that reorders keys or reformats a value changes them
+# config_hash of each config; each equals the hash of the canonical text recorded before
+# the config schema was derived from the dataclass fields, less its run.oracle_samples
+# line.  A serializer that reorders keys or reformats a value changes them
 PINNED_HASHES = {
-    "MINIMAL": "ad41ad34a16570453f9f9a9435d33538033f4f2640fdeae9a05db0e04ce014d7",
-    "FULL": "86ec743d7f22ad780f2ba682fed38fac66923e5194741cb01533a3be18d951c6",
-    "ALL_KEYS": "7e7efd609b47ad76d61101af46e45aee7f1f41afc50900aee1082d684d67fc55",
+    "MINIMAL": "c8b05c51308f8cdc840fdf38b4f49df67b97125074424e1e47a52ec037e47b86",
+    "FULL": "e8efbb5dea9d88fd5e74bdb0fb40a014578029df240d397cba925f68aa1cf6a3",
+    "ALL_KEYS": "1bb986393ff5d91f69ae9bc4f1594d9142b70cea5b46fcb4482590fedd9bca3b",
 }
 
 
@@ -153,6 +153,9 @@ OUT_OF_RANGE = [
     ("[run]\nm = 0\n", "run.m must be >= 1"),
     ("[run]\nm_max = 0\n", "run.m_max must be >= 1"),
     ("[run]\neps_tol = 0\n", "run.eps_tol must be > 0"),
+    # infrared bound of a power-law bath: at T > 0, and at T = 0
+    ("[bath]\nT = 0.5\n\n[coupling]\np = 0\n", "coupling.p must be > 0"),
+    ("[coupling]\np = -1\n", "coupling.p must be > -1"),
 ]
 
 
@@ -189,7 +192,7 @@ entries =
     def test_all_keys_config_sets_every_key(self):
         text = serialize_config(parse_config(ALL_KEYS))
         keys = [line.split(" =")[0] for line in text.splitlines() if " =" in line]
-        assert len(keys) == len(set(keys)) == 43 and "preset" not in keys
+        assert len(keys) == len(set(keys)) == 42 and "preset" not in keys
         assert "[peak]" in text and "entries =\n    +-+- 0.6 0.0\n" in text
 
     @pytest.mark.parametrize("section, key, value", [
@@ -222,6 +225,11 @@ entries =
     def test_out_of_range_value_names_the_key(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
+
+    def test_infrared_bound_spares_peak_bath(self):
+        # a [peak] bath does not use coupling.p, so its value is not bounded
+        cfg = parse_config("[bath]\nT = 0.5\n\n[coupling]\np = -2\n\n" + PEAK)
+        assert cfg.bath.coupling_exponent == -2.0 and cfg.bath.peak is not None
 
     def test_negative_delta_names_the_key(self):
         with pytest.raises(ConfigError, match="geometry.delta"):
@@ -431,23 +439,21 @@ k_magnitude = 6.0
         assert float(first[0]) == 0.0 and float(first[2]) == 0.0
 
     def test_validate_oracle_passes(self, tmp_path):
-        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 2\noracle_samples = 1200\n"
+        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 2\n"
         cfg_path = _write(tmp_path, text)
         assert main(["validate-oracle", "--config", str(cfg_path), "--quiet",
                      "--output", str(tmp_path / "out")]) == EXIT_OK
 
     def test_validate_oracle_reports_run_sizes(self, tmp_path, capsys):
-        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 2\noracle_samples = 1200\n"
+        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 2\n"
         assert main(["validate-oracle", "--config", str(_write(tmp_path, text)), "--quiet",
                      "--output", str(tmp_path / "out")]) == EXIT_OK
-        pattern = re.compile(r"\S+: deviation = \S+ \((absolute|stderr-units), tolerance \S+\) "
-                             r"PASS \[dim = (\d+), steps = 3000, samples = (\d+), "
-                             r"leakage = (\S+)\]")
+        pattern = re.compile(r"\S+: deviation = \S+ \(absolute, tolerance 1\.000e-04\) "
+                             r"PASS \[dim = (\d+), steps = 3000, leakage = (\S+)\]")
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         for line in lines:
-            kind, dim, samples, leakage = pattern.fullmatch(line).groups()
-            assert int(samples) == (1200 if kind == "stderr-units" else 1)
+            dim, leakage = pattern.fullmatch(line).groups()
             assert int(dim) > 10 and 0.0 <= float(leakage) <= 1e-6
 
     def test_header_contains_version_seed_and_hash(self, tmp_path, capsys):
@@ -492,6 +498,8 @@ class TestExitCodes:
         assert "run.pair_m" in err and "run.pair_n" in err
         assert not (out / "encoded_state.txt").exists()
 
+    # run.oracle_samples was removed with the sampled thermal oracle: an old config
+    # that still sets it is rejected as an unknown key, by name
     @pytest.mark.parametrize("line, key", [("instances = -3", "run.instances"),
                                            ("oracle_samples = 1", "run.oracle_samples")])
     def test_bad_oracle_run_size_is_validation_failure(self, tmp_path, capsys, line, key):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from regdeph import core, oracle
 from regdeph.bath import BathSpectrum
 from regdeph.core import BasisLabel, RegisterState, evolve
 from regdeph.oracle import (
@@ -91,8 +90,31 @@ def test_coherent_vector_range():
         coherent_vector(np.array([1.0, 46.0]), 10)
 
 
-def vacuum(bath, n_samples=1):
-    return np.zeros((n_samples, bath.n_modes), complex)
+def vacuum(bath):
+    """Number-state populations of the vacuum: level 0 of every mode."""
+    return np.ones((bath.n_modes, 1))
+
+
+def bose_rows(bath, n_levels):
+    """Bose populations ``exp(-n omega / T)`` on levels ``0..n_levels-1``, renormalized."""
+    rows = np.exp(-np.outer(bath.omega, np.arange(n_levels)) / bath.temperature)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def per_mode_reference(state, blocks, populations):
+    """``c_a c_b* prod_m Tr(B_am diag(p_m) B_bm^+)``, one trace at a time."""
+    amps = dict(state.items())
+    n = populations.shape[1]
+    out = {}
+    for a, lab_a in enumerate(state.labels()):
+        for b, lab_b in enumerate(state.labels()):
+            value = amps[lab_a] * np.conj(amps[lab_b])
+            for m, p in enumerate(populations):
+                weights = np.zeros(blocks.shape[-1])
+                weights[:n] = p
+                value *= np.trace(blocks[a, m] @ np.diag(weights) @ np.conj(blocks[b, m]).T)
+            out[(lab_a, lab_b)] = value
+    return out
 
 
 def coherent_columns(blocks, alphas):
@@ -240,18 +262,19 @@ def test_truncation_leakage_raises_with_value():
 def test_mode_leakage_reads_top_level():
     blocks = np.broadcast_to(np.eye(6, dtype=complex), (1, 1, 6, 6))
     state = RegisterState.from_unnormalized({BasisLabel((1,)): 1.0})
-    assert np.max(np.abs(coherent_columns(blocks, [[0.0]])[..., -1, :])) == 0.0
-    assert reduced_density(state, blocks, [[0.0]]).leakage == 0.0
-    # identity blocks: the reported leakage is the top-level probability of the column
-    for alpha, raises in ((0.2, False), (0.6, True)):
-        top = abs(coherent_vector(alpha, 6)[-1]) ** 2
+    assert reduced_density(state, blocks, [[1.0]]).leakage == 0.0
+    # identity blocks: the reported leakage is the population of the top level
+    for x, raises in ((0.05, False), (0.1, True)):
+        populations = x ** np.arange(6.0)[None, :] * (1 - x) / (1 - x**6)
+        top = populations[0, -1]
         assert (top > LEAKAGE_TOL) == raises
         if raises:
             with pytest.raises(TruncationLeakageError) as err:
-                reduced_density(state, blocks, [[alpha]])
-            assert err.value.leakage == top
+                reduced_density(state, blocks, populations)
+            assert err.value.leakage == pytest.approx(top, rel=1e-12)
         else:
-            assert reduced_density(state, blocks, [[alpha]]).leakage == top
+            assert reduced_density(state, blocks, populations).leakage == pytest.approx(
+                top, rel=1e-12)
 
 
 class TestThermalReducedDensity:
@@ -259,22 +282,23 @@ class TestThermalReducedDensity:
         bath = one_mode(temperature=0.0)
         state = RegisterState.cat(2)
         pos = line_positions(2)
-        a = thermal_reduced_density(state, 2.0, bath, pos, n_samples=50, seed=1)
-        b = thermal_reduced_density(state, 2.0, bath, pos, n_samples=999, seed=2)
-        assert a.n_samples == b.n_samples == 1
-        for key in a.entries:
-            assert a.entries[key] == b.entries[key]
-            assert a.stderr[key] == 0.0
+        a = thermal_reduced_density(state, 2.0, bath, pos)
+        b = thermal_reduced_density(state, 2.0, bath, pos)
+        assert a.entries == b.entries
+        # the cold path: vacuum populations and the default truncation band
+        blocks = integrated_blocks(bath, pos, state.labels(), 2.0, 2048,
+                                   default_truncation(bath, pos) + 1)
+        assert a.entries == reduced_density(state, blocks, vacuum(bath)).entries
 
     def test_diagonal_entries_static(self):
         bath = one_mode(temperature=0.9)
         state = RegisterState.cat(2)
         pos = line_positions(2)
-        res = thermal_reduced_density(state, 3.0, bath, pos, n_samples=400, seed=3)
+        res = thermal_reduced_density(state, 3.0, bath, pos)
         for lab in state.labels():
             assert res.entries[(lab, lab)] == pytest.approx(0.5, abs=1e-9)
 
-    def test_matches_closed_form_within_errors(self):
+    def test_matches_closed_form(self):
         pos = line_positions(2, d=1.1)
         w = 0.8
         bath = BathSpectrum(omega=np.array([w, w]), k=np.array([[w, 0, 0], [-w, 0, 0]]),
@@ -282,28 +306,28 @@ class TestThermalReducedDensity:
         state = RegisterState.cat(2)
         t = 2.5
         closed = evolve(state, t, bath, pos)
-        res = thermal_reduced_density(state, t, bath, pos, n_samples=6000, seed=11, steps=1500)
+        res = thermal_reduced_density(state, t, bath, pos, steps=1500)
         for key, val in closed.items():
-            assert abs(val - res.entries[key]) <= 3 * res.stderr[key] + 1e-9
+            assert abs(val - res.entries[key]) <= 1e-4
 
-    def test_requires_two_samples_when_thermal(self):
-        bath = one_mode(temperature=1.0)
-        with pytest.raises(ValueError):
-            thermal_reduced_density(RegisterState.cat(1), 1.0, bath, line_positions(1),
-                                    n_samples=1)
+    def test_small_temperature_equals_cold_path(self):
+        # omega / T = 20: x = exp(-20) and the Bose series keeps the vacuum alone
+        state, pos = RegisterState.cat(2), line_positions(2, d=0.8)
+        cold = thermal_reduced_density(state, 2.0, one_mode(temperature=0.0), pos)
+        warm = thermal_reduced_density(state, 2.0, one_mode(temperature=0.05), pos)
+        assert (warm.dim, warm.leakage, warm.entries) == (cold.dim, cold.leakage, cold.entries)
+
+    def test_thermal_check_draws_no_random_numbers(self, monkeypatch):
+        inst = random_instances(3, seed=4, temperature=0.8)[1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert check_instance(inst).passed
 
 
-def thermal_draws(bath, pos, state, t, n_samples, seed, steps):
-    """The amplitudes and propagators ``thermal_reduced_density`` builds for one instance."""
-    rng = np.random.default_rng(seed)
-    scale = np.sqrt(bath.occupation() / 2.0)
-    alphas = (rng.normal(size=(n_samples, bath.n_modes))
-              + 1j * rng.normal(size=(n_samples, bath.n_modes))) * scale
-    dim = default_truncation(bath, pos, alpha_max=float(np.max(np.abs(alphas)))) + 1
-    return alphas, integrated_blocks(bath, pos, state.labels(), t, steps, dim)
-
-
-def test_blocked_thermal_density_matches_whole_array(monkeypatch):
+def test_exact_trace_matches_per_mode_reference():
     w = np.array([0.7, 1.2])
     bath = BathSpectrum(omega=np.repeat(w, 2), k=np.array([[0.7, 0, 0], [-0.7, 0, 0],
                                                             [1.2, 0, 0], [-1.2, 0, 0]]),
@@ -312,43 +336,30 @@ def test_blocked_thermal_density_matches_whole_array(monkeypatch):
     labels = register_basis(2)
     state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
                                              for lab in labels[:3]})
-    pos, t, n_samples, seed, steps = line_positions(2, d=0.9), 2.2, 50, 4, 400
-    alphas, blocks = thermal_draws(bath, pos, state, t, n_samples, seed, steps)
-    per_sample = blocks[..., 0].size  # S * M * dim elements
-    monkeypatch.setattr(core, "CHUNK", n_samples * per_sample)  # one block holds every sample
-    whole = thermal_reduced_density(state, t, bath, pos, n_samples=n_samples,
-                                    seed=seed, steps=steps)
-    assert whole.entries == reduced_density(state, blocks, alphas).entries
-    # per sample, the overlap matrix is exactly Hermitian and equals the full einsum
-    columns = coherent_columns(blocks, alphas)
-    overlaps = oracle._overlaps(columns.swapaxes(-1, -2))
-    assert np.array_equal(overlaps, np.conj(overlaps.swapaxes(0, 1)))
-    full = np.einsum("amdn,bmdn->abmn", columns, np.conj(columns)).prod(axis=2)
-    assert np.max(np.abs(overlaps - full)) <= 1e-15
-    # one sample per block, then blocks of 8 samples with an uneven last block of 2
-    for chunk in (per_sample, 8 * per_sample + 3):
-        monkeypatch.setattr(core, "CHUNK", chunk)
-        blocked = thermal_reduced_density(state, t, bath, pos, n_samples=n_samples,
-                                          seed=seed, steps=steps)
-        assert (blocked.n_samples, blocked.dim) == (n_samples, blocks.shape[-1])
-        assert blocked.leakage == pytest.approx(whole.leakage, rel=1e-12)
-        assert 0.0 < blocked.leakage <= LEAKAGE_TOL
-        for key, val in whole.entries.items():
-            assert abs(blocked.entries[key] - val) <= 1e-15
-            assert abs(blocked.stderr[key] - whole.stderr[key]) <= 1e-15
+    pos, t, steps = line_positions(2, d=0.9), 2.2, 40
+    res = thermal_reduced_density(state, t, bath, pos, steps=steps)
+    # the Bose series stops at the first level whose dropped tail is <= LEAKAGE_TOL
+    n_levels = next(n for n in range(1, 100) if np.exp(-w.min() * n / 0.9) <= LEAKAGE_TOL)
+    assert res.dim == default_truncation(bath, pos) + n_levels
+    assert 0.0 < res.leakage <= LEAKAGE_TOL
+    reference = per_mode_reference(
+        state, stepwise_blocks(bath, pos, state.labels(), t, steps, res.dim),
+        bose_rows(bath, n_levels))
+    for key, val in res.entries.items():
+        assert abs(val - reference[key]) <= 1e-12
 
 
-def test_blocked_thermal_leakage_raises(monkeypatch):
-    bath = one_mode(omega=0.5, g2=0.5, temperature=1.0)  # strong drive, tiny space
+def test_hot_mode_leakage_raises_with_weighted_value():
+    # a weak drive the vacuum fits, but a hot mode fills the top retained level
+    bath = one_mode(omega=0.5, g2=0.01, temperature=2.0)
     state, pos = RegisterState.cat(2), line_positions(2)
-    alphas = thermal_draws(bath, pos, state, 6.0, 20, 1, 500)[0]
-    blocks = integrated_blocks(bath, pos, state.labels(), 6.0, 500, 3)
-    monkeypatch.setattr(core, "CHUNK", 1)  # one sample per block
+    blocks = integrated_blocks(bath, pos, state.labels(), 3.0, 300, 8)
+    assert reduced_density(state, blocks, vacuum(bath)).leakage <= LEAKAGE_TOL
+    populations = bose_rows(bath, 8)
     with pytest.raises(TruncationLeakageError) as err:
-        reduced_density(state, blocks, alphas)
-    tops = np.max(np.abs(coherent_columns(blocks, alphas)[..., -1, :]) ** 2, axis=(0, 1))
-    # the first one-sample block already leaks: the raise reports it, not the worst of all
-    assert err.value.leakage == pytest.approx(tops[0], rel=1e-12) and tops[0] < max(tops)
+        reduced_density(state, blocks, populations)
+    weighted = np.max(np.sum(populations * np.abs(blocks[..., -1, :]) ** 2, axis=-1))
+    assert err.value.leakage == pytest.approx(weighted, rel=1e-12)
 
 
 def test_default_truncation_grows_with_drive():
@@ -367,10 +378,10 @@ def test_random_instances_cover_styles_and_pass():
 
 
 def test_default_suite_mixes_temperatures():
-    suite = default_suite(seed=9, n_cold=3, n_thermal=1, thermal_samples=1500)
+    suite = default_suite(seed=9, n_cold=3, n_thermal=1)
     temps = [inst.bath.temperature for inst in suite]
     assert temps.count(0.0) == 3
     assert sum(1 for x in temps if x > 0) == 1
     check = check_instance(suite[-1])
-    assert check.kind == "stderr-units"
+    assert check.kind == "absolute" and check.tolerance == 1e-4
     assert check.passed, check.deviation
