@@ -38,8 +38,12 @@ directions ``n_d``, folded shell-major.  The primitive uses it twice:
   With ``B = ceil(sqrt(J))``, ``exp(i f_j p)`` is evaluated directly at an
   anchor every ``B`` shells and at the ``B`` offsets ``f_b - f_0``, and shell
   ``cB + b`` is the product of its anchor and its offset.  That is
-  ``L*D*(J/B + B)`` complex exponentials instead of ``L*J*D``.  Each phase is
-  one product of two directly evaluated unit phases, so nothing accumulates:
+  ``L*D*(J/B + B)`` complex exponentials instead of ``L*J*D``.  The full
+  ``(L, J)`` phase array is never formed: the spins scaled by the anchor
+  phases, an ``(n*C, L)`` block for ``C`` anchors, times the ``(L, B)``
+  offset ladder is one complex GEMM per direction, whose ``(n*C, B)`` result
+  is the labels' factors over those shells.  Each term is one product of
+  two directly evaluated unit phases and a spin, so nothing accumulates:
   against one exponential per site and mode, ``S`` agrees to about 1e-15
   relative to ``max|S|`` (the tests hold it to 1e-13).
 * **Kernels once per shell.**  Both kernels depend on a mode only through
@@ -51,14 +55,18 @@ A bath without a grid (hand-built, such as the oracle's paired sets) and an
 explicit list of wave vectors take the dense path, one exponential per site
 and mode, and count as ``J = M`` shells of one mode each in the kernels.
 
-Memory is bounded by ``CHUNK``, read at call time: the phase blocks of the
-structure factors (blocks of sites, one direction and whole anchors, or whole
-mode columns on the dense path), the ``(T, M)`` kernels of one block of
-times and the ``(P, M)`` damping weights of one block of pairs each hold at
-most ``CHUNK`` elements, or one row when a row alone is larger.  Only the
-damping has per-pair weights; the phases need the labels' ``|S|^2`` alone.
-The kernels and the label phases are built once per time point; the damping
-weights once per block of times.
+Memory is bounded by ``CHUNK``, read at call time: the phases, the scaled
+spins and the GEMM output of the structure factors (blocks of sites, labels
+and anchors of one direction, or whole mode columns on the dense path), the
+``(T, M)`` kernels of one block of times and the ``(P, M)`` damping weights
+of one block of pairs each hold at most ``CHUNK`` elements, or one row when a
+row alone is larger.  Only the damping has per-pair weights; the phases need
+the labels' ``|S|^2`` alone.  The weights of a block are broadcast
+differences ``S_b - S_a`` of one label against a run of later ones, filled
+in pair order into two reused buffers (real and imaginary part) and squared
+as ``re^2 + im^2``; no pair index is gathered.  The kernels and the label
+phases are built once per time point; the damping weights once per block of
+times.
 """
 from __future__ import annotations
 
@@ -100,12 +108,13 @@ class BasisLabel:
     spins: tuple[int, ...]
 
     def __post_init__(self):
-        spins = tuple(int(s) for s in self.spins)
+        spins = tuple(self.spins)
         if len(spins) == 0:
             raise ValueError("label must have at least one qubit")
+        # compare before converting, so 1.5 is rejected rather than truncated to 1
         if any(s not in (-1, 1) for s in spins):
             raise ValueError(f"label entries must be +1 or -1, got {spins}")
-        object.__setattr__(self, "spins", spins)
+        object.__setattr__(self, "spins", tuple(int(s) for s in spins))
 
     @classmethod
     def from_string(cls, text: str) -> "BasisLabel":
@@ -198,8 +207,7 @@ def _structure_factors(labels, modes, positions) -> np.ndarray:
 
     ``modes`` is a bath, summed over its folded modes, or an array of wave
     vectors.  A bath with a shell grid takes the ladder, anything else the
-    dense path.  Identical labels share one row, so their differences vanish
-    exactly.
+    dense path.
     """
     pos = np.asarray(positions, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 3:
@@ -207,15 +215,12 @@ def _structure_factors(labels, modes, positions) -> np.ndarray:
     for label in labels:
         if len(label) != len(pos):
             raise ValueError(f"label length {len(label)} does not match {len(pos)} positions")
-    index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
-    spins = np.array([label.spins for label in index], dtype=float).reshape(len(index), len(pos))
+    spins = np.array([label.spins for label in labels], dtype=float).reshape(len(labels), len(pos))
     if not isinstance(modes, BathSpectrum):
-        s = _dense_factors(spins, pos, np.atleast_2d(np.asarray(modes, dtype=float)))
-    elif modes.grid is None:
-        s = _dense_factors(spins, pos, modes.folded.k)
-    else:
-        s = _ladder_factors(spins, pos, modes)
-    return s[[index[label] for label in labels]]
+        return _dense_factors(spins, pos, np.atleast_2d(np.asarray(modes, dtype=float)))
+    if modes.grid is None:
+        return _dense_factors(spins, pos, modes.folded.k)
+    return _ladder_factors(spins, pos, modes)
 
 
 def _dense_factors(spins, pos, k) -> np.ndarray:
@@ -231,27 +236,41 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
     """Structure factors over a shell grid, as a geometric ladder in the shell index.
 
     Shell ``j = c*B + b`` along ``n_d`` takes its phase as
-    ``exp(i f_{cB} p) * exp(i (f_b - f_0) p)`` with ``p = (r . n_d) / v``.
-    Blocks of sites, one direction and whole anchors keep every phase array
-    within ``CHUNK`` elements.
+    ``exp(i f_{cB} p) * exp(i (f_b - f_0) p)`` with ``p = (r . n_d) / v``, so
+    ``S[a, cB + b] = sum_l (s_al exp(i f_{cB} p_l)) exp(i (f_b - f_0) p_l)``:
+    the spins scaled by the anchor phases, an ``(n*C, L)`` block, times the
+    ``(L, B)`` offset ladder, one complex GEMM per direction and block.  With
+    ``s = +-1`` every product is the one of the full phase array; only the
+    summation order is BLAS's.  Blocks of sites, labels and anchors keep the
+    phases, the scaled spins and the GEMM output within ``CHUNK`` elements.
     """
     freqs, dirs = bath.grid
-    n_shell = len(freqs)
+    n_label, n_shell = len(spins), len(freqs)
     rung = math.isqrt(n_shell - 1) + 1  # B = ceil(sqrt(J))
     anchors, offsets = freqs[::rung], freqs[:rung] - freqs[0]
-    s = np.zeros((len(spins), n_shell, len(dirs)), dtype=complex)
+    s = np.zeros((n_label, n_shell, len(dirs)), dtype=complex)
     n_site = min(len(pos), max(1, CHUNK // rung))
-    width = max(1, CHUNK // (n_site * rung))  # anchors per block
+    row = max(n_site, rung)  # elements of one (label, anchor) row of either block
+    per_block = min(n_label, max(1, CHUNK // row))  # labels per block
+    width = min(len(anchors), max(1, CHUNK // (per_block * row)))  # anchors per block
+    scaled = np.empty(per_block * width * n_site, dtype=complex)
+    product = np.empty(per_block * width * rung, dtype=complex)
     for lo in range(0, len(pos), n_site):
-        part = spins[:, lo:lo + n_site]
-        for d, p in enumerate((pos[lo:lo + n_site] @ dirs.T / bath.v).T):
+        sites = slice(lo, lo + n_site)
+        for d, p in enumerate((pos[sites] @ dirs.T / bath.v).T):
             ladder = np.exp(1j * np.outer(p, offsets))
             for c in range(0, len(anchors), width):
                 shells = slice(c * rung, min((c + width) * rung, n_shell))
-                rungs = np.exp(1j * np.outer(p, anchors[c:c + width]))
-                phases = np.multiply(rungs[:, :, None], ladder[:, None]).reshape(len(p), -1)
-                s[:, shells, d] += part @ phases[:, :shells.stop - shells.start]
-    return s.reshape(len(spins), -1)
+                rungs = np.exp(1j * np.outer(anchors[c:c + width], p))
+                for a in range(0, n_label, per_block):
+                    part = spins[a:a + per_block, sites]
+                    size = len(part) * len(rungs)
+                    block = np.multiply(part[:, None], rungs,
+                                        out=scaled[:size * len(p)].reshape(len(part), len(rungs), -1))
+                    out = np.matmul(block.reshape(size, -1), ladder,
+                                    out=product[:size * rung].reshape(size, rung))
+                    s[a:a + per_block, shells, d] += out.reshape(len(part), -1)[:, :shells.stop - shells.start]
+    return s.reshape(n_label, -1)
 
 
 def _shells(bath: BathSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -297,33 +316,63 @@ def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
     return damping.reshape(len(times), -1), phase.reshape(len(times), -1)
 
 
-def _coherence(labels, a, b, times, bath: BathSpectrum,
-               positions) -> tuple[np.ndarray, np.ndarray]:
-    """Damping of the pairs ``(labels[a], labels[b])`` (T, P) and phase of each label (T, n).
+def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Damping of every upper-triangle label pair (T, n(n-1)/2) and phase of each label (T, n).
 
-    ``eta_ab = K_eta @ |S_a - S_b|^2`` and ``phase_a = K_phi @ |S_a|^2``; the
-    Lamb phase of a pair is the difference of its labels' phases.  Times are
-    taken in blocks that bound the (T, M) kernels, pairs in blocks that bound
-    the (P, M) damping weights: the kernels and the label phases are built
-    once per time block, the weights once per time and pair block.
+    ``eta_ab = K_eta @ |S_a - S_b|^2`` over the pairs ``a < b`` in
+    ``np.triu_indices`` order, and ``phase_a = K_phi @ |S_a|^2``; the Lamb
+    phase of a pair is the difference of its labels' phases.  Times are taken
+    in blocks that bound the (T, M) kernels, pairs in blocks that bound the
+    (P, M) damping weights: the kernels and the label phases are built once
+    per time block, the weights once per time and pair block.  Identical
+    labels share one structure factor and one phase, so the eta and phi
+    between them vanish exactly.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    s = _structure_factors(labels, bath, positions)
+    index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
+    row_of = [index[label] for label in labels]
+    s = _structure_factors(list(index), bath, positions)
     mod2 = np.abs(s) ** 2
-    a, b = np.asarray(a, dtype=int), np.asarray(b, dtype=int)
-    eta = np.empty((len(times), len(a)))
-    phase = np.empty((len(times), len(s)))
-    step = max(1, CHUNK // s.shape[1])
+    re, im = s.real[row_of], s.imag[row_of]
+    n_pair = len(re) * (len(re) - 1) // 2
+    eta = np.empty((len(times), n_pair))
+    phase = np.empty((len(times), len(re)))
+    step = max(1, CHUNK // re.shape[1])
+    weight = np.empty((min(step, n_pair), re.shape[1]))
+    im_diff = np.empty_like(weight)
     for t0 in range(0, len(times), step):
         rows = slice(t0, t0 + step)
         k_eta, k_phi = _time_kernels(bath, times[rows])
-        phase[rows] = k_phi @ mod2.T
-        for lo in range(0, len(a), step):
-            diff = s[a[lo:lo + step]]
-            diff -= s[b[lo:lo + step]]
-            weight = np.abs(diff)
-            eta[rows, lo:lo + step] = k_eta @ np.square(weight, out=weight).T
+        phase[rows] = (k_phi @ mod2.T)[:, row_of]
+        for lo, w in _damping_weights(re, im, weight, im_diff):
+            eta[rows, lo:lo + len(w)] = k_eta @ w.T
     return eta, phase
+
+
+def _damping_weights(re, im, weight, im_diff):
+    """Yield ``(first pair, |S_a - S_b|^2)`` for the upper-triangle pairs, ``len(weight)`` at a time.
+
+    ``re`` and ``im`` are the real and imaginary parts of the structure
+    factors.  Each block is filled in pair order from broadcast differences
+    ``S_b - S_a`` of one label ``a`` against a run of later labels, runs
+    crossing from one ``a`` to the next, and taken as ``re^2 + im^2``.
+    ``weight`` and ``im_diff`` are reused buffers; the yielded weights are a
+    view of ``weight``.
+    """
+    a, b, lo = 0, 1, 0
+    while b < len(re):
+        r = 0
+        while r < len(weight) and b < len(re):
+            run = min(len(weight) - r, len(re) - b)
+            np.subtract(re[b:b + run], re[a], out=weight[r:r + run])
+            np.subtract(im[b:b + run], im[a], out=im_diff[r:r + run])
+            r, b = r + run, b + run
+            if b == len(re):
+                a, b = a + 1, a + 2
+        w, d = weight[:r], im_diff[:r]
+        np.square(w, out=w)
+        yield lo, np.add(w, np.square(d, out=d), out=w)
+        lo += r
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
@@ -369,7 +418,7 @@ def damping_exponent(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
 
     Nonnegative; zero at ``t = 0`` and whenever ``i == j``.
     """
-    return float(_coherence([i, j], [0], [1], [t], bath, positions)[0][0, 0])
+    return float(_coherence([i, j], [t], bath, positions)[0][0, 0])
 
 
 def lamb_phase(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
@@ -379,7 +428,7 @@ def lamb_phase(i: BasisLabel, j: BasisLabel, t: float, bath: BathSpectrum,
     Grows roughly linearly in time once ``omega*t >> 1``; identically zero for
     sign-symmetric label pairs.
     """
-    phase = _coherence([i, j], [], [], [t], bath, positions)[1][0]
+    phase = _coherence([i, j], [t], bath, positions)[1][0]
     return float(phase[0] - phase[1])
 
 
@@ -389,7 +438,7 @@ def label_phase(i: BasisLabel, t: float, bath: BathSpectrum, positions) -> float
     Differences of label phases reproduce the pairwise Lamb phase:
     ``label_phase(i) - label_phase(j) == lamb_phase(i, j)``.
     """
-    return float(_coherence([i], [], [], [t], bath, positions)[1][0, 0])
+    return float(_coherence([i], [t], bath, positions)[1][0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,7 +471,7 @@ def pair_factors(labels: Iterable[BasisLabel], t: float, bath: BathSpectrum,
     """Damping/phase factors for all ordered pairs drawn from ``labels``."""
     labels = tuple(labels)
     a, b = np.triu_indices(len(labels), 1)
-    eta, phase = _coherence(labels, a, b, [t], bath, positions)
+    eta, phase = _coherence(labels, [t], bath, positions)
     eta_matrix = np.zeros((len(labels), len(labels)))
     eta_matrix[a, b] = eta_matrix[b, a] = eta[0]
     return DecoherenceFactors(t=t, labels=labels, eta_matrix=eta_matrix,
@@ -457,7 +506,7 @@ def fidelity(state: RegisterState, t: float, bath: BathSpectrum, positions) -> f
 def factor_curves(i: BasisLabel, j: BasisLabel, times, bath: BathSpectrum,
                   positions) -> tuple[np.ndarray, np.ndarray]:
     """Damping exponent and phase of one coherence over a whole time grid."""
-    eta, phase = _coherence([i, j], [0], [1], times, bath, positions)
+    eta, phase = _coherence([i, j], times, bath, positions)
     return eta[:, 0], phase[:, 0] - phase[:, 1]
 
 
@@ -467,6 +516,6 @@ def fidelity_curve(state: RegisterState, times, bath: BathSpectrum,
     labels = state.labels()
     p = np.abs(list(state.amplitudes.values())) ** 2
     a, b = np.triu_indices(len(labels), 1)
-    eta, phase = _coherence(labels, a, b, times, bath, positions)
+    eta, phase = _coherence(labels, times, bath, positions)
     phi = phase[:, a] - phase[:, b]
     return np.sum(p**2) + 2.0 * (np.exp(-eta) * np.cos(phi)) @ (p[a] * p[b])

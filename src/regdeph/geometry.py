@@ -32,9 +32,11 @@ def build_lattice(dims: tuple[int, int, int], d: float) -> np.ndarray:
     -------
     ndarray, shape (L1*L2*L3, 3)
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) != 3 or any(n < 1 for n in dims):
-        raise ValueError(f"dims must be three positive integers, got {dims!r}")
+    # check before converting, so 2.7 is rejected rather than truncated to 2
+    sizes = [float(n) for n in dims]
+    if len(sizes) != 3 or any(not n.is_integer() or n < 1 for n in sizes):
+        raise ValueError(f"dims must be three positive integers, got {tuple(dims)!r}")
+    dims = tuple(int(n) for n in sizes)
     if d <= 0:
         raise ValueError(f"lattice constant must be positive, got {d}")
     grid = np.array(list(np.ndindex(dims)), dtype=float)
@@ -79,6 +81,7 @@ class RegisterGeometry:
 
     def __post_init__(self):
         ideal = build_lattice(self.dims, self.d)
+        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         realized = apply_disorder(ideal, self.delta, self.seed)
         realized.setflags(write=False)
         object.__setattr__(self, "positions", realized)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,18 @@ class TestBasisLabel:
             BasisLabel(())
         with pytest.raises(ValueError):
             BasisLabel.from_string("+x")
+
+    @pytest.mark.parametrize("spins", [(1.5, -1), (1, -0.5), (np.float64(-1.2), 1), ("1", -1)])
+    def test_rejects_non_unit_entries_before_converting(self, spins):
+        # int() would truncate 1.5 to 1 and -0.5 to 0
+        with pytest.raises(ValueError):
+            BasisLabel(spins)
+
+    def test_accepts_unit_floats_and_numpy_integers(self):
+        for spins in [(1.0, -1.0), (np.int64(1), np.int64(-1)), np.array([1.0, -1.0])]:
+            lab = BasisLabel(spins)
+            assert lab.spins == (1, -1) and all(type(s) is int for s in lab.spins)
+            assert lab == BasisLabel.from_string("+-")
 
 
 class TestRegisterState:
@@ -339,6 +353,37 @@ def test_randomized_density_invariants(seed):
     assert fidelity(state, 0.0, bath, pos) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("chunk", [None, 50])
+def test_repeated_labels_have_exactly_zero_factors(monkeypatch, chunk):
+    # copies of a label share one structure factor and one phase, so the eta and
+    # phi between them are exactly zero, not zero up to the summation order
+    from regdeph import core
+    from regdeph.bath import gaussian_peak_modes
+
+    if chunk is not None:
+        monkeypatch.setattr(core, "CHUNK", chunk)
+    rng = np.random.default_rng(59)
+    baths = [discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, dimensionality=3,
+                                 n_freq=69, omega_max=6.0, temperature=0.5, n_directions=8),
+             discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=152,
+                                 omega_max=6.0, temperature=0.5),
+             gaussian_peak_modes(center=1.6, width=0.2, v=0.8, dimensionality=3, n_freq=15,
+                                 amplitude=0.3, temperature=0.3, n_directions=6)]
+    pos = rng.uniform(-2.0, 2.0, size=(6, 3))
+    distinct = sorted({random_label(rng, 6) for _ in range(12)}, key=str)[:10]
+    labels = distinct + [distinct[n] for n in (3, 0, 7, 3)]
+    labels = [labels[n] for n in rng.permutation(len(labels))]
+    copies = [(a, b) for a in range(len(labels)) for b in range(len(labels))
+              if a != b and labels[a] == labels[b]]
+    assert len(copies) == 2 + 2 + 3 * 2  # two copies of labels 0 and 7, three of label 3
+    for bath in baths:
+        for t in (0.7, 3.1, 8.9):
+            fac = pair_factors(labels, t, bath, pos)
+            for a, b in copies:
+                assert fac.eta_matrix[a, b] == 0.0 and fac.phi_matrix[a, b] == 0.0
+            assert np.all(fac.eta_matrix[[a for a, _ in copies]].sum(1) > 0)
+
+
 def test_pair_factors_diagonal_and_consistency():
     rng = np.random.default_rng(21)
     bath = random_bath(rng)
@@ -486,7 +531,8 @@ def test_folded_sums_equal_direct_sums_over_all_modes(name):
 
 def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
     # every builder bath: the ladder against one directly evaluated phase per site and
-    # mode, with the phase blocks bounded by CHUNK and L*D*(ceil(J/B) + B) transcendentals
+    # mode, with the phase blocks, the anchor-scaled spins (multiply) and the GEMM
+    # output (matmul) bounded by CHUNK and L*D*(ceil(J/B) + B) transcendentals
     from regdeph import core
 
     rng = np.random.default_rng(47)
@@ -494,13 +540,14 @@ def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
     labels = sorted({random_label(rng, 6) for _ in range(8)}, key=str)[:5]
     builders = {name: bath for name, bath in _fold_test_baths().items() if bath.grid is not None}
     assert len(builders) == 7
-    for name, bath in builders.items():
+    # 60 elements: blocks of 5 sites and then 1 when B = 11, all 5 labels at once;
+    # 24 elements: blocks of 2 sites and one label at a time when B = 11
+    for (name, bath), chunk in itertools.product(builders.items(), (60, 24)):
         n_shell, n_dir = len(bath.grid.freqs), len(bath.grid.dirs)
         rung = int(np.ceil(np.sqrt(n_shell)))
-        sizes = {"exp": [], "multiply": []}
+        sizes = {"exp": [], "multiply": [], "matmul": []}
         with monkeypatch.context() as m:
-            # 60 elements: blocks of 5 sites and then 1 when B = 11
-            m.setattr(core, "CHUNK", 60)
+            m.setattr(core, "CHUNK", chunk)
             for fn in sizes:
                 def recorded(*args, _fn=getattr(np, fn), _sizes=sizes[fn], **kwargs):
                     out = _fn(*args, **kwargs)
@@ -512,7 +559,9 @@ def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
         assert ladder.shape == dense.shape == (len(labels), n_shell * n_dir)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(ladder - dense).max() <= 1e-13 * scale, name
-        assert max(sizes["exp"] + sizes["multiply"]) <= 60, name
+        assert max(sizes["exp"] + sizes["multiply"] + sizes["matmul"]) <= chunk, name
+        # one scaled block and one GEMM per direction and block of sites, labels, anchors
+        assert len(sizes["multiply"]) == len(sizes["matmul"]) >= n_dir, name
         assert sum(sizes["exp"]) == len(pos) * n_dir * (-(-n_shell // rung) + rung), name
 
 

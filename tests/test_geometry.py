@@ -28,6 +28,22 @@ def test_bad_lattice_inputs_rejected(dims, d):
         build_lattice(dims, d)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 1, 1), (2, 1.5, 1), (4, 1, np.float64(0.5)),
+                                  (float("inf"), 1, 1), (2, float("nan"), 1)])
+def test_non_integral_dims_rejected(dims):
+    # int() would truncate 2.7 to 2 sites, and 0.5 to an empty axis
+    with pytest.raises(ValueError, match="three positive integers"):
+        RegisterGeometry(dims=dims, d=1.0)
+
+
+def test_integral_dims_of_any_numeric_type_accepted():
+    for dims in [(3.0, 1, 1), (np.int64(3), 1, 1)]:
+        geo = RegisterGeometry(dims=dims, d=1.0)
+        assert geo.dims == (3, 1, 1) and all(type(n) is int for n in geo.dims)
+        assert geo.n_qubits == 3
+        assert np.array_equal(geo.positions, build_lattice((3, 1, 1), 1.0))
+
+
 def test_site_count_matches_dims():
     for dims in [(2, 3, 4), (5, 1, 1), (1, 1, 7)]:
         assert build_lattice(dims, 0.5).shape[0] == dims[0] * dims[1] * dims[2]
