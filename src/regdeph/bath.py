@@ -239,11 +239,6 @@ class BathSpectrum:
             return np.zeros_like(self.omega)
         return 1.0 / np.expm1(self.omega / self.temperature)
 
-    def modes_csv_rows(self):
-        """Yield (omega, g2, kx, ky, kz) rows for CSV export."""
-        for w, g, (kx, ky, kz) in zip(self.omega, self.g2, self.k):
-            yield w, g, kx, ky, kz
-
 
 def _assemble(freqs, weights, v, temperature, dimensionality, n_directions):
     dirs = _direction_set(dimensionality, n_directions)
@@ -297,13 +292,16 @@ def gaussian_peak_modes(
 
     The grid spans ``center +- n_sigma*width`` (clipped to positive
     frequencies) so the peak is fully resolved without wasting modes on the
-    empty tails.
+    empty tails.  A single shell sits at ``center`` with weight ``g2(center) * width``.
     """
     coupling = GaussianPeakCoupling(center=center, width=width, amplitude=amplitude)
-    lo = max(center - n_sigma * width, 1e-12 * center)
-    hi = center + n_sigma * width
-    freqs = np.linspace(lo, hi, n_freq)
-    step = (hi - lo) / max(n_freq - 1, 1) if n_freq > 1 else width
+    if n_freq == 1:
+        freqs, step = np.array([center]), width
+    else:
+        lo = max(center - n_sigma * width, 1e-12 * center)
+        hi = center + n_sigma * width
+        freqs = np.linspace(lo, hi, n_freq)
+        step = (hi - lo) / (n_freq - 1)
     weights = coupling.g2(freqs) * step
     return _assemble(freqs, weights, v, temperature, dimensionality, n_directions)
 

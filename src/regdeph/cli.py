@@ -12,6 +12,7 @@ leaves an output directory behind.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -52,11 +53,15 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
 
 
-def _csv(header: str, rows, precision: int) -> str:
-    """CSV text: the column names, then one line per row with floats at ``precision``."""
-    lines = [header] + [",".join(_fmt(v, precision) if isinstance(v, float) else str(v)
-                                 for v in row) for row in rows]
-    return "".join(line + "\n" for line in lines)
+def _csv(header: str, columns, precision: int) -> str:
+    """CSV text: the column names, then the equal-length ``columns`` side by side,
+    an integer column as ``%d`` and a float one at ``precision`` significant digits."""
+    fmt = ["%d" if np.issubdtype(col.dtype, np.integer) else f"%.{precision}g"
+           for col in columns]
+    buf = io.StringIO()
+    buf.write(header + "\n")
+    np.savetxt(buf, np.column_stack(columns), fmt=fmt, delimiter=",")
+    return buf.getvalue()
 
 
 def _write_text(path: Path, cfg_hash: str, body: str):
@@ -77,11 +82,11 @@ def _maybe_exports(cfg: RunConfig, geometry, bath) -> dict[str, str]:
     precision = cfg.output.precision
     files = {}
     if cfg.output.export_positions:
-        rows = ((i, float(x), float(y), float(z)) for i, x, y, z in geometry.positions_csv_rows())
-        files["positions.csv"] = _csv("index,x,y,z", rows, precision)
+        columns = [np.arange(geometry.n_qubits), *geometry.positions.T]
+        files["positions.csv"] = _csv("index,x,y,z", columns, precision)
     if cfg.output.export_modes:
-        rows = (tuple(map(float, row)) for row in bath.modes_csv_rows())
-        files["modes.csv"] = _csv("omega,g2,kx,ky,kz", rows, precision)
+        columns = [bath.omega, bath.g2, *bath.k.T]
+        files["modes.csv"] = _csv("omega,g2,kx,ky,kz", columns, precision)
     return files
 
 
@@ -101,20 +106,11 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     state = build_state(cfg, geometry.n_qubits)
     tracked = _parse_track_pairs(cfg.run.track_pairs, geometry.n_qubits)
     times = time_grid(cfg)
-    fid = fidelity_curve(state, times, bath, geometry.positions)
-    columns = ["t", "F"]
-    extra = []
+    names, columns = ["t", "F"], [times, fidelity_curve(state, times, bath, geometry.positions)]
     for idx, (i, j) in enumerate(tracked):
-        eta, phi = factor_curves(i, j, times, bath, geometry.positions)
-        extra.append((eta, phi))
-        columns += [f"eta_{idx}", f"phi_{idx}"]
-    rows = []
-    for n, t in enumerate(times):
-        row = [float(t), float(fid[n])]
-        for eta, phi in extra:
-            row += [float(eta[n]), float(phi[n])]
-        rows.append(row)
-    files = {"simulate.csv": _csv(",".join(columns), rows, cfg.output.precision)}
+        names += [f"eta_{idx}", f"phi_{idx}"]
+        columns += factor_curves(i, j, times, bath, geometry.positions)
+    files = {"simulate.csv": _csv(",".join(names), columns, cfg.output.precision)}
     return EXIT_OK, files | _maybe_exports(cfg, geometry, bath)
 
 
@@ -206,7 +202,7 @@ def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
                                               geo, run.samples)
         rows.append([float(delta), est1.mean, est1.stderr, est2.mean, est2.stderr])
     header = "delta,mean_lambda1,stderr1,mean_lambda2,stderr2"
-    return EXIT_OK, {"disorder_scan.csv": _csv(header, rows, cfg.output.precision)}
+    return EXIT_OK, {"disorder_scan.csv": _csv(header, np.transpose(rows), cfg.output.precision)}
 
 
 def _cmd_validate_oracle(cfg: RunConfig) -> tuple[int, dict[str, str]]:

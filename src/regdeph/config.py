@@ -52,7 +52,7 @@ class GeometryConfig:
     dims: tuple[int, int, int] = _ini("geometry.dims", "dims", (2, 1, 1))
     d: float = _ini("geometry.d", "float", 1.0, gt=0)
     delta: float = _ini("geometry.delta", "float", 0.0, ge=0)
-    seed: int = _ini("geometry.seed", "int", 12345)
+    seed: int = _ini("geometry.seed", "int", 12345, ge=0)
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,10 @@ class RunConfig:
     output: OutputConfig = _sub(OutputConfig)
 
     def with_seed(self, seed: int) -> "RunConfig":
-        return replace(self, geometry=replace(self.geometry, seed=seed))
+        """This config with ``geometry.seed`` replaced, under the same checks as a parsed one."""
+        cfg = replace(self, geometry=replace(self.geometry, seed=seed))
+        _validate(cfg)
+        return cfg
 
 
 def _keys(config):

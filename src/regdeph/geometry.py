@@ -92,8 +92,3 @@ class RegisterGeometry:
 
     def ideal_positions(self) -> np.ndarray:
         return build_lattice(self.dims, self.d)
-
-    def positions_csv_rows(self):
-        """Yield (index, x, y, z) rows for CSV export."""
-        for idx, (x, y, z) in enumerate(self.positions):
-            yield idx, x, y, z

@@ -54,6 +54,12 @@ class TestDiscretize:
         assert bath.g2[0] == bath.g2[1]
         assert np.allclose(bath.k[0], -bath.k[1])
 
+    def test_one_shell_peak_sits_at_center(self):
+        bath = gaussian_peak_modes(center=1.2, width=0.1, v=1.0, n_freq=1)
+        assert bath.grid.freqs.tolist() == [1.2]
+        weight = GaussianPeakCoupling(center=1.2, width=0.1).g2(1.2) * 0.1
+        assert bath.g2.sum() == pytest.approx(weight, rel=1e-15)
+
     def test_ohmic_weight_vanishes_at_zero_frequency(self):
         assert PowerLawCoupling(exponent=1.0).g2(0.0) == 0.0
 
@@ -178,12 +184,6 @@ class TestBathSpectrum:
         assert np.all(occ > 0)
         with pytest.raises(ValueError):
             bath.omega[0] = 5.0
-
-    def test_csv_rows(self):
-        bath = discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=1, omega_max=2.0)
-        rows = list(bath.modes_csv_rows())
-        assert len(rows) == bath.n_modes
-        assert rows[0][0] == 2.0
 
 
 class TestSpectralMoments:

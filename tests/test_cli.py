@@ -12,13 +12,17 @@ import regdeph
 from regdeph.cli import EXIT_IO, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, run_command
 from regdeph.config import (
     ConfigError,
+    build_bath,
+    build_geometry,
+    build_state,
     config_hash,
     dump_state,
     load_state_file,
     parse_config,
     serialize_config,
+    time_grid,
 )
-from regdeph.core import BasisLabel, RegisterState
+from regdeph.core import BasisLabel, RegisterState, factor_curves, fidelity_curve
 
 MINIMAL = """\
 [geometry]
@@ -146,6 +150,7 @@ OUT_OF_RANGE = [
     (PEAK + "amplitude = -1\n", "peak.amplitude must be >= 0"),
     ("[coupling]\nA = -0.5\n", "coupling.A must be >= 0"),
     ("[coupling]\ncutoff = 0\n", "coupling.cutoff must be > 0"),
+    ("[geometry]\nseed = -1\n", "geometry.seed must be >= 0"),
     ("[run]\nsamples = 1\n", "run.samples must be >= 2"),
     ("[run]\ndelta_steps = 0\n", "run.delta_steps must be >= 1"),
     ("[run]\ndelta_min = -0.1\n", "run.delta_min must be >= 0"),
@@ -278,6 +283,18 @@ def _write(tmp_path, text, name="run.ini"):
     return path
 
 
+def _simulate_rows(tmp_path, text, name):
+    """Run ``simulate`` on ``text`` and split the data rows of file ``name`` into cells."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(_write(tmp_path, text)), "--output", str(out),
+                 "--quiet"]) == EXIT_OK
+    return [line.split(",") for line in (out / name).read_text().splitlines()[3:]]
+
+
+def _formatted(columns, precision):
+    return [[f"{float(x):.{precision}g}" for x in row] for row in zip(*columns)]
+
+
 class TestCommands:
     def test_simulate_cat_fidelity_starts_at_one(self, tmp_path):
         cfg_path = _write(tmp_path, FULL)
@@ -313,6 +330,36 @@ class TestCommands:
         assert header == "t,F,eta_0,phi_0"
         assert (out / "positions.csv").exists()
         assert (out / "modes.csv").exists()
+
+    @pytest.mark.parametrize("precision", [1, 12, 17])
+    def test_simulate_cells_are_the_library_curves(self, tmp_path, precision):
+        text = FULL.replace("steps = 9", "steps = 9\ntrack_pairs = +++,++-;+-+,-+-").replace(
+            "precision = 12", f"precision = {precision}")
+        cfg = parse_config(text)
+        geometry, bath = build_geometry(cfg), build_bath(cfg)
+        times = time_grid(cfg)
+        columns = [times, fidelity_curve(build_state(cfg, 3), times, bath, geometry.positions)]
+        for i, j in (("+++", "++-"), ("+-+", "-+-")):
+            columns += factor_curves(BasisLabel.from_string(i), BasisLabel.from_string(j),
+                                     times, bath, geometry.positions)
+        assert _simulate_rows(tmp_path, text, "simulate.csv") == _formatted(columns, precision)
+
+    def test_modes_file_is_the_full_mode_set(self, tmp_path):
+        text = FULL.replace("dimensionality = 1", "dimensionality = 3").replace(
+            "modes = 256", "modes = 16\ndirections = 6").replace(
+            "precision = 12", "precision = 12\nexport_modes = true")
+        bath = build_bath(parse_config(text))
+        rows = _simulate_rows(tmp_path, text, "modes.csv")
+        assert len(rows) == bath.n_modes == 16 * 6
+        assert rows == _formatted([bath.omega, bath.g2, *bath.k.T], 12)
+
+    def test_positions_index_is_an_integer_at_any_precision(self, tmp_path):
+        text = FULL.replace("dims = 3,1,1", "dims = 12,1,1").replace(
+            "precision = 12", "precision = 1\nexport_positions = true")
+        positions = build_geometry(parse_config(text)).positions
+        rows = _simulate_rows(tmp_path, text, "positions.csv")
+        assert [row[0] for row in rows] == [str(n) for n in range(12)]
+        assert [row[1:] for row in rows] == _formatted(positions.T, 1)
 
     def test_classify_prints_key_values_and_json(self, tmp_path, capsys):
         text = """\
@@ -523,13 +570,25 @@ class TestExitCodes:
         ("simulate", PEAK + "n_sigma = 0\n", "peak.n_sigma"),
         ("simulate", "[coupling]\ncutoff = 0\n", "coupling.cutoff"),
         ("disorder-scan", "[run]\ndelta_steps = 0\n", "run.delta_steps"),
-    ], ids=["peak.n_sigma", "coupling.cutoff", "run.delta_steps"])
+        # with and without disorder, and for the oracle suite, which draws from the seed too
+        ("simulate", "[geometry]\ndelta = 0.1\nseed = -3\n", "geometry.seed"),
+        ("simulate", "[geometry]\nseed = -3\n", "geometry.seed"),
+        ("validate-oracle", "[geometry]\nseed = -3\n", "geometry.seed"),
+    ], ids=["peak.n_sigma", "coupling.cutoff", "run.delta_steps", "seed-disordered",
+            "seed-ideal", "seed-oracle"])
     def test_out_of_range_value_is_validation_failure(self, tmp_path, capsys, command, text, key):
         out = tmp_path / "o"
         assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",
                      "--output", str(out)]) == EXIT_VALIDATION
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not out.exists()  # rejected while parsing, before the directory is made
+
+    def test_negative_seed_flag_is_validation_failure(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(_write(tmp_path, MINIMAL)), "--seed", "-1",
+                     "--quiet", "--output", str(out)]) == EXIT_VALIDATION
+        assert "error: geometry.seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lone_label_is_validation_failure(self, tmp_path, capsys):
         text = "[geometry]\ndims = 4,1,1\n\n[run]\nlabel_i = +--+\nsamples = 10\n"

@@ -94,10 +94,3 @@ def test_geometry_object_realizes_positions():
     assert not np.array_equal(noisy.positions, geo.positions)
     with pytest.raises(ValueError):
         noisy.positions[0, 0] = 7.0  # positions are read-only
-
-
-def test_positions_csv_rows():
-    geo = RegisterGeometry(dims=(2, 1, 1), d=1.5, delta=0.0, seed=0)
-    rows = list(geo.positions_csv_rows())
-    assert rows[0] == (0, 0.0, 0.0, 0.0)
-    assert rows[1] == (1, 1.5, 0.0, 0.0)
