@@ -50,10 +50,10 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     Returns ``1 / (exp(omega/T) - 1)``, and exactly 0 at ``T = 0``.
     """
     omega = float(omega)
-    if omega <= 0:
-        raise ValueError(f"mode frequency must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0 < omega < np.inf:
+        raise ValueError(f"mode frequency must be finite and positive, got {omega}")
+    if not 0 <= temperature < np.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0:
         return 0.0
     return 1.0 / np.expm1(omega / temperature)
@@ -174,14 +174,14 @@ class BathSpectrum:
             raise ValueError("inconsistent mode array shapes")
         if omega.size == 0:
             raise ValueError("bath needs at least one mode")
-        if np.any(omega <= 0):
-            raise ValueError("all mode frequencies must be positive (k = 0 excluded)")
-        if np.any(g2 < 0):
-            raise ValueError("coupling weights must be >= 0")
-        if self.v <= 0:
-            raise ValueError(f"propagation velocity must be positive, got {self.v}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not np.all(np.isfinite(omega) & (omega > 0)):
+            raise ValueError("all mode frequencies omega must be finite and positive (k = 0 excluded)")
+        if not np.all(np.isfinite(g2) & (g2 >= 0)):
+            raise ValueError("coupling weights g2 must be finite and >= 0")
+        if not 0 < self.v < np.inf:
+            raise ValueError(f"propagation velocity v must be finite and positive, got {self.v}")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         knorm = self.v * np.linalg.norm(k, axis=1)
         if not np.allclose(knorm, omega, rtol=1e-10, atol=0.0):
             raise ValueError("dispersion violated: omega != v*|k| for some mode")

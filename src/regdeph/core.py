@@ -9,13 +9,15 @@ One batched primitive computes both for any set of label pairs over any time
 grid, from three pieces:
 
 * the structure factors ``S_a(k) = sum_l s_l exp(i k . r_l)`` of every label;
-* two time kernels per mode, ``g2 coth(omega/2T) 2 sin^2(omega t/2) / omega^2``
-  (damping) and ``g2 (omega t - sin omega t) / omega^2`` (phase);
-* the reductions over modes: the damping of each pair,
-  ``eta_ab = K_eta @ |S_a - S_b|^2``, and the phase of each label,
-  ``phase_a = K_phi @ |S_a|^2``.  Every basis label picks up its own phase,
-  and the Lamb phase of a coherence is the difference of two of them,
-  ``phi_ab = phase_a - phase_b``.
+* two time kernels per frequency shell, ``2 coth(omega/2T) sin^2(omega t/2)``
+  (damping) and ``omega t - sin omega t`` (phase);
+* the reductions over shells: the damping of each pair,
+  ``eta_ab = K_eta @ W_ab`` with ``W_ab`` the pair's
+  ``(g2 / omega^2) |S_a - S_b|^2`` summed over each shell's modes, and the
+  phase of each label, ``phase_a = K_phi @ V_a`` with ``V_a`` its
+  ``(g2 / omega^2) |S_a|^2`` summed likewise.
+  Every basis label picks up its own phase, and the Lamb phase of a
+  coherence is the difference of two of them, ``phi_ab = phase_a - phase_b``.
 
 Every public function below is a thin view over this primitive.
 
@@ -46,27 +48,41 @@ directions ``n_d``, folded shell-major.  The primitive uses it twice:
   two directly evaluated unit phases and a spin, so nothing accumulates:
   against one exponential per site and mode, ``S`` agrees to about 1e-15
   relative to ``max|S|`` (the tests hold it to 1e-13).
-* **Kernels once per shell.**  Both kernels depend on a mode only through
-  ``omega``, so ``sin`` and ``coth`` are taken on a ``(T, J)`` grid and one
-  product with the per-mode weight ``g2 / omega^2`` expands them to the
-  ``(T, J*D)`` mode kernels.
+* **Kernels once per shell, by the same ladder.**  Both kernels depend on a
+  mode only through ``omega``, so they live on the ``(T, J)`` shell grid,
+  and the direction sum and the weight ``g2 / omega^2`` go into the
+  time-independent ``W`` and ``V``, once per call.  Both kernels come from
+  ``exp(i f_j t/2)``, which is the product of the unit phases at the
+  shell's anchor and offset: ``T*(J/B + B)`` pairs of ``cos``/``sin``
+  instead of ``T*J``.  Against mpmath the phase kernel holds 1e-13
+  relative; the damping kernel is off by a few ulps plus the effect of an
+  argument off by a few ulps of ``omega t``, as for a direct ``sin``.
 
 A bath without a grid (hand-built, such as the oracle's paired sets) and an
 explicit list of wave vectors take the dense path, one exponential per site
-and mode, and count as ``J = M`` shells of one mode each in the kernels.
+and mode, and count as ``J = M`` shells of one mode each, whose kernels take
+``sin``/``cos`` directly.  Every unit phase is written as ``cos`` and
+``sin`` into the real and imaginary parts of one complex array, which is
+faster than ``np.exp(1j*x)``.
 
 Memory is bounded by ``CHUNK``, read at call time: the phases, the scaled
 spins and the GEMM output of the structure factors (blocks of sites, labels
 and anchors of one direction, or whole mode columns on the dense path), the
-``(T, M)`` kernels of one block of times and the ``(P, M)`` damping weights
-of one block of pairs each hold at most ``CHUNK`` elements, or one row when a
-row alone is larger.  Only the damping has per-pair weights; the phases need
-the labels' ``|S|^2`` alone.  The weights of a block are broadcast
-differences ``S_b - S_a`` of one label against a run of later ones, filled
-in pair order into two reused buffers (real and imaginary part) and squared
-as ``re^2 + im^2``; no pair index is gathered.  The kernels and the label
-phases are built once per time point; the damping weights once per block of
-times.
+``(T, J)`` kernels and half-angle phases of one block of times, and the
+``(P, M)`` damping weights of one block of pairs each hold at most ``CHUNK``
+elements, or one row when a row alone is larger; no ``(T, M)`` array is
+formed.  The weights of a block are broadcast differences ``S_b - S_a`` of
+one label against a run of later ones, filled in pair order into a reused
+buffer, squared as ``re^2 + im^2`` with the imaginary part of one run in a
+second buffer, and summed over each shell's modes; no pair index is
+gathered.  The differences are taken of factors scaled by
+``sqrt(g2) / omega``, so the weight costs one pass over ``(n, M)`` and none
+over ``(P, M)``.  Each pair's weights are built once per call: with one
+block of times each block of pairs meets the kernels once and is dropped;
+with several, the ``(P, J)`` weights of a group of pairs, at most
+``4*CHUNK`` elements, are kept across all blocks of times, which are then
+built once per group.  The label weights ``V`` are built once per call and
+the label phases once per time point.
 """
 from __future__ import annotations
 
@@ -142,12 +158,14 @@ class RegisterState:
     """Pure register state: complex amplitudes over basis labels.
 
     Stored sparsely over the labels actually present.  The amplitudes must be
-    normalized; construction rejects states whose squared norm deviates from 1
-    by more than ``NORM_TOL``.
+    finite and normalized; construction rejects states whose squared norm
+    deviates from 1 by more than ``NORM_TOL``.
     """
 
     def __init__(self, amplitudes: Mapping[BasisLabel, complex]):
         amps = {k: complex(v) for k, v in amplitudes.items() if v != 0}
+        if not np.isfinite(list(amps.values())).all():
+            raise ValueError("amplitudes must be finite")
         if not amps:
             raise ValueError("state needs at least one nonzero amplitude")
         sizes = {len(label) for label in amps}
@@ -178,6 +196,8 @@ class RegisterState:
 
     @classmethod
     def from_unnormalized(cls, amplitudes: Mapping[BasisLabel, complex]) -> "RegisterState":
+        if not np.isfinite(list(amplitudes.values())).all():
+            raise ValueError("amplitudes must be finite")
         norm = np.sqrt(sum(abs(c) ** 2 for c in amplitudes.values()))
         if norm == 0:
             raise ValueError("state needs at least one nonzero amplitude")
@@ -223,12 +243,32 @@ def _structure_factors(labels, modes, positions) -> np.ndarray:
     return _ladder_factors(spins, pos, modes)
 
 
+def _unit_phases(angle, out=None) -> np.ndarray:
+    """``exp(i*angle)``: ``cos`` and ``sin`` written into the real and imaginary views of one array.
+
+    ``angle`` may be ``out.imag`` itself.
+    """
+    if out is None:
+        out = np.empty(np.shape(angle), dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
+def _rungs(freqs) -> tuple[int, np.ndarray, np.ndarray]:
+    """The ladder split of a uniform shell grid: ``B = ceil(sqrt(J))``, the anchors
+    ``f_{cB}`` and the offsets ``f_b - f_0``, so that shell ``cB + b`` sits at
+    ``f_{cB} + (f_b - f_0)``."""
+    rung = math.isqrt(len(freqs) - 1) + 1
+    return rung, freqs[::rung], freqs[:rung] - freqs[0]
+
+
 def _dense_factors(spins, pos, k) -> np.ndarray:
     """One phase ``exp(i k . r_l)`` per site and mode, in blocks of whole mode columns."""
     s = np.empty((len(spins), len(k)), dtype=complex)
     step = max(1, CHUNK // len(pos))
     for lo in range(0, len(k), step):
-        s[:, lo:lo + step] = spins @ np.exp(1j * (pos @ k[lo:lo + step].T))
+        s[:, lo:lo + step] = spins @ _unit_phases(pos @ k[lo:lo + step].T)
     return s
 
 
@@ -246,8 +286,7 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
     """
     freqs, dirs = bath.grid
     n_label, n_shell = len(spins), len(freqs)
-    rung = math.isqrt(n_shell - 1) + 1  # B = ceil(sqrt(J))
-    anchors, offsets = freqs[::rung], freqs[:rung] - freqs[0]
+    rung, anchors, offsets = _rungs(freqs)
     s = np.zeros((n_label, n_shell, len(dirs)), dtype=complex)
     n_site = min(len(pos), max(1, CHUNK // rung))
     row = max(n_site, rung)  # elements of one (label, anchor) row of either block
@@ -258,10 +297,10 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
     for lo in range(0, len(pos), n_site):
         sites = slice(lo, lo + n_site)
         for d, p in enumerate((pos[sites] @ dirs.T / bath.v).T):
-            ladder = np.exp(1j * np.outer(p, offsets))
+            ladder = _unit_phases(np.outer(p, offsets))
             for c in range(0, len(anchors), width):
                 shells = slice(c * rung, min((c + width) * rung, n_shell))
-                rungs = np.exp(1j * np.outer(anchors[c:c + width], p))
+                rungs = _unit_phases(np.outer(anchors[c:c + width], p))
                 for a in range(0, n_label, per_block):
                     part = spins[a:a + per_block, sites]
                     size = len(part) * len(rungs)
@@ -273,106 +312,159 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
     return s.reshape(n_label, -1)
 
 
-def _shells(bath: BathSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Shell frequencies ``(J,)`` and the folded modes' ``g2 / omega^2`` as ``(J, D)``.
+def _shell_freqs(bath: BathSpectrum) -> np.ndarray:
+    """Shell frequencies ``(J,)``; the folded modes are shell-major, ``M = J*D``.
 
     A bath without a grid is ``J = M`` shells of one mode each.
     """
-    w, _, g2 = bath.folded
-    if bath.grid is not None:
-        w = bath.grid.freqs
-    return w, g2.reshape(len(w), -1) / (w**2)[:, None]
+    return bath.folded.omega if bath.grid is None else bath.grid.freqs
 
 
-def _time_kernels(bath: BathSpectrum, times) -> tuple[np.ndarray, np.ndarray]:
-    """Damping and phase kernels of the folded modes on a time grid, each of shape (T, M).
-
-    With ``x = omega*t``: damping ``g2 coth(omega/2T) 2 sin^2(x/2) / omega^2`` and
-    phase ``g2 (x - sin x) / omega^2``.  Below ``x = 0.2`` the subtraction
-    ``x - sin x`` cancels, so the phase kernel takes its Taylor series there
-    (truncation error below 1e-16 relative).  The transcendentals are taken
-    once per shell on a (T, J) grid; one product with the per-mode weight
-    expands them to the shell's modes.
-    """
+def _times(times) -> np.ndarray:
+    """A time grid as a 1-D float array; every time must be finite and >= 0."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    w, weight = _shells(bath)
-    x = np.multiply.outer(times, w)
-    phase = np.sin(x)
-    np.subtract(x, phase, out=phase)
-    small = x < 0.2
-    xs = x[small]
-    x2 = xs * xs
-    phase[small] = xs * x2 / 6.0 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72 * (1 - x2 / 110))))
-    damping = x
-    damping *= 0.5
-    np.sin(damping, out=damping)
-    np.square(damping, out=damping)
-    eta_weight = 2.0 * coth_half(w, bath.temperature)[:, None] * weight
-    one = weight.shape[1] == 1  # one mode per shell: expand in place
-    damping = np.multiply(damping[..., None], eta_weight, out=damping[..., None] if one else None)
-    phase = np.multiply(phase[..., None], weight, out=phase[..., None] if one else None)
-    return damping.reshape(len(times), -1), phase.reshape(len(times), -1)
+    if times.size and not 0 <= times.min() <= times.max() < np.inf:  # a NaN fails too
+        raise ValueError("times must be finite and >= 0")
+    return times
+
+
+def _half_turns(times, freqs, ladder: bool, out) -> np.ndarray:
+    """``exp(i f_j t / 2)`` on the (T, J) grid, written into ``out``.
+
+    Over a uniform grid it is the product of the unit phases at the anchor and
+    the offset of each shell (:func:`_rungs`), as for the structure factors:
+    ``T*(J/B + B)`` pairs of ``cos``/``sin`` instead of ``T*J``.
+    """
+    half = 0.5 * times
+    if not ladder:
+        return _unit_phases(np.multiply.outer(half, freqs, out=out.imag), out=out)
+    rung, anchors, offsets = _rungs(freqs)
+    a, b = _unit_phases(np.multiply.outer(half, anchors)), _unit_phases(np.multiply.outer(half, offsets))
+    full = len(freqs) // rung * rung
+    np.multiply(a[:, :full // rung, None], b[:, None], out=out[:, :full].reshape(len(times), -1, rung))
+    np.multiply(a[:, full // rung:], b[:, :len(freqs) - full], out=out[:, full:])
+    return out
+
+
+def _shell_kernels(bath: BathSpectrum, times, rows: int):
+    """Damping and phase kernels of every shell, in blocks of ``rows`` times.
+
+    ``times`` is a checked grid (:func:`_times`).  Yields ``(times slice,
+    damping, phase)``, each kernel of shape (rows, J) and written into
+    buffers that the next block reuses.  With ``x = f_j t``:
+    damping ``2 coth(f_j/2T) sin^2(x/2)`` and phase ``x - sin x``.  The
+    per-mode weight ``g2 / omega^2`` is not in them; it scales the structure
+    factors instead.  Both kernels come from ``h = exp(i x/2)``:
+    ``sin(x/2) = Im h`` and ``sin x = 2 Re h Im h``.  Below ``x = 0.2`` the
+    subtraction ``x - sin x`` cancels, so the phase kernel takes its Taylor
+    series there (truncation error below 1e-16 relative).
+    """
+    w = _shell_freqs(bath)
+    coth2 = 2.0 * coth_half(w, bath.temperature)
+    size = min(rows, len(times))
+    damping, phase = np.empty((2, size, len(w)))
+    half = np.empty((size, len(w)), dtype=complex)
+    for t0 in range(0, len(times), rows):
+        t = times[t0:t0 + rows]
+        d, x, h = damping[:len(t)], phase[:len(t)], half[:len(t)]
+        _half_turns(t, w, bath.grid is not None, h)
+        np.multiply.outer(t, w, out=x)
+        small = x < 0.2
+        xs = x[small]
+        x2 = xs * xs
+        np.multiply(h.real, h.imag, out=d)
+        d *= 2.0
+        x -= d
+        x[small] = xs * x2 / 6.0 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72 * (1 - x2 / 110))))
+        np.square(h.imag, out=d)
+        d *= coth2
+        yield slice(t0, t0 + len(t)), d, x
 
 
 def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray, np.ndarray]:
     """Damping of every upper-triangle label pair (T, n(n-1)/2) and phase of each label (T, n).
 
-    ``eta_ab = K_eta @ |S_a - S_b|^2`` over the pairs ``a < b`` in
-    ``np.triu_indices`` order, and ``phase_a = K_phi @ |S_a|^2``; the Lamb
-    phase of a pair is the difference of its labels' phases.  Times are taken
-    in blocks that bound the (T, M) kernels, pairs in blocks that bound the
-    (P, M) damping weights: the kernels and the label phases are built once
-    per time block, the weights once per time and pair block.  Identical
-    labels share one structure factor and one phase, so the eta and phi
-    between them vanish exactly.
+    ``eta_ab = K_eta @ W_ab`` over the pairs ``a < b`` in ``np.triu_indices``
+    order, and ``phase_a = K_phi @ V_a``; the Lamb phase of a pair is the
+    difference of its labels' phases.  ``W_ab`` is ``(g2 / omega^2)
+    |S_a - S_b|^2`` and ``V_a`` is ``(g2 / omega^2) |S_a|^2``, each summed
+    over a shell's modes, so both reductions run over the ``J`` shells.
+    Times are taken in blocks that bound the (T, J) kernels; pairs in groups
+    whose (P, J) weights are kept across all time blocks, each pair's
+    weights built once per call.  Identical labels share one structure
+    factor and one phase, so the eta and phi between them vanish exactly.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = _times(times)
     index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
     row_of = [index[label] for label in labels]
     s = _structure_factors(list(index), bath, positions)
-    mod2 = np.abs(s) ** 2
+    w, _, g2 = bath.folded
+    s *= np.sqrt(g2) / w
+    n_shell = len(_shell_freqs(bath))
+    mod2 = np.abs(s)
+    mod2 *= mod2
+    mod2 = _shell_sums(mod2, n_shell)
     re, im = s.real[row_of], s.imag[row_of]
-    n_pair = len(re) * (len(re) - 1) // 2
+    n_label, n_mode = re.shape
+    n_pair = n_label * (n_label - 1) // 2
     eta = np.empty((len(times), n_pair))
-    phase = np.empty((len(times), len(re)))
-    step = max(1, CHUNK // re.shape[1])
-    weight = np.empty((min(step, n_pair), re.shape[1]))
-    im_diff = np.empty_like(weight)
-    for t0 in range(0, len(times), step):
-        rows = slice(t0, t0 + step)
-        k_eta, k_phi = _time_kernels(bath, times[rows])
-        phase[rows] = (k_phi @ mod2.T)[:, row_of]
-        for lo, w in _damping_weights(re, im, weight, im_diff):
-            eta[rows, lo:lo + len(w)] = k_eta @ w.T
+    phase = np.empty((len(times), n_label))
+    step = max(1, CHUNK // n_shell)  # rows of a time block
+    # one time block: its kernels serve every group of pairs, and each block of
+    # pairs is used once; several: keep a group's weights across the time blocks
+    kernels = list(_shell_kernels(bath, times, step)) if len(times) <= step else None
+    per_block = max(1, min(n_pair, CHUNK // n_mode))
+    per_group = per_block if kernels else max(1, min(n_pair, 4 * CHUNK // n_shell))
+    kept = np.empty((per_group, n_shell))
+    weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
+    im_diff = np.empty((min(per_block, max(n_label - 1, 0)), n_mode))  # one run of pairs
+    pair = (0, 1)
+    for g0 in range(0, max(n_pair, 1), per_group):
+        group = kept[:min(per_group, n_pair - g0)]
+        for r0 in range(0, len(group), per_block):
+            rows = slice(r0, min(r0 + per_block, len(group)))
+            block = group[rows] if weight is None else weight[:rows.stop - r0]
+            pair = _damping_weights(re, im, pair, block, im_diff)
+            if weight is not None:
+                _shell_sums(block, n_shell, out=group[rows])
+        for rows, k_eta, k_phi in kernels or _shell_kernels(bath, times, step):
+            if g0 == 0:
+                phase[rows] = (k_phi @ mod2.T)[:, row_of]
+            eta[rows, g0:g0 + len(group)] = k_eta @ group.T
     return eta, phase
 
 
-def _damping_weights(re, im, weight, im_diff):
-    """Yield ``(first pair, |S_a - S_b|^2)`` for the upper-triangle pairs, ``len(weight)`` at a time.
+def _shell_sums(values, n_shell, out=None) -> np.ndarray:
+    """Sum each row of a shell-major ``(n, J*D)`` array over every shell's ``D`` modes.
+
+    With one mode per shell the rows are returned as they are.
+    """
+    if values.shape[1] == n_shell and out is None:
+        return values
+    return values.reshape(len(values), n_shell, -1).sum(-1, out=out)
+
+
+def _damping_weights(re, im, pair, weight, im_diff) -> tuple[int, int]:
+    """Fill ``weight`` with ``|S_a - S_b|^2`` of the upper-triangle pairs from ``pair = (a, b)`` on.
 
     ``re`` and ``im`` are the real and imaginary parts of the structure
-    factors.  Each block is filled in pair order from broadcast differences
+    factors.  The rows are filled in pair order from broadcast differences
     ``S_b - S_a`` of one label ``a`` against a run of later labels, runs
-    crossing from one ``a`` to the next, and taken as ``re^2 + im^2``.
-    ``weight`` and ``im_diff`` are reused buffers; the yielded weights are a
-    view of ``weight``.
+    crossing from one ``a`` to the next, and taken as ``re^2 + im^2``.  The
+    imaginary part of a run goes to ``im_diff``, a reused buffer of at least
+    ``min(len(weight), len(re) - 1)`` rows.  Returns the pair after the last
+    one filled.
     """
-    a, b, lo = 0, 1, 0
-    while b < len(re):
-        r = 0
-        while r < len(weight) and b < len(re):
-            run = min(len(weight) - r, len(re) - b)
-            np.subtract(re[b:b + run], re[a], out=weight[r:r + run])
-            np.subtract(im[b:b + run], im[a], out=im_diff[r:r + run])
-            r, b = r + run, b + run
-            if b == len(re):
-                a, b = a + 1, a + 2
-        w, d = weight[:r], im_diff[:r]
-        np.square(w, out=w)
-        yield lo, np.add(w, np.square(d, out=d), out=w)
-        lo += r
+    (a, b), r = pair, 0
+    while r < len(weight):
+        run = min(len(weight) - r, len(re) - b)
+        w, d = weight[r:r + run], im_diff[:run]
+        np.square(np.subtract(re[b:b + run], re[a], out=w), out=w)
+        w += np.square(np.subtract(im[b:b + run], im[a], out=d), out=d)
+        r, b = r + run, b + run
+        if b == len(re):
+            a, b = a + 1, a + 2
+    return a, b
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:
@@ -395,7 +487,7 @@ def _pair_weights(i: BasisLabel, j: BasisLabel, k_vec,
     for label in (i, j):
         if len(label) != pos.shape[-2]:
             raise ValueError(f"label length {len(label)} does not match {pos.shape[-2]} positions")
-    phases = np.exp(1j * (pos @ np.asarray(k_vec, dtype=float)))
+    phases = _unit_phases(pos @ np.asarray(k_vec, dtype=float))
     si, sj = (phases * i.as_array()).sum(-1), (phases * j.as_array()).sum(-1)
     diff = si - sj
     return (diff.real**2 + diff.imag**2,

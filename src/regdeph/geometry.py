@@ -26,7 +26,7 @@ def build_lattice(dims: tuple[int, int, int], d: float) -> np.ndarray:
     dims : tuple of three positive ints
         Number of sites along each axis.
     d : float
-        Lattice constant, identical along all axes.  Must be > 0.
+        Lattice constant, identical along all axes.  Must be finite and > 0.
 
     Returns
     -------
@@ -37,8 +37,8 @@ def build_lattice(dims: tuple[int, int, int], d: float) -> np.ndarray:
     if len(sizes) != 3 or any(not n.is_integer() or n < 1 for n in sizes):
         raise ValueError(f"dims must be three positive integers, got {tuple(dims)!r}")
     dims = tuple(int(n) for n in sizes)
-    if d <= 0:
-        raise ValueError(f"lattice constant must be positive, got {d}")
+    if not 0 < d < np.inf:
+        raise ValueError(f"lattice constant d must be finite and positive, got {d}")
     grid = np.array(list(np.ndindex(dims)), dtype=float)
     return grid * d
 
@@ -56,8 +56,8 @@ def apply_disorder(ideal_positions: np.ndarray, delta: float,
     positions = np.asarray(ideal_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError(f"positions must have shape (L, 3), got {positions.shape}")
-    if delta < 0:
-        raise ValueError(f"disorder amplitude must be >= 0, got {delta}")
+    if not 0 <= delta < np.inf:
+        raise ValueError(f"disorder amplitude delta must be finite and >= 0, got {delta}")
     if delta == 0:
         return positions.copy()
     rng = np.random.default_rng(seed)

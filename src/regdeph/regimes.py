@@ -15,7 +15,7 @@ import numpy as np
 
 from .bath import BathSpectrum, SpectralMoments
 from . import core
-from .core import BasisLabel, _pair_weights, _time_kernels
+from .core import BasisLabel, _pair_weights, _shell_freqs, _shell_kernels, _times
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry, apply_disorder
 
@@ -173,18 +173,26 @@ def fourier_suppression(delta_omega: float, s: float = 1.0, d: float = 1.0,
     return FourierSuppression(estimate=estimate, grid_value=grid_value)
 
 
+def _mode_sums(bath: BathSpectrum, t: float) -> tuple[float, float]:
+    """The damping and phase kernels at time ``t`` summed over all modes, shell by shell."""
+    _, k_eta, k_phi = next(_shell_kernels(bath, _times(t), 1))
+    w, _, g2 = bath.folded
+    weight = (g2 / w**2).reshape(len(_shell_freqs(bath)), -1).sum(1)  # over each shell
+    return float(k_eta[0] @ weight), float(k_phi[0] @ weight)
+
+
 def damping_scale(bath: BathSpectrum, t: float) -> float:
     """Common damping sum shared by all coherences in the independent limit.
 
     A label pair differing on ``n`` qubits damps with exponent ``4n`` times
     this value; equivalently it is one quarter of the single-flip exponent.
     """
-    return float(np.sum(_time_kernels(bath, [t])[0]))
+    return _mode_sums(bath, t)[0]
 
 
 def phase_scale(bath: BathSpectrum, t: float) -> float:
     """Companion phase sum: per-unit-weight magnitude of the coherent phase."""
-    return float(np.sum(_time_kernels(bath, [t])[1]))
+    return _mode_sums(bath, t)[1]
 
 
 def independent_limit_factors(i: BasisLabel, j: BasisLabel, t: float,

@@ -177,6 +177,27 @@ class TestBathSpectrum:
             BathSpectrum(omega=np.array([1.0]), k=np.array([[1.0, 0, 0]]),
                          g2=np.array([-1.0]), v=1.0)
 
+    @pytest.mark.parametrize("name,override", [
+        ("temperature", {"temperature": np.nan}),
+        ("temperature", {"temperature": np.inf}),
+        ("g2", {"g2": np.array([0.1, np.nan])}),
+        ("g2", {"g2": np.array([0.1, np.inf])}),
+        ("velocity v", {"v": np.nan}),
+        ("omega", {"omega": np.array([1.0, np.inf]), "k": np.array([[1.0, 0, 0], [-np.inf, 0, 0]])}),
+    ])
+    def test_rejects_non_finite_inputs(self, name, override):
+        # each passed the sign checks and gave NaN etas; the message names the input
+        kwargs = dict(omega=np.array([1.0, 1.0]), k=np.array([[1.0, 0, 0], [-1.0, 0, 0]]),
+                      g2=np.array([0.1, 0.1]), v=1.0, temperature=0.5)
+        with pytest.raises(ValueError, match=name):
+            BathSpectrum(**{**kwargs, **override})
+
+    @pytest.mark.parametrize("omega,temperature", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                                   (1.0, float("nan")), (1.0, float("inf"))])
+    def test_occupation_rejects_non_finite_inputs(self, omega, temperature):
+        with pytest.raises(ValueError):
+            thermal_occupation(omega, temperature)
+
     def test_occupation_and_immutability(self):
         bath = discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=4, omega_max=2.0,
                                    temperature=1.0)

@@ -84,6 +84,18 @@ class TestRegisterState:
         with pytest.raises(ValueError):
             RegisterState({BasisLabel((1,)): 0.5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), complex(1.0, float("nan")), float("inf")])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        # abs(nan - 1) > NORM_TOL is False, so a NaN amplitude used to pass the norm check
+        up, down = BasisLabel((1,)), BasisLabel((-1,))
+        with pytest.raises(ValueError, match="finite"):
+            RegisterState({up: bad})
+        with pytest.raises(ValueError, match="finite"):
+            RegisterState({up: 1.0, down: bad})
+        # an inf amplitude used to be divided into NaN by the norm
+        with pytest.raises(ValueError, match="finite"):
+            RegisterState.from_unnormalized({up: 1.0, down: bad})
+
     def test_rejects_empty_and_mixed_lengths(self):
         with pytest.raises(ValueError):
             RegisterState({})
@@ -400,6 +412,39 @@ def test_pair_factors_diagonal_and_consistency():
             assert fac.phi(a, b) == pytest.approx(lamb_phase(a, b, 2.0, bath, pos), abs=1e-12)
 
 
+def _closed_form_calls():
+    from regdeph.regimes import damping_scale, independent_limit_factors, phase_scale
+
+    i, j = BasisLabel((1, -1)), BasisLabel((-1, -1))
+    state = RegisterState.cat(2)
+    return {
+        "damping_exponent": lambda t, b, r: damping_exponent(i, j, t, b, r),
+        "lamb_phase": lambda t, b, r: lamb_phase(i, j, t, b, r),
+        "label_phase": lambda t, b, r: label_phase(i, t, b, r),
+        "pair_factors": lambda t, b, r: pair_factors([i, j], t, b, r),
+        "evolve": lambda t, b, r: evolve(state, t, b, r),
+        "fidelity": lambda t, b, r: fidelity(state, t, b, r),
+        "factor_curves": lambda t, b, r: factor_curves(i, j, [0.0, 1.0, t], b, r),
+        "fidelity_curve": lambda t, b, r: fidelity_curve(state, [0.0, t, 2.0], b, r),
+        "damping_scale": lambda t, b, r: damping_scale(b, t),
+        "phase_scale": lambda t, b, r: phase_scale(b, t),
+        "independent_limit_factors": lambda t, b, r: independent_limit_factors(i, j, t, b),
+    }
+
+
+@pytest.mark.parametrize("name", list(_closed_form_calls()))
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_closed_form_entry_points_reject_non_finite_times(name, bad):
+    # `times < 0` misses NaN, so a NaN or inf time used to give NaN factors
+    call = _closed_form_calls()[name]
+    for bath in (random_bath(np.random.default_rng(61)),
+                 discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=16,
+                                     omega_max=4.0)):
+        call(1.5, bath, line_positions(2))
+        with pytest.raises(ValueError, match="times must be finite"):
+            call(bad, bath, line_positions(2))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(np.log(1e-9), np.log(1e3)))
 def test_label_phase_small_argument_against_mpmath(log_x):
@@ -531,8 +576,8 @@ def test_folded_sums_equal_direct_sums_over_all_modes(name):
 
 def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
     # every builder bath: the ladder against one directly evaluated phase per site and
-    # mode, with the phase blocks, the anchor-scaled spins (multiply) and the GEMM
-    # output (matmul) bounded by CHUNK and L*D*(ceil(J/B) + B) transcendentals
+    # mode, with the phase blocks (cos, sin), the anchor-scaled spins (multiply) and the
+    # GEMM output (matmul) bounded by CHUNK and L*D*(ceil(J/B) + B) unit phases
     from regdeph import core
 
     rng = np.random.default_rng(47)
@@ -545,7 +590,7 @@ def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
     for (name, bath), chunk in itertools.product(builders.items(), (60, 24)):
         n_shell, n_dir = len(bath.grid.freqs), len(bath.grid.dirs)
         rung = int(np.ceil(np.sqrt(n_shell)))
-        sizes = {"exp": [], "multiply": [], "matmul": []}
+        sizes = {"cos": [], "sin": [], "multiply": [], "matmul": []}
         with monkeypatch.context() as m:
             m.setattr(core, "CHUNK", chunk)
             for fn in sizes:
@@ -559,10 +604,11 @@ def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
         assert ladder.shape == dense.shape == (len(labels), n_shell * n_dir)
         scale = max(1.0, np.abs(dense).max())
         assert np.abs(ladder - dense).max() <= 1e-13 * scale, name
-        assert max(sizes["exp"] + sizes["multiply"] + sizes["matmul"]) <= chunk, name
+        assert max(sum(sizes.values(), [])) <= chunk, name
         # one scaled block and one GEMM per direction and block of sites, labels, anchors
         assert len(sizes["multiply"]) == len(sizes["matmul"]) >= n_dir, name
-        assert sum(sizes["exp"]) == len(pos) * n_dir * (-(-n_shell // rung) + rung), name
+        assert sizes["sin"] == sizes["cos"], name
+        assert sum(sizes["cos"]) == len(pos) * n_dir * (-(-n_shell // rung) + rung), name
 
 
 def test_time_blocks_equal_one_block(monkeypatch):
@@ -577,24 +623,113 @@ def test_time_blocks_equal_one_block(monkeypatch):
     state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
                                              for lab in labels})
     times = np.linspace(0.0, 9.0, 23)
-    kernels, rows = core._time_kernels, []
+    kernels, shapes = core._shell_kernels, []
 
-    def recorded(bath, times):
-        rows.append(len(times))
-        return kernels(bath, times)
+    def recorded(bath, times, rows):
+        for block, k_eta, k_phi in kernels(bath, times, rows):
+            shapes.append((k_eta.shape, k_phi.shape))
+            yield block, k_eta, k_phi
 
     def run():
         return (fidelity_curve(state, times, bath, pos),
                 *factor_curves(labels[0], labels[2], times, bath, pos))
 
-    monkeypatch.setattr(core, "_time_kernels", recorded)
-    monkeypatch.setattr(core, "CHUNK", len(times) * 60)  # 60 folded modes: one block
+    monkeypatch.setattr(core, "_shell_kernels", recorded)
+    assert (len(bath.grid.freqs), bath.folded.omega.size) == (20, 60)
+    monkeypatch.setattr(core, "CHUNK", len(times) * 20)  # 20 shells: one block
     whole = run()
-    assert rows == [len(times)] * 2
-    rows.clear()
-    # 250 elements: blocks of 4 time rows, and of 4 of the 15 pairs
-    monkeypatch.setattr(core, "CHUNK", 250)
-    assert bath.folded.omega.size == 60
+    assert shapes == [((len(times), 20),) * 2] * 2
+    shapes.clear()
+    # 60 elements: time blocks of 3 rows of the (T, J) = (T, 20) kernels; the weights
+    # of 12 of the 15 pairs kept, so fidelity_curve takes every time block twice
+    monkeypatch.setattr(core, "CHUNK", 60)
     for blocked, ref in zip(run(), whole):
         np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
-    assert max(rows) == 4 and sum(rows) == 2 * len(times)
+    assert all(k_eta == k_phi and k_eta[1] == 20 for k_eta, k_phi in shapes)
+    rows = [k_eta[0] for k_eta, _ in shapes]
+    assert max(rows) == 3 and sum(rows) == (2 + 1) * len(times)
+
+
+@pytest.mark.parametrize("dimensionality,chunk,rows,per_group,per_block",
+                         [(1, 48, 3, 12, 3), (3, 96, 6, 24, 1)])
+def test_each_pair_weight_is_built_once_per_call(monkeypatch, dimensionality, chunk, rows,
+                                                 per_group, per_block):
+    # 16 shells of 1 or 6 modes, 9 labels (36 pairs), 11 times: several time blocks of
+    # `rows` times, several groups of kept pair weights, each built in blocks of pairs
+    # of at most CHUNK elements.  Every pair's |S_a - S_b|^2 is filled exactly once,
+    # and each group takes every time block once
+    from regdeph import core
+
+    rng = np.random.default_rng(67)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=16, omega_max=5.0,
+                               temperature=0.4, n_directions=12)
+    pos = rng.uniform(-2.0, 2.0, size=(6, 3))
+    labels = sorted({random_label(rng, 6) for _ in range(20)}, key=str)[:9]
+    times = np.linspace(0.0, 6.0, 11)
+    whole = core._coherence(labels, times, bath, pos)
+    fill, kernels, built, blocks = core._damping_weights, core._shell_kernels, [], []
+
+    def recorded(re, im, pair, weight, im_diff):
+        built.append((pair, len(weight), weight.size))
+        return fill(re, im, pair, weight, im_diff)
+
+    def timed(bath, times, rows):
+        for block, k_eta, k_phi in kernels(bath, times, rows):
+            blocks.append((block.start, block.stop))
+            yield block, k_eta, k_phi
+
+    monkeypatch.setattr(core, "_damping_weights", recorded)
+    monkeypatch.setattr(core, "_shell_kernels", timed)
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    n_mode = bath.folded.omega.size
+    assert (chunk // 16, 4 * chunk // 16, chunk // n_mode) == (rows, per_group, per_block)
+    for blocked, ref in zip(core._coherence(labels, times, bath, pos), whole):
+        np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
+    a, b = np.triu_indices(len(labels), 1)
+    first = {(int(x), int(y)): n for n, (x, y) in enumerate(zip(a, b))}
+    filled = [p for pair, size, _ in built for p in range(first[pair], first[pair] + size)]
+    assert filled == list(range(len(a))) and len(a) == 36
+    assert all(size == per_block * n_mode <= chunk for _, _, size in built)
+    starts = list(range(0, len(times), rows))
+    time_blocks = [(t0, min(t0 + rows, len(times))) for t0 in starts]
+    assert blocks == time_blocks * -(-36 // per_group)
+
+
+@pytest.mark.parametrize("ladder", [True, False])
+def test_shell_kernels_against_mpmath(ladder):
+    # x = f_j t from 1e-9 to 1e3 on grids of 128 and 101 shells, plus times that put
+    # chosen shells at x = 2 pi k, the zeros of sin(x/2); the same shells without a
+    # grid take sin/cos directly
+    from mpmath import mp, mpf, sin as msin
+    from regdeph import core
+    from regdeph.bath import gaussian_peak_modes
+
+    mp.dps = 50
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(71)
+    worst = 0.0
+    for bath in (discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=128,
+                                     omega_max=8.0),
+                 gaussian_peak_modes(center=2.3, width=0.2, v=1.0, n_freq=101)):
+        freqs = bath.grid.freqs
+        if not ladder:
+            bath = BathSpectrum(bath.omega, bath.k, bath.g2, bath.v)
+        assert np.array_equal(core._shell_freqs(bath), freqs) and (bath.grid is None) != ladder
+        shells = rng.integers(0, len(freqs), 30)
+        times = np.concatenate([np.geomspace(1e-9 / freqs[-1], 1e3 / freqs[0], 50),
+                                2 * np.pi * rng.integers(1, 100, 30) / freqs[shells]])
+        (block, damping, phase), = core._shell_kernels(bath, core._times(times), len(times))
+        assert block == slice(0, len(times)) and damping.shape == (len(times), len(freqs))
+        for (n, j), d, p in zip(np.ndindex(damping.shape), damping.flat, phase.flat):
+            x = mpf(float(times[n])) * mpf(float(freqs[j]))
+            if not 1e-9 <= x <= 1e3:
+                continue
+            want = x - msin(x)
+            assert abs(p - want) <= 1e-13 * want
+            worst = max(worst, float(abs(p - want) / want))
+            # a few ulps of the value, plus the first and second order effect of an
+            # argument off by a few ulps of x, which dominate near sin(x/2) = 0
+            want = 2 * msin(x / 2) ** 2
+            assert abs(d - want) <= 4 * eps * (want + x * abs(msin(x)) + eps * x**2)
+    assert worst > 1e-15  # the cancelling range next to the series switch was reached

@@ -69,6 +69,19 @@ def test_negative_disorder_rejected():
         apply_disorder(build_lattice((2, 1, 1), 1.0), -0.1, seed=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_lattice_constant_and_disorder_rejected(bad):
+    # a NaN d or delta used to pass the sign checks and give NaN positions
+    with pytest.raises(ValueError, match="lattice constant d"):
+        build_lattice((2, 1, 1), bad)
+    with pytest.raises(ValueError, match="lattice constant d"):
+        RegisterGeometry(dims=(2, 1, 1), d=bad)
+    with pytest.raises(ValueError, match="disorder amplitude delta"):
+        apply_disorder(build_lattice((2, 1, 1), 1.0), bad, seed=0)
+    with pytest.raises(ValueError, match="disorder amplitude delta"):
+        RegisterGeometry(dims=(2, 1, 1), d=1.0, delta=bad)
+
+
 def test_displacement_rms_matches_amplitude():
     # 1e5 draws of a single site's offset: empirical RMS within 2% of delta
     delta = 0.1
