@@ -233,12 +233,6 @@ class BathSpectrum:
                 raise ValueError("grid: the folded modes are not its uniform shells, shell-major")
         return folded
 
-    def occupation(self) -> np.ndarray:
-        """Mean thermal occupation of every mode."""
-        if self.temperature == 0:
-            return np.zeros_like(self.omega)
-        return 1.0 / np.expm1(self.omega / self.temperature)
-
 
 def _assemble(freqs, weights, v, temperature, dimensionality, n_directions):
     dirs = _direction_set(dimensionality, n_directions)
@@ -336,16 +330,13 @@ def _weighted_mean_std(omega, weights):
     return mean, np.sqrt(max(var, 0.0))
 
 
-def spectral_moments(bath: BathSpectrum, t_ref: float | None = None) -> SpectralMoments:
+def spectral_moments(bath: BathSpectrum) -> SpectralMoments:
     """Mean and standard deviation of the mode frequency under each weight.
 
-    By default the time-dependent modulation of the damping channel is
-    dropped, so the moments characterize the bath alone; pass ``t_ref`` to
-    weight channel 1 by ``1 - cos(omega * t_ref)`` as well.
+    The time-dependent modulation of the damping channel is dropped, so the
+    moments characterize the bath alone.
     """
     w1 = bath.g2 * coth_half(bath.omega, bath.temperature) / bath.omega**2
-    if t_ref is not None:
-        w1 = w1 * (1.0 - np.cos(bath.omega * t_ref))
     w2 = bath.g2 / bath.omega**2
     mean1, width1 = _weighted_mean_std(bath.omega, w1)
     mean2, width2 = _weighted_mean_std(bath.omega, w2)

@@ -153,16 +153,17 @@ def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     geometry = build_geometry(cfg)
     if cfg.bath.peak is None:
         raise ConfigError("pairing needs a [peak] section with the dominant wavenumber")
-    n_logical = geometry.n_qubits // 2 if geometry.n_qubits % 2 == 0 else None
     plan = find_pairing(cfg.bath.peak.center, geometry.d, m_max=cfg.run.m_max,
-                        eps_tol=cfg.run.eps_tol, n_logical=n_logical)
+                        eps_tol=cfg.run.eps_tol)
     if plan is None:
         return _no_pairing(cfg)
+    # the cover is checked before anything is printed; an odd register has none
+    pairs = plan.physical_pairs(geometry.n_qubits // 2) if geometry.n_qubits % 2 == 0 else ()
     print(f"m = {plan.m}")
     print(f"n = {plan.n}")
     print(f"epsilon = {_fmt(plan.residual, cfg.output.precision)}")
-    if plan.pairs:
-        print("pairs = " + ";".join(f"{a},{b}" for a, b in plan.pairs))
+    if pairs:
+        print("pairs = " + ";".join(f"{a},{b}" for a, b in pairs))
     return EXIT_OK, {}
 
 

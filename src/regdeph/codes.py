@@ -37,47 +37,38 @@ class PairingPlan:
 
     ``residual`` is ``|m * kbar * d / pi - n|``; at zero the pair separation is
     an exact half-wavelength multiple of the dominant mode, and it is ``None``
-    when the dominant wavenumber is unknown.  ``pairs`` lists the disjoint
-    (site, partner) cover when a register size was supplied; it must be the
-    block cover :meth:`physical_pairs` gives, which encoding and decoding use.
+    when the dominant wavenumber is unknown.  :meth:`physical_pairs` gives the
+    one (site, partner) cover, which encoding, decoding and the ``pairing``
+    command use.
     """
 
     m: int
     n: int
     residual: float | None
-    pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 0 or (self.residual is not None and self.residual < 0):
-            raise ValueError("need m >= 1, n >= 0, residual >= 0")
-        if self.pairs and self.pairs != _block_pairs(self.m, len(self.pairs)):
-            raise ValueError(f"pairs {self.pairs} are not the blocks of pairing distance "
-                             f"m={self.m}")
+        if self.m < 1 or self.n < 0:
+            raise ValueError("need m >= 1, n >= 0")
+        if self.residual is not None and not 0 <= self.residual < np.inf:
+            raise ValueError(f"residual must be finite and >= 0, got {self.residual}")
 
     def physical_pairs(self, n_logical: int) -> tuple[tuple[int, int], ...]:
         """Disjoint (site, site+m) cover of ``2*n_logical`` sites, in blocks of 2m."""
-        return _block_pairs(self.m, n_logical)
-
-
-def _block_pairs(m: int, n_logical: int) -> tuple[tuple[int, int], ...]:
-    if n_logical % m != 0:
-        raise ValueError(
-            f"register of {n_logical} logical qubits cannot be covered by "
-            f"disjoint blocks of pairing distance m={m}")
-    pairs = []
-    for block in range(n_logical // m):
-        base = 2 * m * block
-        for r in range(m):
-            pairs.append((base + r, base + r + m))
-    return tuple(pairs)
+        m = self.m
+        if n_logical % m != 0:
+            raise ValueError(
+                f"register of {n_logical} logical qubits cannot be covered by "
+                f"disjoint blocks of pairing distance m={m}")
+        return tuple((2 * m * block + r, 2 * m * block + r + m)
+                     for block in range(n_logical // m) for r in range(m))
 
 
 # the adjacent code is the modulated one at distance 1 with even parity
 _ADJACENT = PairingPlan(m=1, n=0, residual=None)
 
 
-def find_pairing(kbar: float, d: float, m_max: int = 10, eps_tol: float = 0.1,
-                 n_logical: int | None = None) -> PairingPlan | None:
+def find_pairing(kbar: float, d: float, m_max: int = 10,
+                 eps_tol: float = 0.1) -> PairingPlan | None:
     """Search for the smallest pairing distance commensurate with ``kbar``.
 
     Scans ``m = 1..m_max`` for an integer ``n`` with
@@ -85,19 +76,19 @@ def find_pairing(kbar: float, d: float, m_max: int = 10, eps_tol: float = 0.1,
     ``m`` the nearest integer is optimal).  Returns ``None`` when no pairing
     exists within tolerance — callers must handle that outcome explicitly.
     """
-    if kbar <= 0 or d <= 0:
-        raise ValueError("kbar and d must be positive")
+    for name, value in (("kbar", kbar), ("d", d), ("eps_tol", eps_tol)):
+        if not 0 < value < np.inf:  # a NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if eps_tol <= 0:
-        raise ValueError(f"eps_tol must be positive, got {eps_tol}")
     ratio = kbar * d / np.pi
+    if not m_max * ratio < np.inf:
+        raise ValueError(f"m_max * kbar * d / pi overflows: kbar = {kbar}, d = {d}")
     for m in range(1, m_max + 1):
         n = int(round(m * ratio))
         eps = abs(m * ratio - n)
         if eps <= eps_tol:
-            pairs = _block_pairs(m, n_logical) if n_logical is not None else ()
-            return PairingPlan(m=m, n=n, residual=eps, pairs=pairs)
+            return PairingPlan(m=m, n=n, residual=eps)
     return None
 
 

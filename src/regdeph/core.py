@@ -19,7 +19,11 @@ grid, from three pieces:
   Every basis label picks up its own phase, and the Lamb phase of a
   coherence is the difference of two of them, ``phi_ab = phase_a - phase_b``.
 
-Every public function below is a thin view over this primitive.
+Every public function below that takes a bath and a time is a thin view over
+this primitive, as are ``damping_scale`` and ``phase_scale`` in
+:mod:`regdeph.regimes`.  The weights at one wave vector, :func:`damping_weight`
+and :func:`phase_weight`, go through ``_pair_weights`` instead, as does the
+disorder Monte Carlo.
 
 The primitive sums over the bath's folded view
 (:attr:`regdeph.bath.BathSpectrum.folded`): one mode of every ``+k/-k`` pair,
@@ -290,7 +294,7 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
     s = np.zeros((n_label, n_shell, len(dirs)), dtype=complex)
     n_site = min(len(pos), max(1, CHUNK // rung))
     row = max(n_site, rung)  # elements of one (label, anchor) row of either block
-    per_block = min(n_label, max(1, CHUNK // row))  # labels per block
+    per_block = max(1, min(n_label, CHUNK // row))  # labels per block
     width = min(len(anchors), max(1, CHUNK // (per_block * row)))  # anchors per block
     scaled = np.empty(per_block * width * n_site, dtype=complex)
     product = np.empty(per_block * width * rung, dtype=complex)
@@ -309,7 +313,7 @@ def _ladder_factors(spins, pos, bath: BathSpectrum) -> np.ndarray:
                     out = np.matmul(block.reshape(size, -1), ladder,
                                     out=product[:size * rung].reshape(size, rung))
                     s[a:a + per_block, shells, d] += out.reshape(len(part), -1)[:, :shells.stop - shells.start]
-    return s.reshape(n_label, -1)
+    return s.reshape(n_label, n_shell * len(dirs))
 
 
 def _shell_freqs(bath: BathSpectrum) -> np.ndarray:
@@ -441,7 +445,7 @@ def _shell_sums(values, n_shell, out=None) -> np.ndarray:
     """
     if values.shape[1] == n_shell and out is None:
         return values
-    return values.reshape(len(values), n_shell, -1).sum(-1, out=out)
+    return values.reshape(len(values), n_shell, values.shape[1] // n_shell).sum(-1, out=out)
 
 
 def _damping_weights(re, im, pair, weight, im_diff) -> tuple[int, int]:

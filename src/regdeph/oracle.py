@@ -146,8 +146,8 @@ def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:  # a NaN fails too
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     b = _sector_couplings(bath, positions, labels)[..., None, None]
     lower = _lowering(dim)
     dt = t / steps
@@ -168,8 +168,8 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
     dropped; this ablation is expected to disagree with
     :func:`integrated_blocks` whenever the phase matters.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:  # a NaN fails too
+        raise ValueError(f"time must be finite and >= 0, got {t}")
     b = _sector_couplings(bath, positions, labels)  # (S, M)
     w = bath.omega
     z = (np.conj(b) * (1.0 - np.exp(1j * w * t)) / w)[..., None, None]
@@ -191,9 +191,10 @@ def _bose_populations(bath: BathSpectrum) -> np.ndarray:
     each row is renormalized to sum to 1 on the retained levels.  At
     ``T = 0`` every row is ``[1.0]``, the vacuum.
     """
+    if bath.temperature == 0:
+        return np.ones((bath.n_modes, 1))
     n_th = max(1, int(np.ceil(-np.log(LEAKAGE_TOL) * bath.temperature / np.min(bath.omega))))
-    occupation = bath.occupation()
-    weights = (occupation / (1.0 + occupation))[:, None] ** np.arange(n_th)
+    weights = np.exp(-bath.omega / bath.temperature)[:, None] ** np.arange(n_th)
     return weights / weights.sum(axis=1, keepdims=True)
 
 

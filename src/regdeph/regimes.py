@@ -6,6 +6,11 @@ amplitude and the lattice constant.  This module computes those parameters,
 applies explicit thresholds (the asymptotic conditions are concretized with a
 factor-of-ten margin), and provides the Monte Carlo machinery that checks the
 strong-disorder limits numerically.
+
+The independent limit's scales are views of the primitive of
+:mod:`regdeph.core` on one site at the origin, where ``|S(k)| = 1``.  A NaN
+or infinite input, or a pairing distance that is not an integer ``>= 1``,
+raises ``ValueError`` naming the argument.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 
 from .bath import BathSpectrum, SpectralMoments
 from . import core
-from .core import BasisLabel, _pair_weights, _shell_freqs, _shell_kernels, _times
+from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry, apply_disorder
 
@@ -72,10 +77,12 @@ def classify(geometry: RegisterGeometry, moments: SpectralMoments,
     parameters below pi/10 or (Collective-2) the m-relaxed width parameter
     below 0.1.  Anything else is Intermediate.
     """
-    if m < 1:
-        raise ValueError(f"pairing distance must be >= 1, got {m}")
-    if v <= 0:
-        raise ValueError(f"velocity must be positive, got {v}")
+    # compare before converting, so 1.5 is rejected rather than truncated to 1
+    if not (m >= 1 and m % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"pairing distance m must be an integer >= 1, got {m}")
+    if not 0 < v < np.inf:
+        raise ValueError(f"velocity v must be finite and positive, got {v}")
+    m = int(m)
     delta, d = geometry.delta, geometry.d
     p_ind1a = moments.mean1 * delta / v
     p_ind1b = moments.mean2 * delta / v
@@ -126,6 +133,8 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     """
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples for an error estimate, got {n_samples}")
+    if not np.isfinite(k_magnitude):
+        raise ValueError(f"k_magnitude must be finite, got {k_magnitude}")
     k_vec = np.array([k_magnitude, 0.0, 0.0])
     ideal = geometry.ideal_positions()
     lam1, lam2 = np.empty((2, n_samples))
@@ -162,8 +171,11 @@ def fourier_suppression(delta_omega: float, s: float = 1.0, d: float = 1.0,
     ``|<exp(i s d omega / v)>|`` under the normalized ``g2/omega^2`` weight of
     its mode grid is computed alongside for comparison.
     """
-    if delta_omega < 0 or s <= 0 or d <= 0 or v <= 0:
-        raise ValueError("inputs must be positive (delta_omega >= 0)")
+    if not 0 <= delta_omega < np.inf:  # a NaN fails too
+        raise ValueError(f"delta_omega must be finite and >= 0, got {delta_omega}")
+    for name, value in (("s", s), ("d", d), ("v", v)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     estimate = float(np.exp(-((delta_omega * s * d / v) ** 2)))
     grid_value = None
     if bath is not None:
@@ -173,26 +185,24 @@ def fourier_suppression(delta_omega: float, s: float = 1.0, d: float = 1.0,
     return FourierSuppression(estimate=estimate, grid_value=grid_value)
 
 
-def _mode_sums(bath: BathSpectrum, t: float) -> tuple[float, float]:
-    """The damping and phase kernels at time ``t`` summed over all modes, shell by shell."""
-    _, k_eta, k_phi = next(_shell_kernels(bath, _times(t), 1))
-    w, _, g2 = bath.folded
-    weight = (g2 / w**2).reshape(len(_shell_freqs(bath)), -1).sum(1)  # over each shell
-    return float(k_eta[0] @ weight), float(k_phi[0] @ weight)
+# one site at the origin: |S(k)| = 1 for every mode, so the mode sums are bare
+_UP, _DOWN = BasisLabel((1,)), BasisLabel((-1,))
+_ORIGIN = np.zeros((1, 3))
 
 
 def damping_scale(bath: BathSpectrum, t: float) -> float:
     """Common damping sum shared by all coherences in the independent limit.
 
     A label pair differing on ``n`` qubits damps with exponent ``4n`` times
-    this value; equivalently it is one quarter of the single-flip exponent.
+    this value; it is one quarter of the single-flip exponent, and is taken
+    as exactly that, from one site at the origin.
     """
-    return _mode_sums(bath, t)[0]
+    return damping_exponent(_UP, _DOWN, t, bath, _ORIGIN) / 4.0
 
 
 def phase_scale(bath: BathSpectrum, t: float) -> float:
-    """Companion phase sum: per-unit-weight magnitude of the coherent phase."""
-    return _mode_sums(bath, t)[1]
+    """Companion phase sum: the label phase of one site at the origin, where ``|S(k)| = 1``."""
+    return label_phase(_UP, t, bath, _ORIGIN)
 
 
 def independent_limit_factors(i: BasisLabel, j: BasisLabel, t: float,

@@ -400,6 +400,7 @@ code = modulated
                      "--output", str(out)]) == EXIT_OK
         printed = capsys.readouterr().out
         assert "m = 2" in printed and "n = 1" in printed
+        assert "pairs = 0,2;1,3;4,6;5,7" in printed.splitlines()
 
         assert main(["encode", "--config", str(cfg_path), "--quiet",
                      "--output", str(out)]) == EXIT_OK
@@ -407,6 +408,21 @@ code = modulated
         state = load_state_file("\n".join(l for l in body.splitlines()
                                           if not l.startswith("#")), n_qubits=8)
         assert set(map(str, state.labels())) == {"++++++++", "--------"}
+        capsys.readouterr()
+
+        # an odd register has no cover to print
+        odd = _write(tmp_path, text.replace("dims = 8,1,1", "dims = 7,1,1"))
+        assert main(["pairing", "--config", str(odd), "--quiet",
+                     "--output", str(tmp_path / "odd")]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert "m = 2" in printed and "pairs" not in printed
+
+        # 3 logical qubits cannot be covered by blocks of m = 2: nothing is printed
+        uncovered = _write(tmp_path, text.replace("dims = 8,1,1", "dims = 6,1,1"))
+        assert main(["pairing", "--config", str(uncovered), "--quiet",
+                     "--output", str(tmp_path / "uncovered")]) == EXIT_VALIDATION
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "uncovered").exists()
 
     def test_encode_without_peak_reports_unknown_epsilon(self, tmp_path, capsys):
         text = """\

@@ -92,9 +92,9 @@ class TestFindPairing:
             assert len({(p.m, p.n) for p in plans}) == 1
 
     def test_pair_cover(self):
-        plan = find_pairing(0.5 * np.pi, 1.0, n_logical=4)
-        assert plan.pairs == ((0, 2), (1, 3), (4, 6), (5, 7))
-        flat = [s for pair in plan.pairs for s in pair]
+        pairs = find_pairing(0.5 * np.pi, 1.0).physical_pairs(4)
+        assert pairs == ((0, 2), (1, 3), (4, 6), (5, 7))
+        flat = [s for pair in pairs for s in pair]
         assert sorted(flat) == list(range(8))
 
     def test_cover_requires_divisible_register(self):
@@ -107,6 +107,19 @@ class TestFindPairing:
             find_pairing(-1.0, 1.0)
         with pytest.raises(ValueError):
             find_pairing(1.0, 1.0, eps_tol=0.0)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("eps_tol", dict(eps_tol=float("nan"))),
+        ("eps_tol", dict(eps_tol=float("inf"))),
+        ("kbar", dict(kbar=float("nan"))),
+        ("kbar", dict(kbar=float("inf"))),
+        ("d", dict(d=float("nan"))),
+        ("overflows", dict(kbar=1e308, d=10.0)),
+    ])
+    def test_non_finite_inputs_rejected(self, name, kwargs):
+        # a NaN tolerance used to return None, and an infinite kbar an OverflowError
+        with pytest.raises(ValueError, match=name):
+            find_pairing(**{"kbar": 1.0, "d": 1.0, **kwargs})
 
 
 class TestModulatedEncoding:
@@ -143,17 +156,23 @@ class TestModulatedEncoding:
         assert res.logical == lab and res.clean
 
     def test_pairs_must_be_the_block_cover(self):
-        # a cover other than the blocks would encode with one layout and decode with another
-        with pytest.raises(ValueError, match="not the blocks"):
-            PairingPlan(m=1, n=0, residual=None, pairs=((0, 2), (1, 3)))
-        with pytest.raises(ValueError):
-            PairingPlan(m=2, n=1, residual=0.0, pairs=((0, 2), (1, 3), (4, 6)))
-        plan = find_pairing(0.5 * np.pi, 1.0, n_logical=4)
+        # encoding and decoding share the one cover, the blocks of physical_pairs
+        plan = find_pairing(0.5 * np.pi, 1.0)
         lab = BasisLabel((1, -1, -1, 1))
         encoded = encode_modulated(lab, plan)
-        assert [encoded.spins[site] for site, _ in plan.pairs] == list(lab.spins)
+        pairs = plan.physical_pairs(len(lab))
+        assert [encoded.spins[site] for site, _ in pairs] == list(lab.spins)
+        sign = (-1) ** (plan.n + 1)
+        assert [encoded.spins[partner] for _, partner in pairs] == [sign * s for s in lab.spins]
         res = decode_modulated(encoded, plan)
         assert res.logical == lab and res.clean
+        with pytest.raises(ValueError, match="cannot be covered"):
+            PairingPlan(m=2, n=1, residual=0.0).physical_pairs(3)
+
+    @pytest.mark.parametrize("residual", [float("nan"), float("inf"), -0.1])
+    def test_residual_must_be_finite_and_nonnegative(self, residual):
+        with pytest.raises(ValueError, match="residual"):
+            PairingPlan(m=1, n=0, residual=residual)
 
     def test_size_mismatch_rejected(self):
         plan = PairingPlan(m=2, n=1, residual=0.0)

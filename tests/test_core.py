@@ -412,6 +412,22 @@ def test_pair_factors_diagonal_and_consistency():
             assert fac.phi(a, b) == pytest.approx(lamb_phase(a, b, 2.0, bath, pos), abs=1e-12)
 
 
+@pytest.mark.parametrize("grid", [True, False])
+def test_empty_label_set_gives_empty_factors(grid):
+    # the ladder path used to divide by zero labels per block
+    from regdeph.core import _coherence
+
+    bath = (discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, dimensionality=3,
+                                n_freq=16, omega_max=4.0, n_directions=6)
+            if grid else random_bath(np.random.default_rng(67)))
+    assert (bath.grid is not None) == grid
+    pos = line_positions(3)
+    fac = pair_factors([], 1.5, bath, pos)
+    assert fac.labels == () and fac.eta_matrix.shape == fac.phi_matrix.shape == (0, 0)
+    eta, phase = _coherence([], [0.0, 1.0, 2.0], bath, pos)
+    assert eta.shape == phase.shape == (3, 0)
+
+
 def _closed_form_calls():
     from regdeph.regimes import damping_scale, independent_limit_factors, phase_scale
 

@@ -8,6 +8,7 @@ from regdeph.core import BasisLabel, RegisterState, evolve
 from regdeph.oracle import (
     LEAKAGE_TOL,
     TruncationLeakageError,
+    _bose_populations,
     analytic_blocks,
     check_instance,
     coherent_vector,
@@ -347,6 +348,33 @@ def test_exact_trace_matches_per_mode_reference():
         bose_rows(bath, n_levels))
     for key, val in res.entries.items():
         assert abs(val - reference[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3, 0.9, 4.0])
+def test_bose_populations_are_the_normalized_series(temperature):
+    w = np.array([0.4, 0.7, 1.2])
+    bath = BathSpectrum(omega=w, k=np.outer(w, [1.0, 0.0, 0.0]), g2=np.full(3, 0.02),
+                        v=1.0, temperature=temperature)
+    rows = _bose_populations(bath)
+    if temperature == 0:
+        assert np.array_equal(rows, vacuum(bath))
+        return
+    # the series stops at the first level whose dropped tail is <= LEAKAGE_TOL
+    n_levels = next(n for n in range(1, 1000) if np.exp(-w.min() * n / temperature) <= LEAKAGE_TOL)
+    assert rows.shape == (3, n_levels)
+    assert np.max(np.abs(rows - bose_rows(bath, n_levels))) <= 1e-15
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_time_must_be_finite_and_nonnegative(t):
+    # NaN and infinite times used to fail later, in eigh, with LinAlgError
+    bath, pos, labels = one_mode(temperature=0.5), line_positions(2), register_basis(2)
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        integrated_blocks(bath, pos, labels, t, 10, 5)
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        analytic_blocks(bath, pos, labels, t, 5)
+    with pytest.raises(ValueError, match="time must be finite and >= 0"):
+        thermal_reduced_density(RegisterState.cat(2), t, bath, pos, steps=10)
 
 
 def test_hot_mode_leakage_raises_with_weighted_value():
