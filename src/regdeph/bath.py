@@ -314,10 +314,12 @@ class SpectralMoments:
     width2: float
 
     def __post_init__(self):
-        if self.mean1 <= 0 or self.mean2 <= 0:
-            raise ValueError("spectral means must be positive")
-        if self.width1 < 0 or self.width2 < 0:
-            raise ValueError("spectral widths must be >= 0")
+        for name, value in (("mean1", self.mean1), ("mean2", self.mean2)):
+            if not 0 < value < np.inf:  # a NaN fails too
+                raise ValueError(f"spectral mean {name} must be finite and positive, got {value}")
+        for name, value in (("width1", self.width1), ("width2", self.width2)):
+            if not 0 <= value < np.inf:
+                raise ValueError(f"spectral width {name} must be finite and >= 0, got {value}")
 
 
 def _weighted_mean_std(omega, weights):

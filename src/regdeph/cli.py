@@ -46,8 +46,6 @@ EXIT_VALIDATION = 1
 EXIT_TOLERANCE = 2
 EXIT_IO = 3
 
-COMMANDS = ("simulate", "classify", "encode", "pairing", "disorder-scan", "validate-oracle")
-
 
 def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}g}"
@@ -227,6 +225,7 @@ _HANDLERS = {
     "disorder-scan": _cmd_disorder_scan,
     "validate-oracle": _cmd_validate_oracle,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run_command(command: str, cfg: RunConfig, out_dir: str | Path = None,

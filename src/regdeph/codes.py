@@ -79,8 +79,10 @@ def find_pairing(kbar: float, d: float, m_max: int = 10,
     for name, value in (("kbar", kbar), ("d", d), ("eps_tol", eps_tol)):
         if not 0 < value < np.inf:  # a NaN fails too
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    # compare before converting, so 2.5 is rejected rather than passed to range
+    if not (m_max >= 1 and m_max % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"m_max must be an integer >= 1, got {m_max}")
+    m_max = int(m_max)
     ratio = kbar * d / np.pi
     if not m_max * ratio < np.inf:
         raise ValueError(f"m_max * kbar * d / pi overflows: kbar = {kbar}, d = {d}")

@@ -1,10 +1,11 @@
 """Run configuration: strict INI parsing, canonical serialization, builders.
 
-The config dataclasses are the schema: each field names its INI key, and the
-field order is the canonical order.  Unknown sections or keys are hard errors,
-every default is recorded in the resolved configuration, and ``parse ->
-serialize -> parse`` is the identity.  The sha256 of the canonical
-serialization identifies a run in all output headers.
+The config dataclasses are the schema: each field names its INI key and
+carries its bounds or allowed values, and the field order is the canonical
+order.  Unknown sections or keys are hard errors, every default is recorded
+in the resolved configuration, and ``parse -> serialize -> parse`` is the
+identity.  The sha256 of the canonical serialization identifies a run in all
+output headers.
 """
 from __future__ import annotations
 
@@ -31,16 +32,18 @@ class ConfigError(ValueError):
 
 
 def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=None,
-         gt=None, ge=None):
+         gt=None, ge=None, le=None, choices=None):
     """A field kept at INI key ``name`` ("section.key") and converted as ``kind``.
     The canonical form omits an ``optional`` key while it holds its default, and
     a key ``replaced_by`` another field while that field is set (not None).
-    A value must be greater than ``gt`` or at least ``ge`` when one is given."""
+    A value must be greater than ``gt``, at least ``ge``, at most ``le`` and one
+    of ``choices``, for each of them that is given."""
     section, key = name.split(".")
-    bound = (">", gt) if gt is not None else (">=", ge) if ge is not None else None
+    bounds = tuple((op, limit) for op, limit in ((">", gt), (">=", ge), ("<=", le))
+                   if limit is not None)
     return field(default=default, metadata={"section": section, "key": key, "kind": kind,
                                             "optional": optional, "replaced_by": replaced_by,
-                                            "bound": bound})
+                                            "bounds": bounds, "choices": choices})
 
 
 def _sub(cls):
@@ -68,7 +71,7 @@ class PeakConfig:
 class BathConfig:
     v: float = _ini("bath.v", "float", 1.0, gt=0)
     T: float = _ini("bath.T", "float", 0.0, ge=0)
-    dimensionality: int = _ini("bath.dimensionality", "int", 1)
+    dimensionality: int = _ini("bath.dimensionality", "int", 1, choices=(1, 3))
     coupling_amplitude: float = _ini("coupling.A", "float", 1.0, ge=0)
     coupling_exponent: float = _ini("coupling.p", "float", 1.0)
     coupling_cutoff: float = _ini("coupling.cutoff", "float", 1.0, gt=0)
@@ -80,7 +83,8 @@ class BathConfig:
 
 @dataclass(frozen=True)
 class StateConfig:
-    preset: str = _ini("state.preset", "str", "cat", replaced_by="entries")
+    preset: str = _ini("state.preset", "str", "cat", replaced_by="entries",
+                       choices=("cat", "single-flip"))
     entries: tuple[tuple[str, float, float], ...] | None = _ini(
         "state.entries", "entries", None, optional=True)
     site: int = _ini("state.site", "int", 0)
@@ -88,13 +92,13 @@ class StateConfig:
 
 @dataclass(frozen=True)
 class RunOptions:
-    t0: float = _ini("run.t0", "float", 0.0)
+    t0: float = _ini("run.t0", "float", 0.0, ge=0)
     t1: float = _ini("run.t1", "float", 10.0)
     steps: int = _ini("run.steps", "int", 101, ge=1)
     m: int = _ini("run.m", "int", 1, ge=1)
     m_max: int = _ini("run.m_max", "int", 10, ge=1)
     eps_tol: float = _ini("run.eps_tol", "float", 0.1, gt=0)
-    code: str = _ini("run.code", "str", "adjacent")
+    code: str = _ini("run.code", "str", "adjacent", choices=("adjacent", "modulated"))
     pair_m: int | None = _ini("run.pair_m", "int", None, optional=True)
     pair_n: int | None = _ini("run.pair_n", "int", None, optional=True)
     track_pairs: str = _ini("run.track_pairs", "str", "", optional=True)
@@ -111,7 +115,7 @@ class RunOptions:
 @dataclass(frozen=True)
 class OutputConfig:
     dir: str = _ini("output.dir", "str", "out")
-    precision: int = _ini("output.precision", "int", 12)
+    precision: int = _ini("output.precision", "int", 12, ge=1, le=17)
     export_positions: bool = _ini("output.export_positions", "bool", False)
     export_modes: bool = _ini("output.export_modes", "bool", False)
 
@@ -181,8 +185,8 @@ def _boolean(raw: str) -> bool:
 
 def _dims(raw: str) -> tuple[int, int, int]:
     parts = tuple(int(p) for p in raw.replace(",", " ").split())
-    if len(parts) != 3:
-        raise ValueError("dims needs exactly three integers")
+    if len(parts) != 3 or min(parts) < 1:
+        raise ValueError(f"dims needs exactly three positive integers, got {raw.strip()!r}")
     return parts
 
 
@@ -192,7 +196,7 @@ _PARSE = {"int": int, "float": _finite, "bool": _boolean, "str": str.strip, "dim
 _FORMAT = {"int": str, "float": repr, "bool": lambda v: "true" if v else "false", "str": str,
            "dims": lambda v: ",".join(map(str, v))}
 
-_HOLDS = {">": operator.gt, ">=": operator.ge}  # bound of a field -> its test
+_HOLDS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}  # bound -> its test
 
 
 def _convert(section: str, key: str, raw: str):
@@ -250,16 +254,15 @@ def parse_config(text: str) -> RunConfig:
 def _validate(cfg: RunConfig):
     for obj, f in _keys(cfg):
         meta, value = f.metadata, getattr(obj, f.name)
-        if meta["bound"]:
-            op, limit = meta["bound"]
+        name = f"{meta['section']}.{meta['key']}"
+        for op, limit in meta["bounds"]:
             if not _HOLDS[op](value, limit):
-                raise ConfigError(f"{meta['section']}.{meta['key']} must be {op} {limit}, "
-                                  f"got {value!r}")
-    if any(n < 1 for n in cfg.geometry.dims):
-        raise ConfigError(f"geometry.dims must be positive, got {cfg.geometry.dims}")
+                raise ConfigError(f"{name} must be {op} {limit}, got {value!r}")
+        if meta["choices"] and value not in meta["choices"]:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, meta['choices']))}, "
+                              f"got {value!r}")
+    # the rules below join two or more keys
     b = cfg.bath
-    if b.dimensionality not in (1, 3):
-        raise ConfigError(f"bath.dimensionality must be 1 or 3, got {b.dimensionality}")
     if b.dimensionality == 3 and (b.grid_directions < 2 or b.grid_directions % 2):
         raise ConfigError(f"grid.directions must be even and >= 2 for a 3-D bath, "
                           f"got {b.grid_directions}")
@@ -269,19 +272,13 @@ def _validate(cfg: RunConfig):
     if b.peak is None and b.coupling_exponent <= p_min:
         raise ConfigError(f"coupling.p must be > {p_min:g} for a power-law bath at bath.T = "
                           f"{b.T!r}, got {b.coupling_exponent!r}")
-    if cfg.state.entries is None and cfg.state.preset not in ("cat", "single-flip"):
-        raise ConfigError(f"state.preset must be 'cat' or 'single-flip', got {cfg.state.preset!r}")
     r = cfg.run
-    if r.t0 < 0 or r.t1 < r.t0:
-        raise ConfigError("run time grid needs 0 <= t0 <= t1")
-    if r.code not in ("adjacent", "modulated"):
-        raise ConfigError(f"run.code must be 'adjacent' or 'modulated', got {r.code!r}")
+    if r.t1 < r.t0:
+        raise ConfigError(f"run.t1 must be >= run.t0 = {r.t0!r}, got {r.t1!r}")
     if (r.pair_m is None) != (r.pair_n is None):
         raise ConfigError("run.pair_m and run.pair_n must be given together")
     if bool(r.label_i) != bool(r.label_j):
         raise ConfigError("run.label_i and run.label_j must be given together")
-    if cfg.output.precision < 1 or cfg.output.precision > 17:
-        raise ConfigError("output.precision must be in 1..17")
 
 
 def _format(key: str, kind: str, value) -> str:
@@ -366,11 +363,9 @@ def build_state(cfg: RunConfig, n_qubits: int) -> RegisterState:
         return state_from_entries(s.entries, n_qubits)
     if s.preset == "cat":
         return RegisterState.cat(n_qubits)
-    if s.preset == "single-flip":
-        if not 0 <= s.site < n_qubits:
-            raise ConfigError(f"state.site: {s.site} is out of range for {n_qubits} qubits")
-        return RegisterState.single_flip(n_qubits, site=s.site)
-    raise ConfigError(f"unknown state preset {s.preset!r}")
+    if not 0 <= s.site < n_qubits:
+        raise ConfigError(f"state.site: {s.site} is out of range for {n_qubits} qubits")
+    return RegisterState.single_flip(n_qubits, site=s.site)
 
 
 def load_state_file(text: str, n_qubits: int | None = None) -> RegisterState:

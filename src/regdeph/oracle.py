@@ -304,9 +304,9 @@ class InstanceCheck:
         return self.deviation <= self.tolerance
 
 
-def _paired_bath(freqs, shell_g2, temperature=0.0, axis=(1.0, 0.0, 0.0)) -> BathSpectrum:
-    """Bath with every frequency shell emitted as a +/-k pair along ``axis``."""
-    axis = np.asarray(axis, dtype=float)
+def _paired_bath(freqs, shell_g2, temperature=0.0) -> BathSpectrum:
+    """Bath with every frequency shell emitted as a +/-k pair along x, the register axis."""
+    axis = np.array([1.0, 0.0, 0.0])
     omega, g2, k = [], [], []
     for w, g in zip(freqs, shell_g2):
         for sign in (1.0, -1.0):
@@ -346,18 +346,13 @@ def random_instances(n_instances: int, seed: int = 7,
         positions[:, 0] += rng.normal(0.0, 0.05 * d, size=n_qubits)
         t = float(rng.uniform(1.0, 5.0))
         style = idx % 3
-        if style == 0 and n_qubits == 1:
+        if style == 1 or style == 0 and n_qubits == 1:
+            # one mode: k along x on one qubit (style 0), along y, off the register axis, on any
             w = float(rng.uniform(0.6, 1.8))
-            bath = BathSpectrum(omega=np.array([w]), k=np.array([[w, 0.0, 0.0]]),
+            bath = BathSpectrum(omega=np.array([w]), k=w * np.eye(3)[[style]],
                                 g2=np.array([float(rng.uniform(0.02, 0.08))]),
                                 v=1.0, temperature=temperature)
-            name = f"single-mode-1q-{idx}"
-        elif style == 1:
-            w = float(rng.uniform(0.6, 1.8))
-            bath = BathSpectrum(omega=np.array([w]), k=np.array([[0.0, w, 0.0]]),
-                                g2=np.array([float(rng.uniform(0.02, 0.08))]),
-                                v=1.0, temperature=temperature)
-            name = f"collective-mode-{n_qubits}q-{idx}"
+            name = f"collective-mode-{n_qubits}q-{idx}" if style else f"single-mode-1q-{idx}"
         else:
             n_shells = int(rng.integers(1, 3))
             freqs = rng.uniform(0.6, 1.8, size=n_shells)

@@ -6,6 +6,7 @@ from regdeph.bath import (
     BathSpectrum,
     GaussianPeakCoupling,
     PowerLawCoupling,
+    SpectralMoments,
     coth_half,
     discretize_spectrum,
     gaussian_peak_modes,
@@ -240,6 +241,18 @@ class TestSpectralMoments:
                             g2=np.array([0.0]), v=1.0)
         with pytest.raises(ValueError):
             spectral_moments(bath)
+
+    @pytest.mark.parametrize("name, moments", [
+        # the first two used to classify a 4-site chain as Intermediate
+        ("mean1", (np.nan, np.nan, np.nan, 0.1)),
+        ("mean1", (np.inf, 0.1, 1.0, 0.1)),
+        ("width1", (1.0, np.inf, 1.0, 0.1)),
+        ("mean2", (1.0, 0.1, -np.inf, 0.1)),
+        ("width2", (1.0, 0.1, 1.0, np.nan)),
+    ])
+    def test_non_finite_moments_rejected(self, name, moments):
+        with pytest.raises(ValueError, match=rf"\b{name}\b"):
+            SpectralMoments(*moments)
 
 
 def test_gaussian_peak_preset_moments():

@@ -141,7 +141,7 @@ PINNED_HASHES = {
 
 PEAK = "[peak]\ncenter = 1.0\nwidth = 0.1\n"
 
-# one config per bound, each with the start of the error it must raise
+# one config per rule, each with the start of the error it must raise
 OUT_OF_RANGE = [
     ("[peak]\ncenter = 0\nwidth = 0.1\n", "peak.center must be > 0"),
     ("[peak]\ncenter = 1.0\nwidth = 0\n", "peak.width must be > 0"),
@@ -161,6 +161,14 @@ OUT_OF_RANGE = [
     # infrared bound of a power-law bath: at T > 0, and at T = 0
     ("[bath]\nT = 0.5\n\n[coupling]\np = 0\n", "coupling.p must be > 0"),
     ("[coupling]\np = -1\n", "coupling.p must be > -1"),
+    ("[geometry]\ndims = 0,1,1\n", "invalid value for geometry.dims"),
+    ("[bath]\ndimensionality = 2\n", "bath.dimensionality must be 1 or 3, got 2"),
+    ("[state]\npreset = ghz\n", "state.preset must be 'cat' or 'single-flip', got 'ghz'"),
+    ("[run]\nt0 = -1\n", "run.t0 must be >= 0"),
+    ("[run]\nt0 = 2.0\nt1 = 1.0\n", "run.t1 must be >= run.t0"),
+    ("[run]\ncode = other\n", "run.code must be 'adjacent' or 'modulated', got 'other'"),
+    ("[output]\nprecision = 0\n", "output.precision must be >= 1"),
+    ("[output]\nprecision = 18\n", "output.precision must be <= 17"),
 ]
 
 
@@ -226,7 +234,8 @@ entries =
             parse_config(MINIMAL + "\n[extras]\nx = 1\n")
 
     @pytest.mark.parametrize("text, message", OUT_OF_RANGE,
-                             ids=[message.split()[0] for _, message in OUT_OF_RANGE])
+                             ids=[re.search(r"\w+\.\w+", message).group()
+                                  for _, message in OUT_OF_RANGE])
     def test_out_of_range_value_names_the_key(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
@@ -590,8 +599,9 @@ class TestExitCodes:
         ("simulate", "[geometry]\ndelta = 0.1\nseed = -3\n", "geometry.seed"),
         ("simulate", "[geometry]\nseed = -3\n", "geometry.seed"),
         ("validate-oracle", "[geometry]\nseed = -3\n", "geometry.seed"),
+        ("simulate", "[output]\nprecision = 18\n", "output.precision"),
     ], ids=["peak.n_sigma", "coupling.cutoff", "run.delta_steps", "seed-disordered",
-            "seed-ideal", "seed-oracle"])
+            "seed-ideal", "seed-oracle", "output.precision"])
     def test_out_of_range_value_is_validation_failure(self, tmp_path, capsys, command, text, key):
         out = tmp_path / "o"
         assert main([command, "--config", str(_write(tmp_path, text)), "--quiet",

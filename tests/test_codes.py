@@ -115,9 +115,11 @@ class TestFindPairing:
         ("kbar", dict(kbar=float("inf"))),
         ("d", dict(d=float("nan"))),
         ("overflows", dict(kbar=1e308, d=10.0)),
+        ("m_max", dict(m_max=2.5)),
     ])
     def test_non_finite_inputs_rejected(self, name, kwargs):
-        # a NaN tolerance used to return None, and an infinite kbar an OverflowError
+        # a NaN tolerance used to return None, an infinite kbar an OverflowError, and a
+        # fractional m_max a TypeError from range
         with pytest.raises(ValueError, match=name):
             find_pairing(**{"kbar": 1.0, "d": 1.0, **kwargs})
 

@@ -413,3 +413,38 @@ def test_default_suite_mixes_temperatures():
     check = check_instance(suite[-1])
     assert check.kind == "absolute" and check.tolerance == 1e-4
     assert check.passed, check.deviation
+
+
+# (name, t, qubits, modes) of every instance of default_suite(seed): six cold, then one
+# thermal.  Between them the two seeds take every branch of random_instances: one
+# qubit with its mode along x, the collective mode on one and on two qubits, and
+# paired shells on one and on several qubits.  validate-oracle and the benchmark's
+# oracle workload select from these suites, so they must stay draw for draw the same.
+PINNED_SUITES = {
+    10: [
+        ("paired-2shell-3q-0", 1.5436784160820265, 3, 4),
+        ("collective-mode-1q-1", 4.626115024451707, 1, 1),
+        ("paired-2shell-2q-2", 1.9991020775851327, 2, 4),
+        ("paired-2shell-2q-3", 4.9484970875603755, 2, 4),
+        ("collective-mode-2q-4", 2.8302357295773115, 2, 1),
+        ("paired-2shell-2q-5", 1.7438396950267356, 2, 4),
+        ("single-mode-1q-0", 1.1147560334877782, 1, 1),
+    ],
+    27: [
+        ("single-mode-1q-0", 2.2943660864565105, 1, 1),
+        ("collective-mode-2q-1", 2.4207924169559276, 2, 1),
+        ("paired-2shell-1q-2", 4.5606533342494595, 1, 4),
+        ("paired-2shell-2q-3", 4.978718410161586, 2, 4),
+        ("collective-mode-1q-4", 3.1714138692553813, 1, 1),
+        ("paired-2shell-1q-5", 3.4898466654804374, 1, 4),
+        ("paired-2shell-2q-0", 1.2007989093130713, 2, 4),
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_SUITES))
+def test_default_suite_is_pinned(seed):
+    suite = default_suite(seed)
+    assert [(inst.name, inst.t, len(inst.positions), inst.bath.n_modes)
+            for inst in suite] == PINNED_SUITES[seed]
+    assert [inst.bath.temperature for inst in suite] == [0.0] * 6 + [0.8]
