@@ -7,6 +7,9 @@ midpoint split-step scheme built directly from the time-dependent interaction
 Hamiltonian — no damping/phase formulas from :mod:`regdeph.core` enter
 anywhere in the integration path.
 :func:`analytic_blocks` gives the analytic propagators of the same blocks.
+Each block exponential, a step's or a displacement's, is the exact one of
+the truncated generator, taken from one real eigenbasis of ``a + a+`` per
+truncation plus a diagonal phase per block (:func:`_drive_exp`).
 
 :func:`reduced_density` is the one way the bath is traced out, for cold
 and thermal baths alike.  A thermal mode is diagonal in the number basis,
@@ -122,15 +125,24 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
     return vec / np.linalg.norm(vec, axis=0)
 
 
-def _lowering(dim: int) -> np.ndarray:
-    """Annihilation operator on the retained levels ``0..dim-1``."""
-    return np.diag(np.sqrt(np.arange(1, dim)), 1)
+def _drive_exp(beta: np.ndarray, dim: int) -> np.ndarray:
+    """``exp(-i (beta a + beta* a+))`` for every entry of ``beta``, shape ``beta.shape + (dim, dim)``.
 
-
-def _exp_hermitian(h: np.ndarray) -> np.ndarray:
-    """``exp(-i h)`` for a stack of Hermitian matrices, by one batched eigh."""
-    eigvals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * eigvals)[..., None, :]) @ np.conj(vecs).swapaxes(-1, -2)
+    On the retained levels the generator is ``|beta| P (a + a+) P*`` with the
+    number-operator rotation ``P = diag(exp(-i arg(beta) n))``, so one real
+    eigendecomposition ``a + a+ = V diag(lam) V^T`` serves every block:
+    the exponential is ``P V diag(exp(-i |beta| lam)) V^T P*``, and ``P`` is
+    applied in place as a row and a column scaling.
+    """
+    if not (dim >= 1 and dim % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)  # a on the levels 0..dim-1
+    lam, vecs = np.linalg.eigh(lower + lower.T)
+    out = (vecs * np.exp(-1j * np.abs(beta)[..., None, None] * lam)) @ vecs.T
+    rot = np.exp(-1j * np.angle(beta)[..., None] * np.arange(dim))
+    out *= rot[..., :, None]
+    out *= np.conj(rot)[..., None, :]
+    return out
 
 
 def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
@@ -141,21 +153,24 @@ def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
     The drive phase there is a number-operator rotation ``R_n = R_half R_dt^n``
     of the zero-phase step ``B``, so step ``n`` is ``R_n B R_n*`` and the
     product of all steps telescopes to ``R_half R_dt^steps (R_dt* B)^steps
-    R_half*``.  The power is taken by repeated squaring for all blocks at once;
-    no closed-form expression enters.
+    R_half*``.  ``B`` is the exact exponential of the truncated step
+    generator, taken from one real eigenbasis of ``a + a+`` and a diagonal
+    phase per block (:func:`_drive_exp`).  The power is taken by repeated
+    squaring for all blocks at once; no closed-form expression enters.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (steps >= 1 and steps % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
     if not 0 <= t < np.inf:  # a NaN fails too
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    b = _sector_couplings(bath, positions, labels)[..., None, None]
-    lower = _lowering(dim)
+    steps = int(steps)
     dt = t / steps
-    base = _exp_hermitian(dt * (b * lower + np.conj(b) * lower.T))
+    base = _drive_exp(dt * _sector_couplings(bath, positions, labels), dim)
     rate = 1j * np.outer(bath.omega, np.arange(dim))  # (M, dim): i * omega * n
-    power = np.linalg.matrix_power(np.exp(-rate * dt)[..., None] * base, steps)
-    return (np.exp(rate * (t + 0.5 * dt))[..., None] * power
-            * np.exp(-rate * (0.5 * dt))[..., None, :])
+    base *= np.exp(-rate * dt)[..., None]
+    power = np.linalg.matrix_power(base, steps)
+    power *= np.exp(rate * (t + 0.5 * dt))[..., None]
+    power *= np.exp(-rate * (0.5 * dt))[..., None, :]
+    return power
 
 
 def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
@@ -164,18 +179,19 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
 
     Each block is a displacement times the scalar phase
     ``exp(i |b|^2 (wt - sin wt) / w^2)``; over the modes of a label the phases
-    multiply to that label's phase.  With ``include_phase=False`` the phase is
-    dropped; this ablation is expected to disagree with
-    :func:`integrated_blocks` whenever the phase matters.
+    multiply to that label's phase.  The displacement ``exp(z a+ - z* a)`` on
+    the retained levels comes from the same real eigenbasis and diagonal
+    phase per block as the integrator's steps (:func:`_drive_exp`).  With
+    ``include_phase=False`` the phase is dropped; this ablation is expected
+    to disagree with :func:`integrated_blocks` whenever the phase matters.
     """
     if not 0 <= t < np.inf:  # a NaN fails too
         raise ValueError(f"time must be finite and >= 0, got {t}")
     b = _sector_couplings(bath, positions, labels)  # (S, M)
     w = bath.omega
-    z = (np.conj(b) * (1.0 - np.exp(1j * w * t)) / w)[..., None, None]
-    lower = _lowering(dim)
-    # exp(z a+ - z* a) = exp(-i h) with Hermitian h = i (z a+ - z* a)
-    blocks = _exp_hermitian(1j * (z * lower.T - np.conj(z) * lower))
+    z = np.conj(b) * (1.0 - np.exp(1j * w * t)) / w
+    # exp(z a+ - z* a) = exp(-i (beta a + beta* a+)) with beta = -i z*
+    blocks = _drive_exp(-1j * np.conj(z), dim)
     if include_phase:
         phi = np.abs(b) ** 2 * (w * t - np.sin(w * t)) / w**2
         blocks *= np.exp(1j * phi)[..., None, None]
@@ -371,7 +387,10 @@ def check_instance(inst: OracleInstance, tolerance: float = 1e-4) -> InstanceChe
     The comparison is absolute per entry at every temperature: the oracle's
     thermal trace is exact, so its deviation is the integrator's step error
     plus the truncated Bose tail, itself at most ``LEAKAGE_TOL``.
+    ``tolerance`` must be finite and >= 0.
     """
+    if not 0 <= tolerance < np.inf:  # a NaN fails too
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     from .core import evolve  # deferred: the dynamics here never use it
 
     closed = evolve(inst.state, inst.t, inst.bath, inst.positions)

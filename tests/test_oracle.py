@@ -9,6 +9,7 @@ from regdeph.oracle import (
     LEAKAGE_TOL,
     TruncationLeakageError,
     _bose_populations,
+    _drive_exp,
     analytic_blocks,
     check_instance,
     coherent_vector,
@@ -140,6 +141,22 @@ def stepwise_blocks(bath, positions, labels, t, steps, dim):
         r = np.exp(rate * (n + 0.5) * dt)
         acc = (r[..., None] * base * np.conj(r)[..., None, :]) @ acc
     return acc
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 40])
+def test_drive_exp_matches_expm(dim):
+    rng = np.random.default_rng(dim)
+    drawn = rng.uniform(0.0, 6.0, size=8) * np.exp(2j * np.pi * rng.uniform(size=8))
+    betas = np.concatenate(([0.0, 1e-9, 2.5j, -4.0], drawn)).reshape(3, 4)
+    lower = np.diag(np.sqrt(np.arange(1, dim)), 1)
+    ref = np.array([[expm(-1j * (x * lower + np.conj(x) * lower.T)) for x in row]
+                    for row in betas])
+    got = _drive_exp(betas, dim)
+    assert got.shape == (3, 4, dim, dim)
+    # measured: at most 8.8e-15 from expm and 2.4e-15 from unitarity, over 20 seeds
+    assert np.max(np.abs(got - ref)) <= 2e-14
+    gram = got @ np.conj(got).swapaxes(-1, -2)
+    assert np.max(np.abs(gram - np.eye(dim))) <= 5e-15
 
 
 def test_telescoped_product_matches_stepwise_reference():
@@ -375,6 +392,38 @@ def test_time_must_be_finite_and_nonnegative(t):
         analytic_blocks(bath, pos, labels, t, 5)
     with pytest.raises(ValueError, match="time must be finite and >= 0"):
         thermal_reduced_density(RegisterState.cat(2), t, bath, pos, steps=10)
+
+
+@pytest.mark.parametrize("dim", [0, -3, 2.5, float("nan")])
+def test_dim_must_be_a_positive_integer(dim):
+    # dim = 0 and -3 used to give 1 x 1 analytic blocks, and 2.5 gave 3 x 3 blocks
+    bath, pos, labels = one_mode(), line_positions(2), register_basis(2)
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        integrated_blocks(bath, pos, labels, 2.0, 10, dim)
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        analytic_blocks(bath, pos, labels, 2.0, dim)
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, float("nan"), float("inf")])
+def test_steps_must_be_a_positive_integer(steps):
+    bath, pos, labels = one_mode(), line_positions(2), register_basis(2)
+    with pytest.raises(ValueError, match="steps must be an integer >= 1"):
+        integrated_blocks(bath, pos, labels, 2.0, steps, 6)
+
+
+def test_integral_float_steps_are_that_integer():
+    # steps = 10.0 used to raise TypeError in matrix_power
+    bath, pos, labels = one_mode(), line_positions(2), register_basis(2)
+    assert np.array_equal(integrated_blocks(bath, pos, labels, 2.0, 10.0, 6),
+                          integrated_blocks(bath, pos, labels, 2.0, 10, 6))
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1e-4, float("inf")])
+def test_check_instance_tolerance_must_be_finite_and_nonnegative(tolerance):
+    # NaN and negative tolerances used to fail every instance, and inf passed every one
+    inst = random_instances(1, seed=3)[0]
+    with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+        check_instance(inst, tolerance=tolerance)
 
 
 def test_hot_mode_leakage_raises_with_weighted_value():
