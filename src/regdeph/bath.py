@@ -261,8 +261,10 @@ def discretize_spectrum(
     direction set of its shell.  Doubling ``n_freq`` refines the grid toward
     the continuum spectral sums.
     """
-    if n_freq < 1:
-        raise ValueError(f"n_freq must be >= 1, got {n_freq}")
+    # compare before converting, so 2.5 is rejected rather than truncated
+    if not (n_freq >= 1 and n_freq % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"n_freq must be an integer >= 1, got {n_freq}")
+    n_freq = int(n_freq)
     if omega_max <= 0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
     step = omega_max / n_freq
@@ -288,6 +290,10 @@ def gaussian_peak_modes(
     frequencies) so the peak is fully resolved without wasting modes on the
     empty tails.  A single shell sits at ``center`` with weight ``g2(center) * width``.
     """
+    # compare before converting, so 2.5 is rejected rather than truncated
+    if not (n_freq >= 1 and n_freq % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"n_freq must be an integer >= 1, got {n_freq}")
+    n_freq = int(n_freq)
     coupling = GaussianPeakCoupling(center=center, width=width, amplitude=amplitude)
     if n_freq == 1:
         freqs, step = np.array([center]), width

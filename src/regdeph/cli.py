@@ -211,7 +211,7 @@ def _cmd_validate_oracle(cfg: RunConfig) -> tuple[int, dict[str, str]]:
         check = check_instance(inst)
         status = "PASS" if check.passed else "FAIL"
         print(f"{inst.name}: deviation = {check.deviation:.3e} "
-              f"({check.kind}, tolerance {check.tolerance:.3e}) {status} "
+              f"(absolute, tolerance {check.tolerance:.3e}) {status} "
               f"[dim = {check.dim}, steps = {check.steps}, leakage = {check.leakage:.3e}]")
         all_ok = all_ok and check.passed
     return (EXIT_OK if all_ok else EXIT_TOLERANCE), {}

@@ -39,7 +39,8 @@ class PairingPlan:
     an exact half-wavelength multiple of the dominant mode, and it is ``None``
     when the dominant wavenumber is unknown.  :meth:`physical_pairs` gives the
     one (site, partner) cover, which encoding, decoding and the ``pairing``
-    command use.
+    command use.  ``m`` must be an integer >= 1 and ``n`` one >= 0; both are
+    stored as ``int``.
     """
 
     m: int
@@ -47,8 +48,12 @@ class PairingPlan:
     residual: float | None
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 0:
-            raise ValueError("need m >= 1, n >= 0")
+        # compare before converting, so 1.5 is rejected rather than truncated to 1
+        for name, low in (("m", 1), ("n", 0)):
+            value = getattr(self, name)
+            if not (value >= low and value % 1 == 0):  # a NaN or an infinity fails too
+                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.residual is not None and not 0 <= self.residual < np.inf:
             raise ValueError(f"residual must be finite and >= 0, got {self.residual}")
 

@@ -220,9 +220,11 @@ class RegisterState:
     @classmethod
     def single_flip(cls, n_qubits: int, site: int = 0) -> "RegisterState":
         """(|++..+> + |..-..>)/sqrt(2): one coherent flip at ``site``."""
+        if not (0 <= site < n_qubits and site % 1 == 0):  # a NaN fails too
+            raise ValueError(f"site must be an integer in [0, {n_qubits}), got {site}")
         spins = [1] * n_qubits
         up = BasisLabel(tuple(spins))
-        spins[site] = -1
+        spins[int(site)] = -1
         return cls.from_unnormalized({up: 1.0, BasisLabel(tuple(spins)): 1.0})
 
 

@@ -104,12 +104,16 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
     ``c_0`` is held at or above ``exp(-700)``, so that it stays a normal
     double; the largest entry is then at most ``exp(|alpha|^2 / 2 - 700)``.
     Above ``|alpha|^2 = 2100`` the squared norm of such a column would
-    overflow, so larger amplitudes raise ``ValueError``.
+    overflow, so larger amplitudes raise ``ValueError``, as does a ``dim``
+    that is not an integer >= 1.
 
     The oracle's own bath trace does not use it: a thermal mode is traced over
     number states.  It builds coherent bath columns for callers that start the
     bath in a coherent state.
     """
+    if not (dim >= 1 and dim % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    dim = int(dim)
     alpha = np.asarray(alpha, dtype=complex)
     r2 = np.abs(alpha) ** 2
     if np.any(r2 > 2100.0):
@@ -235,8 +239,7 @@ def reduced_density(state: RegisterState, blocks: np.ndarray, populations) -> Th
     (M, n), for the levels ``0..n-1``.  Entry ``(a, b)`` is ``c_a c_b*``
     times the product over modes of ``sum_n p_n <B_b e_n | B_a e_n>``: the
     retained columns of every block are scaled by ``sqrt(p)`` and reduced by
-    one einsum per label row.  Only the overlaps with ``a <= b`` are
-    computed; those with ``b > a`` are their conjugates.  Raises
+    one einsum over every label pair.  Raises
     :class:`TruncationLeakageError` when a block holds more than
     ``LEAKAGE_TOL`` population-weighted probability in its top retained level.
     """
@@ -245,13 +248,7 @@ def reduced_density(state: RegisterState, blocks: np.ndarray, populations) -> Th
     leakage = float(np.max(np.sum(np.abs(columns[..., -1, :]) ** 2, axis=-1)))
     if leakage > LEAKAGE_TOL:
         raise TruncationLeakageError(leakage)
-    n_labels, conj = len(columns), np.conj(columns)
-    overlaps = np.empty((n_labels, n_labels), dtype=complex)
-    for a in range(n_labels):
-        row = np.einsum("mdn,bmdn->bm", columns[a], conj[a:]).prod(axis=1)
-        row[0] = row[0].real  # <col_a | col_a> is a norm
-        overlaps[a, a:] = row
-        overlaps[a:, a] = np.conj(row)
+    overlaps = np.einsum("amdn,bmdn->abm", columns, np.conj(columns)).prod(axis=-1)
     amps = np.array([amp for _, amp in state.items()])
     rho = amps[:, None] * np.conj(amps)[None, :] * overlaps
     keys = list(itertools.product(state.labels(), repeat=2))  # row-major (a, b), as in rho
@@ -313,7 +310,6 @@ class InstanceCheck:
     dim: int
     steps: int
     leakage: float
-    kind: str = "absolute"
 
     @property
     def passed(self) -> bool:
@@ -322,14 +318,9 @@ class InstanceCheck:
 
 def _paired_bath(freqs, shell_g2, temperature=0.0) -> BathSpectrum:
     """Bath with every frequency shell emitted as a +/-k pair along x, the register axis."""
-    axis = np.array([1.0, 0.0, 0.0])
-    omega, g2, k = [], [], []
-    for w, g in zip(freqs, shell_g2):
-        for sign in (1.0, -1.0):
-            omega.append(w)
-            g2.append(g / 2.0)
-            k.append(sign * w * axis)
-    return BathSpectrum(omega=np.array(omega), k=np.array(k), g2=np.array(g2),
+    omega = np.repeat(freqs, 2)
+    k = np.outer(omega * np.tile([1.0, -1.0], len(freqs)), [1.0, 0.0, 0.0])
+    return BathSpectrum(omega=omega, k=k, g2=np.repeat(shell_g2 / 2.0, 2),
                         v=1.0, temperature=temperature)
 
 

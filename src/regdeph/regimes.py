@@ -131,8 +131,10 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     The samples' positions are stacked in blocks of at most ``core.CHUNK`` sites,
     and each block's weights come from one batched call.
     """
-    if n_samples < 2:
-        raise ValueError(f"need at least 2 samples for an error estimate, got {n_samples}")
+    # compare before converting, so 2.5 is rejected rather than truncated to 2
+    if not (n_samples >= 2 and n_samples % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples}")
+    n_samples = int(n_samples)
     if not np.isfinite(k_magnitude):
         raise ValueError(f"k_magnitude must be finite, got {k_magnitude}")
     k_vec = np.array([k_magnitude, 0.0, 0.0])

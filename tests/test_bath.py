@@ -162,6 +162,28 @@ class TestDiscretize:
             discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=4, omega_max=-1.0)
 
 
+MODE_SETS = {
+    "grid": lambda n_freq: discretize_spectrum(PowerLawCoupling(), 1.0, n_freq=n_freq,
+                                               omega_max=10.0),
+    "peak": lambda n_freq: gaussian_peak_modes(center=2.0, width=0.1, v=1.0, n_freq=n_freq),
+}
+
+
+@pytest.mark.parametrize("n_freq", [2.5, float("nan"), float("inf"), 0, -3])
+@pytest.mark.parametrize("mode_set", sorted(MODE_SETS))
+def test_n_freq_must_be_a_positive_integer(mode_set, n_freq):
+    # the grid used to build shells at 4, 8 and 12 for 2.5, past omega_max = 10;
+    # the peak raised TypeError for 2.5 and numpy's own errors for 0 and -3
+    with pytest.raises(ValueError, match="n_freq must be an integer >= 1"):
+        MODE_SETS[mode_set](n_freq)
+
+
+def test_integral_float_n_freq_is_that_integer():
+    # gaussian_peak_modes(n_freq=3.0) used to raise TypeError in linspace
+    a, b = MODE_SETS["peak"](3.0), MODE_SETS["peak"](3)
+    assert np.array_equal(a.omega, b.omega) and np.array_equal(a.g2, b.g2)
+
+
 class TestBathSpectrum:
     def test_rejects_zero_frequency_mode(self):
         with pytest.raises(ValueError):

@@ -176,6 +176,21 @@ class TestModulatedEncoding:
         with pytest.raises(ValueError, match="residual"):
             PairingPlan(m=1, n=0, residual=residual)
 
+    @pytest.mark.parametrize("m, n, name", [
+        (1.5, 0, "m"), (float("nan"), 0, "m"), (0, 0, "m"), (float("inf"), 0, "m"),
+        (1, 0.5, "n"), (1, float("nan"), "n"), (1, -1, "n"),
+    ])
+    def test_m_and_n_must_be_integers(self, m, n, name):
+        # m = 1.5 and NaN, and n = 0.5, used to be accepted and fail later in
+        # physical_pairs or in encoding
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            PairingPlan(m=m, n=n, residual=None)
+
+    def test_integral_float_m_and_n_are_stored_as_int(self):
+        plan = PairingPlan(m=2.0, n=1.0, residual=0.0)
+        assert (plan.m, plan.n) == (2, 1)
+        assert type(plan.m) is int and type(plan.n) is int
+
     def test_size_mismatch_rejected(self):
         plan = PairingPlan(m=2, n=1, residual=0.0)
         with pytest.raises(ValueError):

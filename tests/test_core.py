@@ -108,6 +108,16 @@ class TestRegisterState:
         flip = RegisterState.single_flip(3, site=1)
         assert set(map(str, flip.labels())) == {"+++", "+-+"}
 
+    @pytest.mark.parametrize("site", [-1, 3, 5, 1.5, float("nan")])
+    def test_single_flip_site_must_be_in_range(self, site):
+        # -1 used to flip the last qubit, 3 and 5 raised IndexError, 1.5 TypeError
+        with pytest.raises(ValueError, match=r"site must be an integer in \[0, 3\)"):
+            RegisterState.single_flip(3, site=site)
+
+    def test_single_flip_integral_float_site(self):
+        # site = 1.0 used to raise TypeError in the list index
+        assert RegisterState.single_flip(3, site=1.0) == RegisterState.single_flip(3, site=1)
+
 
 class TestStructureWeights:
     def test_equal_labels_vanish(self):

@@ -150,6 +150,20 @@ class TestDisorderAverages:
         with pytest.raises(ValueError):
             disorder_average_weights(lab, lab.flipped(), 1.0, geometry(), 1)
 
+    @pytest.mark.parametrize("n_samples", [1, 2.5, float("nan"), float("inf")])
+    def test_n_samples_must_be_an_integer_of_two_or_more(self, n_samples):
+        # 2.5, NaN and inf used to raise TypeError from np.empty
+        lab = BasisLabel((1, 1, 1, 1))
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 2"):
+            disorder_average_weights(lab, lab.flipped(), 1.0, geometry(), n_samples)
+
+    def test_integral_float_n_samples_is_that_integer(self):
+        # n_samples = 3.0 used to raise TypeError from np.empty
+        lab = BasisLabel((1, 1, 1, 1))
+        geo = geometry(delta=0.2, seed=4)
+        assert (disorder_average_weights(lab, lab.flipped(), 1.0, geo, 3.0)
+                == disorder_average_weights(lab, lab.flipped(), 1.0, geo, 3))
+
     @pytest.mark.parametrize("k", [float("nan"), float("inf")])
     def test_non_finite_wavenumber_rejected(self, k):
         # a NaN used to come back as NaN estimates
