@@ -78,15 +78,27 @@ elements, or one row when a row alone is larger; no ``(T, M)`` array is
 formed.  The weights of a block are broadcast differences ``S_b - S_a`` of
 one label against a run of later ones, filled in pair order into a reused
 buffer, squared as ``re^2 + im^2`` with the imaginary part of one run in a
-second buffer, and summed over each shell's modes; no pair index is
-gathered.  The differences are taken of factors scaled by
-``sqrt(g2) / omega``, so the weight costs one pass over ``(n, M)`` and none
-over ``(P, M)``.  Each pair's weights are built once per call: with one
+second buffer, and summed over each shell's modes; unless the pairs are
+grouped (below), no pair index is gathered.  The differences are taken of
+factors scaled by ``sqrt(g2) / omega``, so the weight costs one pass over
+``(n, M)`` and none over ``(P, M)``.  Each pair's weights are built once per call: with one
 block of times each block of pairs meets the kernels once and is dropped;
 with several, the ``(P, J)`` weights of a group of pairs, at most
 ``4*CHUNK`` elements, are kept across all blocks of times, which are then
 built once per group.  The label weights ``V`` are built once per call and
 the label phases once per time point.
+
+**Pairs grouped by spin difference.**  ``S_a - S_b`` is the structure factor
+of ``s_a - s_b``, so the damping of a pair depends on its labels only through
+their spin difference, and pairs whose differences agree up to sign share it.
+A complete basis of ``n`` qubits has ``4^n/2`` pairs but only
+``(3^n - 1)/2`` such classes.  A set of at least 16 labels with at most half
+as many classes as pairs is grouped: only each class's first pair, its
+representative, takes weights and a column of the reductions, and the
+damping is then copied to every pair of its class.  A representative's
+weights are built with the same arithmetic as above, from the rows of one
+label's later labels gathered into the reused buffers, so they are
+bit-identical to the ungrouped ones.  Any other set takes the runs above.
 """
 from __future__ import annotations
 
@@ -158,6 +170,13 @@ class BasisLabel:
         return BasisLabel(tuple(-s for s in self.spins))
 
 
+def _qubit_count(n_qubits) -> int:
+    """``n_qubits`` as an int, compared before converting, so 2.5 is rejected and 3.0 is 3."""
+    if not (n_qubits >= 1 and n_qubits % 1 == 0):  # a NaN or an infinity fails too
+        raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits}")
+    return int(n_qubits)
+
+
 class RegisterState:
     """Pure register state: complex amplitudes over basis labels.
 
@@ -214,12 +233,13 @@ class RegisterState:
     @classmethod
     def cat(cls, n_qubits: int) -> "RegisterState":
         """(|++..+> + |--..->)/sqrt(2)."""
-        up = BasisLabel((1,) * n_qubits)
+        up = BasisLabel((1,) * _qubit_count(n_qubits))
         return cls.from_unnormalized({up: 1.0, up.flipped(): 1.0})
 
     @classmethod
     def single_flip(cls, n_qubits: int, site: int = 0) -> "RegisterState":
         """(|++..+> + |..-..>)/sqrt(2): one coherent flip at ``site``."""
+        n_qubits = _qubit_count(n_qubits)
         if not (0 <= site < n_qubits and site % 1 == 0):  # a NaN fails too
             raise ValueError(f"site must be an integer in [0, {n_qubits}), got {site}")
         spins = [1] * n_qubits
@@ -397,8 +417,11 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     over a shell's modes, so both reductions run over the ``J`` shells.
     Times are taken in blocks that bound the (T, J) kernels; pairs in groups
     whose (P, J) weights are kept across all time blocks, each pair's
-    weights built once per call.  Identical labels share one structure
-    factor and one phase, so the eta and phi between them vanish exactly.
+    weights built once per call.  Where :func:`_difference_classes` groups
+    the pairs, the weights and the reduction are those of one representative
+    pair per class, and each pair takes its class's damping.  Identical
+    labels share one structure factor and one phase, so the eta and phi
+    between them vanish exactly.
     """
     times = _times(times)
     index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
@@ -412,32 +435,67 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     mod2 = _shell_sums(mod2, n_shell)
     re, im = s.real[row_of], s.imag[row_of]
     n_label, n_mode = re.shape
-    n_pair = n_label * (n_label - 1) // 2
-    eta = np.empty((len(times), n_pair))
+    classes = _difference_classes(labels)
+    # the columns of eta: every pair, or one representative pair per class
+    n_col = n_label * (n_label - 1) // 2 if classes is None else len(classes[0])
+    eta = np.empty((len(times), n_col))
     phase = np.empty((len(times), n_label))
     step = max(1, CHUNK // n_shell)  # rows of a time block
     # one time block: its kernels serve every group of pairs, and each block of
     # pairs is used once; several: keep a group's weights across the time blocks
     kernels = list(_shell_kernels(bath, times, step)) if len(times) <= step else None
-    per_block = max(1, min(n_pair, CHUNK // n_mode))
-    per_group = per_block if kernels else max(1, min(n_pair, 4 * CHUNK // n_shell))
+    per_block = max(1, min(n_col, CHUNK // n_mode))
+    per_group = per_block if kernels else max(1, min(n_col, 4 * CHUNK // n_shell))
     kept = np.empty((per_group, n_shell))
     weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
-    im_diff = np.empty((min(per_block, max(n_label - 1, 0)), n_mode))  # one run of pairs
+    # the rows of one run of pairs, or of one block of representatives
+    diff_rows = min(per_block, max(n_label - 1, 0)) if classes is None else per_block
+    im_diff = np.empty((diff_rows, n_mode))
     pair = (0, 1)
-    for g0 in range(0, max(n_pair, 1), per_group):
-        group = kept[:min(per_group, n_pair - g0)]
+    for g0 in range(0, max(n_col, 1), per_group):
+        group = kept[:min(per_group, n_col - g0)]
         for r0 in range(0, len(group), per_block):
             rows = slice(r0, min(r0 + per_block, len(group)))
             block = group[rows] if weight is None else weight[:rows.stop - r0]
-            pair = _damping_weights(re, im, pair, block, im_diff)
+            if classes is None:
+                pair = _damping_weights(re, im, pair, block, im_diff)
+            else:
+                cols = slice(g0 + rows.start, g0 + rows.stop)
+                _class_weights(re, im, classes[0][cols], classes[1][cols], block, im_diff)
             if weight is not None:
                 _shell_sums(block, n_shell, out=group[rows])
         for rows, k_eta, k_phi in kernels or _shell_kernels(bath, times, step):
             if g0 == 0:
                 phase[rows] = (k_phi @ mod2.T)[:, row_of]
             eta[rows, g0:g0 + len(group)] = k_eta @ group.T
-    return eta, phase
+    return (eta if classes is None else eta[:, classes[2]]), phase
+
+
+def _difference_classes(labels):
+    """Classes of the upper-triangle pairs by half spin difference ``(s_b - s_a)/2`` up to sign.
+
+    The damping of a pair depends on its labels only through this difference,
+    since ``S_a - S_b`` is the structure factor of ``s_a - s_b``.  Returns
+    ``(a, b, of_pair)``: the labels of each class's representative, its first
+    pair in ``np.triu_indices`` order, with the classes in the order of their
+    representatives, and the class of every pair.  Grouping pays only when it
+    saves more than finding the classes costs, and a gathered representative
+    costs more than a broadcast pair, so below 16 labels, or with more classes
+    than half the pairs, returns None.  The keys are the exact bytes of the
+    ``int8`` differences, each row's sign set by its first nonzero entry.
+    """
+    if len(labels) < 16:
+        return None
+    a, b = np.triu_indices(len(labels), 1)
+    spins = np.array([label.spins for label in labels], dtype=np.int8)
+    half = (spins[b] - spins[a]) // 2
+    half *= half[np.arange(len(half)), (half != 0).argmax(1)][:, None]
+    keys = half.view(np.dtype((np.void, half.shape[1]))).ravel()
+    _, first, of_pair = np.unique(keys, return_index=True, return_inverse=True)
+    if 2 * len(first) > len(a):
+        return None
+    order = np.argsort(first)
+    return a[first[order]], b[first[order]], np.argsort(order)[of_pair]
 
 
 def _shell_sums(values, n_shell, out=None) -> np.ndarray:
@@ -471,6 +529,25 @@ def _damping_weights(re, im, pair, weight, im_diff) -> tuple[int, int]:
         if b == len(re):
             a, b = a + 1, a + 2
     return a, b
+
+
+def _class_weights(re, im, a, b, weight, im_diff) -> None:
+    """Fill ``weight`` with ``|S_a - S_b|^2`` of the pairs ``(a[r], b[r])``, ``a`` ascending.
+
+    The arithmetic of :func:`_damping_weights`, so a pair's weights are
+    bit-identical on either path: for each label ``a``, the rows of its
+    later labels are gathered into ``weight``, ``S_a`` is subtracted by
+    broadcast and the difference taken as ``re^2 + im^2``.  The imaginary
+    part goes to ``im_diff``, a reused buffer of at least ``len(weight)`` rows.
+    """
+    edges = np.flatnonzero(np.diff(a, prepend=-1, append=-1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        w, d, later = weight[lo:hi], im_diff[lo:hi], b[lo:hi]
+        # mode "clip" writes straight into ``out`` ("raise" buffers it); the indices are in range
+        np.take(re, later, axis=0, out=w, mode="clip")
+        np.square(np.subtract(w, re[a[lo]], out=w), out=w)
+        np.take(im, later, axis=0, out=d, mode="clip")
+        w += np.square(np.subtract(d, im[a[lo]], out=d), out=d)
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:

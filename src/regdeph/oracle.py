@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpectrum
-from .core import BasisLabel, RegisterState
+from .core import BasisLabel, RegisterState, _qubit_count
 
 __all__ = [
     "TruncationLeakageError",
@@ -63,7 +63,7 @@ class TruncationLeakageError(RuntimeError):
 
 def register_basis(n_qubits: int) -> tuple[BasisLabel, ...]:
     """All 2^L basis labels, in a fixed lexicographic (+1 before -1) order."""
-    return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=n_qubits))
+    return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=_qubit_count(n_qubits)))
 
 
 def _sector_couplings(bath: BathSpectrum, positions, labels) -> np.ndarray:

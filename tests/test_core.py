@@ -118,6 +118,19 @@ class TestRegisterState:
         # site = 1.0 used to raise TypeError in the list index
         assert RegisterState.single_flip(3, site=1.0) == RegisterState.single_flip(3, site=1)
 
+    @pytest.mark.parametrize("preset", ["cat", "single_flip"])
+    @pytest.mark.parametrize("n_qubits", [2.5, float("nan"), 0])
+    def test_n_qubits_must_be_a_positive_integer(self, preset, n_qubits):
+        # 2.5 and NaN used to raise TypeError, 0 an empty-label or site error
+        with pytest.raises(ValueError, match="n_qubits must be an integer >= 1"):
+            getattr(RegisterState, preset)(n_qubits)
+
+    @pytest.mark.parametrize("preset", ["cat", "single_flip"])
+    def test_integral_float_n_qubits_is_that_integer(self, preset):
+        # 3.0 used to raise TypeError in the list product
+        make = getattr(RegisterState, preset)
+        assert make(3.0) == make(3) and make(3.0).n_qubits == 3
+
 
 class TestStructureWeights:
     def test_equal_labels_vanish(self):
@@ -706,6 +719,7 @@ def test_each_pair_weight_is_built_once_per_call(monkeypatch, dimensionality, ch
             yield block, k_eta, k_phi
 
     monkeypatch.setattr(core, "_damping_weights", recorded)
+    monkeypatch.setattr(core, "_class_weights", lambda *args: pytest.fail("9 labels are grouped"))
     monkeypatch.setattr(core, "_shell_kernels", timed)
     monkeypatch.setattr(core, "CHUNK", chunk)
     n_mode = bath.folded.omega.size
@@ -720,6 +734,66 @@ def test_each_pair_weight_is_built_once_per_call(monkeypatch, dimensionality, ch
     starts = list(range(0, len(times), rows))
     time_blocks = [(t0, min(t0 + rows, len(times))) for t0 in starts]
     assert blocks == time_blocks * -(-36 // per_group)
+
+
+@pytest.mark.parametrize("dimensionality,chunk,repeats,n_class,per_group,per_block",
+                         [(1, 48, 0, 40, 12, 3), (3, 96, 2, 41, 24, 1)])
+def test_each_difference_class_weight_is_built_once_per_call(monkeypatch, dimensionality, chunk,
+                                                             repeats, n_class, per_group,
+                                                             per_block):
+    # the complete basis of 4 qubits, 16 labels and 120 pairs, in 40 classes of spin
+    # difference up to sign; two repeated labels add the zero difference as a 41st.
+    # Only each class's first pair takes weights, exactly once, in class order and in
+    # blocks of at most CHUNK elements, and every pair takes its class's damping
+    from regdeph import core
+
+    rng = np.random.default_rng(73)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=16, omega_max=5.0,
+                               temperature=0.4, n_directions=12)
+    pos = rng.uniform(-2.0, 2.0, size=(4, 3))
+    basis = [BasisLabel(s) for s in itertools.product((1, -1), repeat=4)]
+    labels = basis + [basis[5], basis[12]][:repeats]
+    times = np.linspace(0.0, 6.0, 11)
+    whole = core._coherence(labels, times, bath, pos)
+    a, b = np.triu_indices(len(labels), 1)
+    own = [[damping_exponent(labels[x], labels[y], t, bath, pos) for x, y in zip(a, b)]
+           for t in times]
+    classes = {}
+    for n, (x, y) in enumerate(zip(a, b)):
+        half = [(q - p) // 2 for p, q in zip(labels[x].spins, labels[y].spins)]
+        lead = next((h for h in half if h), 1)
+        classes.setdefault(tuple(h * lead for h in half), n)
+    assert len(classes) == n_class
+    fill, kernels, built, blocks = core._class_weights, core._shell_kernels, [], []
+
+    def recorded(re, im, x, y, weight, im_diff):
+        built.append((list(zip(x.tolist(), y.tolist())), len(weight), weight.size))
+        return fill(re, im, x, y, weight, im_diff)
+
+    def timed(bath, times, rows):
+        for block, k_eta, k_phi in kernels(bath, times, rows):
+            blocks.append(block)
+            yield block, k_eta, k_phi
+
+    monkeypatch.setattr(core, "_class_weights", recorded)
+    monkeypatch.setattr(core, "_damping_weights", lambda *args: pytest.fail("pairs not grouped"))
+    monkeypatch.setattr(core, "_shell_kernels", timed)
+    monkeypatch.setattr(core, "CHUNK", chunk)
+    n_mode = bath.folded.omega.size
+    assert (4 * chunk // 16, chunk // n_mode) == (per_group, per_block)
+    eta, phase = core._coherence(labels, times, bath, pos)
+    for blocked, ref in zip((eta, phase), whole):
+        np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
+    first = {(int(x), int(y)): n for n, (x, y) in enumerate(zip(a, b))}
+    assert [first[pair] for pairs, _, _ in built for pair in pairs] == list(classes.values())
+    assert all(n <= per_block and size <= chunk for _, n, size in built)
+    rows = chunk // 16
+    time_blocks = [slice(t0, min(t0 + rows, len(times))) for t0 in range(0, len(times), rows)]
+    assert blocks == time_blocks * -(-n_class // per_group)
+    np.testing.assert_allclose(whole[0], own, rtol=1e-14, atol=0)
+    same = [labels[x] == labels[y] for x, y in zip(a, b)]
+    assert sum(same) == repeats and np.all(eta[:, same] == 0.0)
 
 
 @pytest.mark.parametrize("ladder", [True, False])

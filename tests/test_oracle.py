@@ -40,6 +40,18 @@ def test_register_basis_order():
     assert [str(x) for x in labels] == ["++", "+-", "-+", "--"]
 
 
+@pytest.mark.parametrize("n_qubits", [2.5, float("nan"), 0])
+def test_register_basis_n_qubits_must_be_a_positive_integer(n_qubits):
+    # 2.5 and NaN used to raise TypeError, 0 the empty label's error
+    with pytest.raises(ValueError, match="n_qubits must be an integer >= 1"):
+        register_basis(n_qubits)
+
+
+def test_register_basis_integral_float_n_qubits():
+    # 3.0 used to raise TypeError in itertools.product
+    assert register_basis(3.0) == register_basis(3)
+
+
 def test_coherent_vector_vacuum_and_norm():
     vac = coherent_vector(0.0, 8)
     assert vac[0] == 1.0 and np.all(vac[1:] == 0)
