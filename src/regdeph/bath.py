@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import integer
+
 __all__ = [
     "PowerLawCoupling",
     "GaussianPeakCoupling",
@@ -261,10 +263,7 @@ def discretize_spectrum(
     direction set of its shell.  Doubling ``n_freq`` refines the grid toward
     the continuum spectral sums.
     """
-    # compare before converting, so 2.5 is rejected rather than truncated
-    if not (n_freq >= 1 and n_freq % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"n_freq must be an integer >= 1, got {n_freq}")
-    n_freq = int(n_freq)
+    n_freq = integer(n_freq, "n_freq", 1)
     if omega_max <= 0:
         raise ValueError(f"omega_max must be positive, got {omega_max}")
     step = omega_max / n_freq
@@ -290,10 +289,7 @@ def gaussian_peak_modes(
     frequencies) so the peak is fully resolved without wasting modes on the
     empty tails.  A single shell sits at ``center`` with weight ``g2(center) * width``.
     """
-    # compare before converting, so 2.5 is rejected rather than truncated
-    if not (n_freq >= 1 and n_freq % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"n_freq must be an integer >= 1, got {n_freq}")
-    n_freq = int(n_freq)
+    n_freq = integer(n_freq, "n_freq", 1)
     coupling = GaussianPeakCoupling(center=center, width=width, amplitude=amplitude)
     if n_freq == 1:
         freqs, step = np.array([center]), width

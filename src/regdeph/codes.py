@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._checks import integer
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState, pair_factors
 from .geometry import RegisterGeometry
@@ -48,12 +49,8 @@ class PairingPlan:
     residual: float | None
 
     def __post_init__(self):
-        # compare before converting, so 1.5 is rejected rather than truncated to 1
         for name, low in (("m", 1), ("n", 0)):
-            value = getattr(self, name)
-            if not (value >= low and value % 1 == 0):  # a NaN or an infinity fails too
-                raise ValueError(f"{name} must be an integer >= {low}, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
         if self.residual is not None and not 0 <= self.residual < np.inf:
             raise ValueError(f"residual must be finite and >= 0, got {self.residual}")
 
@@ -84,10 +81,7 @@ def find_pairing(kbar: float, d: float, m_max: int = 10,
     for name, value in (("kbar", kbar), ("d", d), ("eps_tol", eps_tol)):
         if not 0 < value < np.inf:  # a NaN fails too
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    # compare before converting, so 2.5 is rejected rather than passed to range
-    if not (m_max >= 1 and m_max % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"m_max must be an integer >= 1, got {m_max}")
-    m_max = int(m_max)
+    m_max = integer(m_max, "m_max", 1)
     ratio = kbar * d / np.pi
     if not m_max * ratio < np.inf:
         raise ValueError(f"m_max * kbar * d / pi overflows: kbar = {kbar}, d = {d}")

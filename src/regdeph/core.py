@@ -73,35 +73,36 @@ Memory is bounded by ``CHUNK``, read at call time: the phases, the scaled
 spins and the GEMM output of the structure factors (blocks of sites, labels
 and anchors of one direction, or whole mode columns on the dense path), the
 ``(T, J)`` kernels and half-angle phases of one block of times, and the
-``(P, M)`` damping weights of one block of pairs each hold at most ``CHUNK``
-elements, or one row when a row alone is larger; no ``(T, M)`` array is
-formed.  The weights of a block are broadcast differences ``S_b - S_a`` of
-one label against a run of later ones, filled in pair order into a reused
-buffer, squared as ``re^2 + im^2`` with the imaginary part of one run in a
-second buffer, and summed over each shell's modes; unless the pairs are
-grouped (below), no pair index is gathered.  The differences are taken of
-factors scaled by ``sqrt(g2) / omega``, so the weight costs one pass over
-``(n, M)`` and none over ``(P, M)``.  Each pair's weights are built once per call: with one
-block of times each block of pairs meets the kernels once and is dropped;
-with several, the ``(P, J)`` weights of a group of pairs, at most
+``(P, M)`` damping weights of one block of columns (below) each hold at most
+``CHUNK`` elements, or one row when a row alone is larger; no ``(T, M)``
+array is formed.  The differences are taken of factors scaled by
+``sqrt(g2) / omega``, so the weight costs one pass over ``(n, M)`` and none
+over ``(P, M)``.  Each column's weights are built once per call: with one
+block of times each block of columns meets the kernels once and is dropped;
+with several, the ``(P, J)`` weights of a group of columns, at most
 ``4*CHUNK`` elements, are kept across all blocks of times, which are then
 built once per group.  The label weights ``V`` are built once per call and
 the label phases once per time point.
 
-**Pairs grouped by spin difference.**  ``S_a - S_b`` is the structure factor
-of ``s_a - s_b``, so the damping of a pair depends on its labels only through
-their spin difference, and pairs whose differences agree up to sign share it.
-A complete basis of ``n`` qubits has ``4^n/2`` pairs but only
-``(3^n - 1)/2`` such classes.  A set of at least 16 labels with at most half
-as many classes as pairs is grouped: only each class's first pair, its
-representative, takes weights and a column of the reductions, and the
-damping is then copied to every pair of its class.  A representative's
-weights are built with the same arithmetic as above, from the rows of one
-label's later labels gathered into the reused buffers, so they are
-bit-identical to the ungrouped ones.  Any other set takes the runs above.
+**Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
+so the damping of a pair depends on its labels only through their spin
+difference, and pairs whose differences agree up to sign share it.  A
+complete basis of ``n`` qubits has ``4^n/2`` pairs but only ``(3^n - 1)/2``
+such classes.  The weights and the damping reduction run over columns, each
+one label pair ``a < b``: a set of at least 16 labels with at most half as
+many classes as pairs takes one column per class, its first pair, and
+copies the damping to the rest of the class; any other set takes every pair
+as a column.  A block of columns is filled one run at a time, a run being
+the columns of one label ``a``: ``S_b - S_a`` is broadcast against the rows
+of its later labels, read in place as a slice when they are consecutive (as
+in every run of an ungrouped set) and gathered into a reused buffer when
+not, squared as ``re^2 + im^2`` with the imaginary part in a second buffer,
+and summed over each shell's modes.  Both reads take the same arithmetic,
+so a column's damping is bit-identical to its pair's in the ungrouped set.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -109,6 +110,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._checks import integer
 from .bath import BathSpectrum, coth_half
 
 __all__ = [
@@ -170,13 +172,6 @@ class BasisLabel:
         return BasisLabel(tuple(-s for s in self.spins))
 
 
-def _qubit_count(n_qubits) -> int:
-    """``n_qubits`` as an int, compared before converting, so 2.5 is rejected and 3.0 is 3."""
-    if not (n_qubits >= 1 and n_qubits % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"n_qubits must be an integer >= 1, got {n_qubits}")
-    return int(n_qubits)
-
-
 class RegisterState:
     """Pure register state: complex amplitudes over basis labels.
 
@@ -233,13 +228,13 @@ class RegisterState:
     @classmethod
     def cat(cls, n_qubits: int) -> "RegisterState":
         """(|++..+> + |--..->)/sqrt(2)."""
-        up = BasisLabel((1,) * _qubit_count(n_qubits))
+        up = BasisLabel((1,) * integer(n_qubits, "n_qubits", 1))
         return cls.from_unnormalized({up: 1.0, up.flipped(): 1.0})
 
     @classmethod
     def single_flip(cls, n_qubits: int, site: int = 0) -> "RegisterState":
         """(|++..+> + |..-..>)/sqrt(2): one coherent flip at ``site``."""
-        n_qubits = _qubit_count(n_qubits)
+        n_qubits = integer(n_qubits, "n_qubits", 1)
         if not (0 <= site < n_qubits and site % 1 == 0):  # a NaN fails too
             raise ValueError(f"site must be an integer in [0, {n_qubits}), got {site}")
         spins = [1] * n_qubits
@@ -415,13 +410,13 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     difference of its labels' phases.  ``W_ab`` is ``(g2 / omega^2)
     |S_a - S_b|^2`` and ``V_a`` is ``(g2 / omega^2) |S_a|^2``, each summed
     over a shell's modes, so both reductions run over the ``J`` shells.
-    Times are taken in blocks that bound the (T, J) kernels; pairs in groups
-    whose (P, J) weights are kept across all time blocks, each pair's
-    weights built once per call.  Where :func:`_difference_classes` groups
-    the pairs, the weights and the reduction are those of one representative
-    pair per class, and each pair takes its class's damping.  Identical
-    labels share one structure factor and one phase, so the eta and phi
-    between them vanish exactly.
+    ``W`` is built and reduced for the columns of :func:`_pair_columns`,
+    every pair or one per class of spin difference, and each pair takes its
+    column's damping.  Times are taken in blocks that bound the (T, J)
+    kernels; columns in groups whose (P, J) weights are kept across all time
+    blocks, each column's weights built once per call.  Identical labels
+    share one structure factor and one phase, so the eta and phi between
+    them vanish exactly.
     """
     times = _times(times)
     index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
@@ -435,67 +430,65 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     mod2 = _shell_sums(mod2, n_shell)
     re, im = s.real[row_of], s.imag[row_of]
     n_label, n_mode = re.shape
-    classes = _difference_classes(labels)
-    # the columns of eta: every pair, or one representative pair per class
-    n_col = n_label * (n_label - 1) // 2 if classes is None else len(classes[0])
+    a, b, of_pair = _pair_columns(labels)
+    n_col = len(a)
     eta = np.empty((len(times), n_col))
     phase = np.empty((len(times), n_label))
     step = max(1, CHUNK // n_shell)  # rows of a time block
-    # one time block: its kernels serve every group of pairs, and each block of
-    # pairs is used once; several: keep a group's weights across the time blocks
+    # one time block: its kernels serve every group of columns, and each block of
+    # columns is used once; several: keep a group's weights across the time blocks
     kernels = list(_shell_kernels(bath, times, step)) if len(times) <= step else None
     per_block = max(1, min(n_col, CHUNK // n_mode))
     per_group = per_block if kernels else max(1, min(n_col, 4 * CHUNK // n_shell))
     kept = np.empty((per_group, n_shell))
     weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
-    # the rows of one run of pairs, or of one block of representatives
-    diff_rows = min(per_block, max(n_label - 1, 0)) if classes is None else per_block
-    im_diff = np.empty((diff_rows, n_mode))
-    pair = (0, 1)
+    # a run of one label's columns never outgrows its later labels
+    im_diff = np.empty((min(per_block, max(n_label - 1, 0)), n_mode))
     for g0 in range(0, max(n_col, 1), per_group):
         group = kept[:min(per_group, n_col - g0)]
         for r0 in range(0, len(group), per_block):
-            rows = slice(r0, min(r0 + per_block, len(group)))
-            block = group[rows] if weight is None else weight[:rows.stop - r0]
-            if classes is None:
-                pair = _damping_weights(re, im, pair, block, im_diff)
-            else:
-                cols = slice(g0 + rows.start, g0 + rows.stop)
-                _class_weights(re, im, classes[0][cols], classes[1][cols], block, im_diff)
+            r1 = min(r0 + per_block, len(group))
+            block = group[r0:r1] if weight is None else weight[:r1 - r0]
+            _damping_weights(re, im, a[g0 + r0:g0 + r1], b[g0 + r0:g0 + r1], block, im_diff)
             if weight is not None:
-                _shell_sums(block, n_shell, out=group[rows])
+                _shell_sums(block, n_shell, out=group[r0:r1])
         for rows, k_eta, k_phi in kernels or _shell_kernels(bath, times, step):
             if g0 == 0:
                 phase[rows] = (k_phi @ mod2.T)[:, row_of]
             eta[rows, g0:g0 + len(group)] = k_eta @ group.T
-    return (eta if classes is None else eta[:, classes[2]]), phase
+    return (eta if of_pair is None else eta[:, of_pair]), phase
 
 
-def _difference_classes(labels):
-    """Classes of the upper-triangle pairs by half spin difference ``(s_b - s_a)/2`` up to sign.
+def _pair_columns(labels) -> tuple[list[int], list[int], np.ndarray | None]:
+    """The pairs ``(a[c], b[c])`` whose weights fill the columns ``c``, and each pair's column.
 
-    The damping of a pair depends on its labels only through this difference,
-    since ``S_a - S_b`` is the structure factor of ``s_a - s_b``.  Returns
-    ``(a, b, of_pair)``: the labels of each class's representative, its first
-    pair in ``np.triu_indices`` order, with the classes in the order of their
-    representatives, and the class of every pair.  Grouping pays only when it
-    saves more than finding the classes costs, and a gathered representative
-    costs more than a broadcast pair, so below 16 labels, or with more classes
-    than half the pairs, returns None.  The keys are the exact bytes of the
-    ``int8`` differences, each row's sign set by its first nonzero entry.
+    The columns are every upper-triangle pair in ``np.triu_indices`` order,
+    with ``of_pair`` None, or one representative per class of pairs whose
+    half spin differences ``(s_b - s_a)/2`` agree up to sign: the class's
+    first pair, with the classes in the order of their representatives, and
+    ``of_pair`` the class of every pair.  The damping of a pair depends on
+    its labels only through this difference, since ``S_a - S_b`` is the
+    structure factor of ``s_a - s_b``.  Grouping pays only when it saves more
+    than finding the classes costs, and a gathered representative costs more
+    than a pair read in place, so the pairs are grouped only from 16 labels
+    on, and only into at most half as many classes as pairs.  The keys are
+    the exact bytes of the ``int8`` differences, each row's sign set by its
+    first nonzero entry.
     """
-    if len(labels) < 16:
-        return None
-    a, b = np.triu_indices(len(labels), 1)
+    n = len(labels)
+    if n < 16:
+        return ([x for x in range(n) for _ in range(x + 1, n)],
+                [y for x in range(n) for y in range(x + 1, n)], None)
+    a, b = np.triu_indices(n, 1)
     spins = np.array([label.spins for label in labels], dtype=np.int8)
     half = (spins[b] - spins[a]) // 2
     half *= half[np.arange(len(half)), (half != 0).argmax(1)][:, None]
     keys = half.view(np.dtype((np.void, half.shape[1]))).ravel()
     _, first, of_pair = np.unique(keys, return_index=True, return_inverse=True)
     if 2 * len(first) > len(a):
-        return None
+        return a.tolist(), b.tolist(), None
     order = np.argsort(first)
-    return a[first[order]], b[first[order]], np.argsort(order)[of_pair]
+    return a[first[order]].tolist(), b[first[order]].tolist(), np.argsort(order)[of_pair]
 
 
 def _shell_sums(values, n_shell, out=None) -> np.ndarray:
@@ -508,46 +501,31 @@ def _shell_sums(values, n_shell, out=None) -> np.ndarray:
     return values.reshape(len(values), n_shell, values.shape[1] // n_shell).sum(-1, out=out)
 
 
-def _damping_weights(re, im, pair, weight, im_diff) -> tuple[int, int]:
-    """Fill ``weight`` with ``|S_a - S_b|^2`` of the upper-triangle pairs from ``pair = (a, b)`` on.
+def _damping_weights(re, im, a, b, weight, im_diff) -> None:
+    """Fill ``weight`` with ``|S_a - S_b|^2`` of the pairs ``(a[r], b[r])`` in ``np.triu_indices`` order.
 
     ``re`` and ``im`` are the real and imaginary parts of the structure
-    factors.  The rows are filled in pair order from broadcast differences
-    ``S_b - S_a`` of one label ``a`` against a run of later labels, runs
-    crossing from one ``a`` to the next, and taken as ``re^2 + im^2``.  The
-    imaginary part of a run goes to ``im_diff``, a reused buffer of at least
-    ``min(len(weight), len(re) - 1)`` rows.  Returns the pair after the last
-    one filled.
+    factors.  For each run of rows with one label ``a``, the rows of its later
+    labels ``b`` are read in place as a slice when they are consecutive and
+    gathered into ``weight`` otherwise; either way ``S_b - S_a`` is taken by
+    broadcast and squared as ``re^2 + im^2``, so a pair's weights are the same
+    bits on both reads.  The imaginary part of a run goes to ``im_diff``, a
+    reused buffer of at least as many rows as the longest run.
     """
-    (a, b), r = pair, 0
-    while r < len(weight):
-        run = min(len(weight) - r, len(re) - b)
-        w, d = weight[r:r + run], im_diff[:run]
-        np.square(np.subtract(re[b:b + run], re[a], out=w), out=w)
-        w += np.square(np.subtract(im[b:b + run], im[a], out=d), out=d)
-        r, b = r + run, b + run
-        if b == len(re):
-            a, b = a + 1, a + 2
-    return a, b
-
-
-def _class_weights(re, im, a, b, weight, im_diff) -> None:
-    """Fill ``weight`` with ``|S_a - S_b|^2`` of the pairs ``(a[r], b[r])``, ``a`` ascending.
-
-    The arithmetic of :func:`_damping_weights`, so a pair's weights are
-    bit-identical on either path: for each label ``a``, the rows of its
-    later labels are gathered into ``weight``, ``S_a`` is subtracted by
-    broadcast and the difference taken as ``re^2 + im^2``.  The imaginary
-    part goes to ``im_diff``, a reused buffer of at least ``len(weight)`` rows.
-    """
-    edges = np.flatnonzero(np.diff(a, prepend=-1, append=-1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        w, d, later = weight[lo:hi], im_diff[lo:hi], b[lo:hi]
-        # mode "clip" writes straight into ``out`` ("raise" buffers it); the indices are in range
-        np.take(re, later, axis=0, out=w, mode="clip")
-        np.square(np.subtract(w, re[a[lo]], out=w), out=w)
-        np.take(im, later, axis=0, out=d, mode="clip")
-        w += np.square(np.subtract(d, im[a[lo]], out=d), out=d)
+    lo = 0
+    while lo < len(a):
+        hi = bisect.bisect_right(a, a[lo], lo)
+        w, d, first, last = weight[lo:hi], im_diff[:hi - lo], b[lo], b[hi - 1]
+        if last - first == hi - lo - 1:
+            np.subtract(re[first:last + 1], re[a[lo]], out=w)
+            np.subtract(im[first:last + 1], im[a[lo]], out=d)
+        else:
+            # mode "clip" writes straight into ``out`` ("raise" buffers it); indices are in range
+            np.subtract(np.take(re, b[lo:hi], axis=0, out=w, mode="clip"), re[a[lo]], out=w)
+            np.subtract(np.take(im, b[lo:hi], axis=0, out=d, mode="clip"), im[a[lo]], out=d)
+        np.square(w, out=w)
+        w += np.square(d, out=d)
+        lo = hi
 
 
 def spin_structure_factor(label: BasisLabel, k_vecs, positions) -> np.ndarray:

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .bath import BathSpectrum
-from .core import BasisLabel, RegisterState, _qubit_count
+from .core import BasisLabel, RegisterState
 
 __all__ = [
     "TruncationLeakageError",
@@ -63,7 +64,8 @@ class TruncationLeakageError(RuntimeError):
 
 def register_basis(n_qubits: int) -> tuple[BasisLabel, ...]:
     """All 2^L basis labels, in a fixed lexicographic (+1 before -1) order."""
-    return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=_qubit_count(n_qubits)))
+    n_qubits = integer(n_qubits, "n_qubits", 1)
+    return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=n_qubits))
 
 
 def _sector_couplings(bath: BathSpectrum, positions, labels) -> np.ndarray:
@@ -111,9 +113,7 @@ def coherent_vector(alpha, dim: int) -> np.ndarray:
     number states.  It builds coherent bath columns for callers that start the
     bath in a coherent state.
     """
-    if not (dim >= 1 and dim % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
-    dim = int(dim)
+    dim = integer(dim, "dim", 1)
     alpha = np.asarray(alpha, dtype=complex)
     r2 = np.abs(alpha) ** 2
     if np.any(r2 > 2100.0):
@@ -138,8 +138,7 @@ def _drive_exp(beta: np.ndarray, dim: int) -> np.ndarray:
     the exponential is ``P V diag(exp(-i |beta| lam)) V^T P*``, and ``P`` is
     applied in place as a row and a column scaling.
     """
-    if not (dim >= 1 and dim % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"dim must be an integer >= 1, got {dim}")
+    dim = integer(dim, "dim", 1)
     lower = np.diag(np.sqrt(np.arange(1, dim)), 1)  # a on the levels 0..dim-1
     lam, vecs = np.linalg.eigh(lower + lower.T)
     out = (vecs * np.exp(-1j * np.abs(beta)[..., None, None] * lam)) @ vecs.T
@@ -162,11 +161,9 @@ def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
     phase per block (:func:`_drive_exp`).  The power is taken by repeated
     squaring for all blocks at once; no closed-form expression enters.
     """
-    if not (steps >= 1 and steps % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"steps must be an integer >= 1, got {steps}")
+    steps = integer(steps, "steps", 1)
     if not 0 <= t < np.inf:  # a NaN fails too
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    steps = int(steps)
     dt = t / steps
     base = _drive_exp(dt * _sector_couplings(bath, positions, labels), dim)
     rate = 1j * np.outer(bath.omega, np.arange(dim))  # (M, dim): i * omega * n

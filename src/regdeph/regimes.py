@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import integer
 from .bath import BathSpectrum, SpectralMoments
 from . import core
 from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
@@ -77,12 +78,9 @@ def classify(geometry: RegisterGeometry, moments: SpectralMoments,
     parameters below pi/10 or (Collective-2) the m-relaxed width parameter
     below 0.1.  Anything else is Intermediate.
     """
-    # compare before converting, so 1.5 is rejected rather than truncated to 1
-    if not (m >= 1 and m % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"pairing distance m must be an integer >= 1, got {m}")
+    m = integer(m, "pairing distance m", 1)
     if not 0 < v < np.inf:
         raise ValueError(f"velocity v must be finite and positive, got {v}")
-    m = int(m)
     delta, d = geometry.delta, geometry.d
     p_ind1a = moments.mean1 * delta / v
     p_ind1b = moments.mean2 * delta / v
@@ -131,10 +129,7 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     The samples' positions are stacked in blocks of at most ``core.CHUNK`` sites,
     and each block's weights come from one batched call.
     """
-    # compare before converting, so 2.5 is rejected rather than truncated to 2
-    if not (n_samples >= 2 and n_samples % 1 == 0):  # a NaN or an infinity fails too
-        raise ValueError(f"n_samples must be an integer >= 2, got {n_samples}")
-    n_samples = int(n_samples)
+    n_samples = integer(n_samples, "n_samples", 2)
     if not np.isfinite(k_magnitude):
         raise ValueError(f"k_magnitude must be finite, got {k_magnitude}")
     k_vec = np.array([k_magnitude, 0.0, 0.0])

@@ -689,86 +689,88 @@ def test_time_blocks_equal_one_block(monkeypatch):
     assert max(rows) == 3 and sum(rows) == (2 + 1) * len(times)
 
 
-@pytest.mark.parametrize("dimensionality,chunk,rows,per_group,per_block",
-                         [(1, 48, 3, 12, 3), (3, 96, 6, 24, 1)])
-def test_each_pair_weight_is_built_once_per_call(monkeypatch, dimensionality, chunk, rows,
-                                                 per_group, per_block):
-    # 16 shells of 1 or 6 modes, 9 labels (36 pairs), 11 times: several time blocks of
-    # `rows` times, several groups of kept pair weights, each built in blocks of pairs
-    # of at most CHUNK elements.  Every pair's |S_a - S_b|^2 is filled exactly once,
-    # and each group takes every time block once
-    from regdeph import core
-
-    rng = np.random.default_rng(67)
-    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
-                               dimensionality=dimensionality, n_freq=16, omega_max=5.0,
-                               temperature=0.4, n_directions=12)
-    pos = rng.uniform(-2.0, 2.0, size=(6, 3))
-    labels = sorted({random_label(rng, 6) for _ in range(20)}, key=str)[:9]
-    times = np.linspace(0.0, 6.0, 11)
-    whole = core._coherence(labels, times, bath, pos)
-    fill, kernels, built, blocks = core._damping_weights, core._shell_kernels, [], []
-
-    def recorded(re, im, pair, weight, im_diff):
-        built.append((pair, len(weight), weight.size))
-        return fill(re, im, pair, weight, im_diff)
-
-    def timed(bath, times, rows):
-        for block, k_eta, k_phi in kernels(bath, times, rows):
-            blocks.append((block.start, block.stop))
-            yield block, k_eta, k_phi
-
-    monkeypatch.setattr(core, "_damping_weights", recorded)
-    monkeypatch.setattr(core, "_class_weights", lambda *args: pytest.fail("9 labels are grouped"))
-    monkeypatch.setattr(core, "_shell_kernels", timed)
-    monkeypatch.setattr(core, "CHUNK", chunk)
-    n_mode = bath.folded.omega.size
-    assert (chunk // 16, 4 * chunk // 16, chunk // n_mode) == (rows, per_group, per_block)
-    for blocked, ref in zip(core._coherence(labels, times, bath, pos), whole):
-        np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
-    a, b = np.triu_indices(len(labels), 1)
-    first = {(int(x), int(y)): n for n, (x, y) in enumerate(zip(a, b))}
-    filled = [p for pair, size, _ in built for p in range(first[pair], first[pair] + size)]
-    assert filled == list(range(len(a))) and len(a) == 36
-    assert all(size == per_block * n_mode <= chunk for _, _, size in built)
-    starts = list(range(0, len(times), rows))
-    time_blocks = [(t0, min(t0 + rows, len(times))) for t0 in starts]
-    assert blocks == time_blocks * -(-36 // per_group)
-
-
-@pytest.mark.parametrize("dimensionality,chunk,repeats,n_class,per_group,per_block",
-                         [(1, 48, 0, 40, 12, 3), (3, 96, 2, 41, 24, 1)])
-def test_each_difference_class_weight_is_built_once_per_call(monkeypatch, dimensionality, chunk,
-                                                             repeats, n_class, per_group,
-                                                             per_block):
-    # the complete basis of 4 qubits, 16 labels and 120 pairs, in 40 classes of spin
-    # difference up to sign; two repeated labels add the zero difference as a 41st.
-    # Only each class's first pair takes weights, exactly once, in class order and in
-    # blocks of at most CHUNK elements, and every pair takes its class's damping
-    from regdeph import core
-
-    rng = np.random.default_rng(73)
-    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
-                               dimensionality=dimensionality, n_freq=16, omega_max=5.0,
-                               temperature=0.4, n_directions=12)
-    pos = rng.uniform(-2.0, 2.0, size=(4, 3))
-    basis = [BasisLabel(s) for s in itertools.product((1, -1), repeat=4)]
-    labels = basis + [basis[5], basis[12]][:repeats]
-    times = np.linspace(0.0, 6.0, 11)
-    whole = core._coherence(labels, times, bath, pos)
-    a, b = np.triu_indices(len(labels), 1)
-    own = [[damping_exponent(labels[x], labels[y], t, bath, pos) for x, y in zip(a, b)]
-           for t in times]
-    classes = {}
-    for n, (x, y) in enumerate(zip(a, b)):
+def difference_keys(labels):
+    """The half spin difference ``(s_b - s_a)/2`` of every upper-triangle pair, up to sign."""
+    keys = []
+    for x, y in itertools.combinations(range(len(labels)), 2):
         half = [(q - p) // 2 for p, q in zip(labels[x].spins, labels[y].spins)]
         lead = next((h for h in half if h), 1)
-        classes.setdefault(tuple(h * lead for h in half), n)
-    assert len(classes) == n_class
-    fill, kernels, built, blocks = core._class_weights, core._shell_kernels, [], []
+        keys.append(tuple(h * lead for h in half))
+    return keys
+
+
+def test_pair_columns_group_only_large_sets_with_few_classes():
+    # 16 labels, 120 pairs: the complete basis of 4 qubits has 40 classes and 16 labels
+    # of the 5-qubit basis 58, each class one column taken by its first pair.  The
+    # first 15 labels of the 4-qubit basis, 16 labels of the 5-qubit basis with 62
+    # classes, and 16 random labels on 12 sites keep every pair as a column
+    from regdeph import core
+
+    basis = [BasisLabel(s) for s in itertools.product((1, -1), repeat=4)]
+    wider = [BasisLabel(s) for s in itertools.product((1, -1), repeat=5)]
+    pairs = list(itertools.combinations(range(16), 2))
+    for labels, n_class in ((basis, 40), (wider[:14] + wider[30:], 58)):
+        keys = difference_keys(labels)
+        first = {}
+        for n, key in enumerate(keys):
+            first.setdefault(key, n)
+        a, b, of_pair = core._pair_columns(labels)
+        assert list(zip(a, b)) == [pairs[n] for n in first.values()] and len(a) == n_class
+        assert of_pair is not None and [list(first)[c] for c in of_pair] == keys
+    rng = np.random.default_rng(79)
+    scattered = []
+    while len(scattered) < 16:
+        label = random_label(rng, 12)
+        if label not in scattered:
+            scattered.append(label)
+    assert len(set(difference_keys(wider[:13] + wider[29:]))) == 62
+    assert 2 * len(set(difference_keys(scattered))) > 120
+    for labels, n_pair in ((basis[:15], 105), (wider[:13] + wider[29:], 120), (scattered, 120)):
+        x, y = np.triu_indices(len(labels), 1)
+        assert core._pair_columns(labels) == (x.tolist(), y.tolist(), None)
+        assert len(x) == n_pair
+
+
+@pytest.mark.parametrize("dimensionality,chunk,basis,repeats,n_col,per_group,per_block",
+                         [(1, 48, False, 0, 36, 12, 3), (3, 96, False, 0, 36, 24, 1),
+                          (1, 48, True, 0, 40, 12, 3), (3, 96, True, 2, 41, 24, 1)])
+def test_each_column_weight_is_built_once_per_call(monkeypatch, dimensionality, chunk, basis,
+                                                   repeats, n_col, per_group, per_block):
+    # 16 shells of 1 or 6 modes and 11 times: several time blocks of CHUNK // 16 times,
+    # several groups of kept column weights, each built in blocks of columns of at most
+    # CHUNK elements.  9 random labels on 6 sites take their 36 pairs as columns, in
+    # triu order.  The complete basis of 4 qubits, 16 labels and 120 pairs, takes one
+    # column per class of spin difference up to sign, its first pair, in class order: 40
+    # classes, and two repeated labels add the zero difference as a 41st.  Each column's
+    # |S_a - S_b|^2 is filled exactly once, every pair takes its column's damping, and
+    # each group takes every time block once
+    from regdeph import core
+
+    rng = np.random.default_rng(73 if basis else 67)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=16, omega_max=5.0,
+                               temperature=0.4, n_directions=12)
+    if basis:
+        pos = rng.uniform(-2.0, 2.0, size=(4, 3))
+        full = [BasisLabel(s) for s in itertools.product((1, -1), repeat=4)]
+        labels = full + [full[5], full[12]][:repeats]
+    else:
+        pos = rng.uniform(-2.0, 2.0, size=(6, 3))
+        labels = sorted({random_label(rng, 6) for _ in range(20)}, key=str)[:9]
+    times = np.linspace(0.0, 6.0, 11)
+    whole = core._coherence(labels, times, bath, pos)
+    pairs = list(itertools.combinations(range(len(labels)), 2))
+    own = [[damping_exponent(labels[x], labels[y], t, bath, pos) for x, y in pairs]
+           for t in times]
+    first = {}
+    for n, key in enumerate(difference_keys(labels)):
+        first.setdefault(key, n)
+    columns = [pairs[n] for n in first.values()] if basis else pairs
+    assert len(columns) == n_col
+    fill, kernels, built, blocks = core._damping_weights, core._shell_kernels, [], []
 
     def recorded(re, im, x, y, weight, im_diff):
-        built.append((list(zip(x.tolist(), y.tolist())), len(weight), weight.size))
+        built.append((list(x), list(y), weight.size))
         return fill(re, im, x, y, weight, im_diff)
 
     def timed(bath, times, rows):
@@ -776,8 +778,7 @@ def test_each_difference_class_weight_is_built_once_per_call(monkeypatch, dimens
             blocks.append(block)
             yield block, k_eta, k_phi
 
-    monkeypatch.setattr(core, "_class_weights", recorded)
-    monkeypatch.setattr(core, "_damping_weights", lambda *args: pytest.fail("pairs not grouped"))
+    monkeypatch.setattr(core, "_damping_weights", recorded)
     monkeypatch.setattr(core, "_shell_kernels", timed)
     monkeypatch.setattr(core, "CHUNK", chunk)
     n_mode = bath.folded.omega.size
@@ -785,15 +786,41 @@ def test_each_difference_class_weight_is_built_once_per_call(monkeypatch, dimens
     eta, phase = core._coherence(labels, times, bath, pos)
     for blocked, ref in zip((eta, phase), whole):
         np.testing.assert_allclose(blocked, ref, rtol=1e-14, atol=1e-15)
-    first = {(int(x), int(y)): n for n, (x, y) in enumerate(zip(a, b))}
-    assert [first[pair] for pairs, _, _ in built for pair in pairs] == list(classes.values())
-    assert all(n <= per_block and size <= chunk for _, n, size in built)
+    assert [pair for x, y, _ in built for pair in zip(x, y)] == columns
+    sizes = [min(per_block, size - r) for g0 in range(0, n_col, per_group)
+             for size in [min(per_group, n_col - g0)] for r in range(0, size, per_block)]
+    assert [(len(x), size) for x, _, size in built] == [(n, n * n_mode) for n in sizes]
+    assert max(size for _, _, size in built) <= chunk
     rows = chunk // 16
     time_blocks = [slice(t0, min(t0 + rows, len(times))) for t0 in range(0, len(times), rows)]
-    assert blocks == time_blocks * -(-n_class // per_group)
+    assert blocks == time_blocks * -(-n_col // per_group)
     np.testing.assert_allclose(whole[0], own, rtol=1e-14, atol=0)
-    same = [labels[x] == labels[y] for x, y in zip(a, b)]
+    same = [labels[x] == labels[y] for x, y in pairs]
     assert sum(same) == repeats and np.all(eta[:, same] == 0.0)
+    # in one block of columns, each run of one label's columns reads its later labels
+    # in place when they are consecutive and gathers them when not; a grouped basis
+    # takes both reads
+    built.clear()
+    monkeypatch.setattr(core, "CHUNK", 1 << 16)
+    core._coherence(labels, times, bath, pos)
+    in_place = []
+    for x, y, _ in built:
+        for _, run in itertools.groupby(zip(x, y), key=lambda pair: pair[0]):
+            later = [q for _, q in run]
+            in_place.append(later == list(range(later[0], later[0] + len(later))))
+    assert (any(in_place) and not all(in_place)) if basis else all(in_place)
+    # the same set with every pair as a column, in one block or many: each column's pair
+    # keeps its bits, and any other pair of its class differs only by the rounding of its
+    # own S_b - S_a
+    every = ([x for x, _ in pairs], [y for _, y in pairs], None)
+    monkeypatch.setattr(core, "_pair_columns", lambda labels: every)
+    own_column = [pairs.index(pair) for pair in columns]
+    for ref in (whole, (eta, phase)):
+        forced = core._coherence(labels, times, bath, pos)
+        assert np.array_equal(forced[0][:, own_column], ref[0][:, own_column])
+        assert np.array_equal(forced[1], ref[1])
+        np.testing.assert_allclose(forced[0], ref[0], rtol=1e-14, atol=0)
+        monkeypatch.setattr(core, "CHUNK", chunk)
 
 
 @pytest.mark.parametrize("ladder", [True, False])
