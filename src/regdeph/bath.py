@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, real
 
 __all__ = [
     "PowerLawCoupling",
@@ -51,12 +51,8 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 
     Returns ``1 / (exp(omega/T) - 1)``, and exactly 0 at ``T = 0``.
     """
-    omega = float(omega)
-    if not 0 < omega < np.inf:
-        raise ValueError(f"mode frequency must be finite and positive, got {omega}")
-    if not 0 <= temperature < np.inf:
-        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
-    if temperature == 0:
+    omega = real(float(omega), "mode frequency", "positive")
+    if real(temperature, "temperature", ">= 0") == 0:
         return 0.0
     return 1.0 / np.expm1(omega / temperature)
 
@@ -82,8 +78,9 @@ class PowerLawCoupling:
     cutoff: float = 1.0
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.cutoff <= 0:
-            raise ValueError("amplitude must be >= 0 and cutoff > 0")
+        real(self.amplitude, "amplitude", ">= 0")
+        real(self.exponent, "exponent")
+        real(self.cutoff, "cutoff", "positive")
 
     def g2(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -104,8 +101,9 @@ class GaussianPeakCoupling:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.center <= 0 or self.width <= 0 or self.amplitude < 0:
-            raise ValueError("center and width must be > 0, amplitude >= 0")
+        real(self.center, "center", "positive")
+        real(self.width, "width", "positive")
+        real(self.amplitude, "amplitude", ">= 0")
 
     def g2(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -180,10 +178,8 @@ class BathSpectrum:
             raise ValueError("all mode frequencies omega must be finite and positive (k = 0 excluded)")
         if not np.all(np.isfinite(g2) & (g2 >= 0)):
             raise ValueError("coupling weights g2 must be finite and >= 0")
-        if not 0 < self.v < np.inf:
-            raise ValueError(f"propagation velocity v must be finite and positive, got {self.v}")
-        if not 0 <= self.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        real(self.v, "propagation velocity v", "positive")
+        real(self.temperature, "temperature", ">= 0")
         knorm = self.v * np.linalg.norm(k, axis=1)
         if not np.allclose(knorm, omega, rtol=1e-10, atol=0.0):
             raise ValueError("dispersion violated: omega != v*|k| for some mode")
@@ -237,6 +233,7 @@ class BathSpectrum:
 
 
 def _assemble(freqs, weights, v, temperature, dimensionality, n_directions):
+    real(v, "propagation velocity v", "positive")  # before the division by it
     dirs = _direction_set(dimensionality, n_directions)
     n_dir = len(dirs)
     omega = np.repeat(freqs, n_dir)
@@ -264,9 +261,7 @@ def discretize_spectrum(
     the continuum spectral sums.
     """
     n_freq = integer(n_freq, "n_freq", 1)
-    if omega_max <= 0:
-        raise ValueError(f"omega_max must be positive, got {omega_max}")
-    step = omega_max / n_freq
+    step = real(omega_max, "omega_max", "positive") / n_freq
     freqs = step * np.arange(1, n_freq + 1)
     weights = coupling.g2(freqs) * step
     return _assemble(freqs, weights, v, temperature, dimensionality, n_directions)
@@ -290,6 +285,7 @@ def gaussian_peak_modes(
     empty tails.  A single shell sits at ``center`` with weight ``g2(center) * width``.
     """
     n_freq = integer(n_freq, "n_freq", 1)
+    real(n_sigma, "n_sigma", "positive")
     coupling = GaussianPeakCoupling(center=center, width=width, amplitude=amplitude)
     if n_freq == 1:
         freqs, step = np.array([center]), width
@@ -316,19 +312,22 @@ class SpectralMoments:
     width2: float
 
     def __post_init__(self):
-        for name, value in (("mean1", self.mean1), ("mean2", self.mean2)):
-            if not 0 < value < np.inf:  # a NaN fails too
-                raise ValueError(f"spectral mean {name} must be finite and positive, got {value}")
-        for name, value in (("width1", self.width1), ("width2", self.width2)):
-            if not 0 <= value < np.inf:
-                raise ValueError(f"spectral width {name} must be finite and >= 0, got {value}")
+        for name in ("mean1", "mean2"):
+            real(getattr(self, name), f"spectral mean {name}", "positive")
+        for name in ("width1", "width2"):
+            real(getattr(self, name), f"spectral width {name}", ">= 0")
 
 
-def _weighted_mean_std(omega, weights):
+def _normalized(weights):
+    """``weights`` divided by their sum, which must be positive."""
     total = weights.sum()
     if total <= 0:
         raise ValueError("weights sum to zero: no normalizable distribution")
-    h = weights / total
+    return weights / total
+
+
+def _weighted_mean_std(omega, weights):
+    h = _normalized(weights)
     mean = float(np.sum(h * omega))
     var = float(np.sum(h * (omega - mean) ** 2))
     return mean, np.sqrt(max(var, 0.0))

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, real
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState, pair_factors
 from .geometry import RegisterGeometry
@@ -51,8 +51,8 @@ class PairingPlan:
     def __post_init__(self):
         for name, low in (("m", 1), ("n", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
-        if self.residual is not None and not 0 <= self.residual < np.inf:
-            raise ValueError(f"residual must be finite and >= 0, got {self.residual}")
+        if self.residual is not None:
+            real(self.residual, "residual", ">= 0")
 
     def physical_pairs(self, n_logical: int) -> tuple[tuple[int, int], ...]:
         """Disjoint (site, site+m) cover of ``2*n_logical`` sites, in blocks of 2m."""
@@ -79,8 +79,7 @@ def find_pairing(kbar: float, d: float, m_max: int = 10,
     exists within tolerance — callers must handle that outcome explicitly.
     """
     for name, value in (("kbar", kbar), ("d", d), ("eps_tol", eps_tol)):
-        if not 0 < value < np.inf:  # a NaN fails too
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        real(value, name, "positive")
     m_max = integer(m_max, "m_max", 1)
     ratio = kbar * d / np.pi
     if not m_max * ratio < np.inf:

@@ -99,8 +99,8 @@ class RunOptions:
     m_max: int = _ini("run.m_max", "int", 10, ge=1)
     eps_tol: float = _ini("run.eps_tol", "float", 0.1, gt=0)
     code: str = _ini("run.code", "str", "adjacent", choices=("adjacent", "modulated"))
-    pair_m: int | None = _ini("run.pair_m", "int", None, optional=True)
-    pair_n: int | None = _ini("run.pair_n", "int", None, optional=True)
+    pair_m: int | None = _ini("run.pair_m", "int", None, optional=True, ge=1)
+    pair_n: int | None = _ini("run.pair_n", "int", None, optional=True, ge=0)
     track_pairs: str = _ini("run.track_pairs", "str", "", optional=True)
     delta_min: float = _ini("run.delta_min", "float", 0.0, ge=0)
     delta_max: float = _ini("run.delta_max", "float", 0.5, ge=0)
@@ -256,7 +256,7 @@ def _validate(cfg: RunConfig):
         meta, value = f.metadata, getattr(obj, f.name)
         name = f"{meta['section']}.{meta['key']}"
         for op, limit in meta["bounds"]:
-            if not _HOLDS[op](value, limit):
+            if value is not None and not _HOLDS[op](value, limit):  # an unset key is unbounded
                 raise ConfigError(f"{name} must be {op} {limit}, got {value!r}")
         if meta["choices"] and value not in meta["choices"]:
             raise ConfigError(f"{name} must be {' or '.join(map(repr, meta['choices']))}, "

@@ -344,6 +344,8 @@ def _shell_freqs(bath: BathSpectrum) -> np.ndarray:
 def _times(times) -> np.ndarray:
     """A time grid as a 1-D float array; every time must be finite and >= 0."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim > 1:
+        raise ValueError(f"times must be a scalar or a 1-D array, got shape {times.shape}")
     if times.size and not 0 <= times.min() <= times.max() < np.inf:  # a NaN fails too
         raise ValueError("times must be finite and >= 0")
     return times

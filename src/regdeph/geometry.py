@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import real
+
 __all__ = ["RegisterGeometry", "build_lattice", "apply_disorder"]
 
 
@@ -37,8 +39,7 @@ def build_lattice(dims: tuple[int, int, int], d: float) -> np.ndarray:
     if len(sizes) != 3 or any(not n.is_integer() or n < 1 for n in sizes):
         raise ValueError(f"dims must be three positive integers, got {tuple(dims)!r}")
     dims = tuple(int(n) for n in sizes)
-    if not 0 < d < np.inf:
-        raise ValueError(f"lattice constant d must be finite and positive, got {d}")
+    real(d, "lattice constant d", "positive")
     grid = np.array(list(np.ndindex(dims)), dtype=float)
     return grid * d
 
@@ -56,9 +57,7 @@ def apply_disorder(ideal_positions: np.ndarray, delta: float,
     positions = np.asarray(ideal_positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError(f"positions must have shape (L, 3), got {positions.shape}")
-    if not 0 <= delta < np.inf:
-        raise ValueError(f"disorder amplitude delta must be finite and >= 0, got {delta}")
-    if delta == 0:
+    if real(delta, "disorder amplitude delta", ">= 0") == 0:
         return positions.copy()
     rng = np.random.default_rng(seed)
     offsets = rng.normal(0.0, delta / np.sqrt(3.0), size=positions.shape)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, real
 from .bath import BathSpectrum
 from .core import BasisLabel, RegisterState
 
@@ -162,9 +162,7 @@ def integrated_blocks(bath: BathSpectrum, positions, labels, t: float,
     squaring for all blocks at once; no closed-form expression enters.
     """
     steps = integer(steps, "steps", 1)
-    if not 0 <= t < np.inf:  # a NaN fails too
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    dt = t / steps
+    dt = real(t, "time", ">= 0") / steps
     base = _drive_exp(dt * _sector_couplings(bath, positions, labels), dim)
     rate = 1j * np.outer(bath.omega, np.arange(dim))  # (M, dim): i * omega * n
     base *= np.exp(-rate * dt)[..., None]
@@ -186,8 +184,7 @@ def analytic_blocks(bath: BathSpectrum, positions, labels, t: float, dim: int,
     ``include_phase=False`` the phase is dropped; this ablation is expected
     to disagree with :func:`integrated_blocks` whenever the phase matters.
     """
-    if not 0 <= t < np.inf:  # a NaN fails too
-        raise ValueError(f"time must be finite and >= 0, got {t}")
+    real(t, "time", ">= 0")
     b = _sector_couplings(bath, positions, labels)  # (S, M)
     w = bath.omega
     z = np.conj(b) * (1.0 - np.exp(1j * w * t)) / w
@@ -377,8 +374,7 @@ def check_instance(inst: OracleInstance, tolerance: float = 1e-4) -> InstanceChe
     plus the truncated Bose tail, itself at most ``LEAKAGE_TOL``.
     ``tolerance`` must be finite and >= 0.
     """
-    if not 0 <= tolerance < np.inf:  # a NaN fails too
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+    real(tolerance, "tolerance", ">= 0")
     from .core import evolve  # deferred: the dynamics here never use it
 
     closed = evolve(inst.state, inst.t, inst.bath, inst.positions)

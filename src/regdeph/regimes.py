@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._checks import integer
-from .bath import BathSpectrum, SpectralMoments
+from ._checks import integer, real
+from .bath import BathSpectrum, SpectralMoments, _normalized
 from . import core
 from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
@@ -79,8 +79,7 @@ def classify(geometry: RegisterGeometry, moments: SpectralMoments,
     below 0.1.  Anything else is Intermediate.
     """
     m = integer(m, "pairing distance m", 1)
-    if not 0 < v < np.inf:
-        raise ValueError(f"velocity v must be finite and positive, got {v}")
+    real(v, "velocity v", "positive")
     delta, d = geometry.delta, geometry.d
     p_ind1a = moments.mean1 * delta / v
     p_ind1b = moments.mean2 * delta / v
@@ -130,9 +129,7 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     and each block's weights come from one batched call.
     """
     n_samples = integer(n_samples, "n_samples", 2)
-    if not np.isfinite(k_magnitude):
-        raise ValueError(f"k_magnitude must be finite, got {k_magnitude}")
-    k_vec = np.array([k_magnitude, 0.0, 0.0])
+    k_vec = np.array([real(k_magnitude, "k_magnitude"), 0.0, 0.0])
     ideal = geometry.ideal_positions()
     lam1, lam2 = np.empty((2, n_samples))
     step = max(1, core.CHUNK // len(ideal))
@@ -168,16 +165,13 @@ def fourier_suppression(delta_omega: float, s: float = 1.0, d: float = 1.0,
     ``|<exp(i s d omega / v)>|`` under the normalized ``g2/omega^2`` weight of
     its mode grid is computed alongside for comparison.
     """
-    if not 0 <= delta_omega < np.inf:  # a NaN fails too
-        raise ValueError(f"delta_omega must be finite and >= 0, got {delta_omega}")
+    real(delta_omega, "delta_omega", ">= 0")
     for name, value in (("s", s), ("d", d), ("v", v)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        real(value, name, "positive")
     estimate = float(np.exp(-((delta_omega * s * d / v) ** 2)))
     grid_value = None
     if bath is not None:
-        w = bath.g2 / bath.omega**2
-        h = w / w.sum()
+        h = _normalized(bath.g2 / bath.omega**2)
         grid_value = float(np.abs(np.sum(h * np.exp(1j * s * d * bath.omega / v))))
     return FourierSuppression(estimate=estimate, grid_value=grid_value)
 

@@ -178,6 +178,34 @@ def test_n_freq_must_be_a_positive_integer(mode_set, n_freq):
         MODE_SETS[mode_set](n_freq)
 
 
+@pytest.mark.parametrize("name, build", [
+    # omega_max = inf and n_sigma = nan used to fail at BathSpectrum, naming neither,
+    # and v = 0 divided by zero before any check
+    ("omega_max", lambda: discretize_spectrum(PowerLawCoupling(), 1.0, omega_max=np.inf)),
+    ("n_sigma", lambda: gaussian_peak_modes(center=2.0, width=0.1, v=1.0, n_sigma=np.nan)),
+    ("velocity v", lambda: discretize_spectrum(PowerLawCoupling(), 0.0, n_freq=4)),
+    ("velocity v", lambda: gaussian_peak_modes(center=2.0, width=0.1, v=0.0, n_freq=5)),
+], ids=["omega_max", "n_sigma", "grid-v", "peak-v"])
+def test_builder_arguments_rejected_by_name(name, build):
+    with pytest.raises(ValueError, match=rf"{name} must be finite and positive"):
+        build()
+
+
+@pytest.mark.parametrize("name, make", [
+    # each was accepted: `x <= 0` lets a NaN and an infinity through
+    ("amplitude", lambda: PowerLawCoupling(amplitude=np.nan)),
+    ("exponent", lambda: PowerLawCoupling(exponent=np.inf)),
+    ("cutoff", lambda: PowerLawCoupling(cutoff=np.nan)),
+    ("center", lambda: GaussianPeakCoupling(center=np.nan, width=0.1)),
+    ("width", lambda: GaussianPeakCoupling(center=1.0, width=np.inf)),
+    ("amplitude", lambda: GaussianPeakCoupling(center=1.0, width=0.1, amplitude=np.inf)),
+], ids=["power-amplitude", "power-exponent", "power-cutoff", "peak-center", "peak-width",
+        "peak-amplitude"])
+def test_coupling_fields_must_be_finite(name, make):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        make()
+
+
 def test_integral_float_n_freq_is_that_integer():
     # gaussian_peak_modes(n_freq=3.0) used to raise TypeError in linspace
     a, b = MODE_SETS["peak"](3.0), MODE_SETS["peak"](3)

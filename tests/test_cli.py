@@ -158,6 +158,9 @@ OUT_OF_RANGE = [
     ("[run]\nm = 0\n", "run.m must be >= 1"),
     ("[run]\nm_max = 0\n", "run.m_max must be >= 1"),
     ("[run]\neps_tol = 0\n", "run.eps_tol must be > 0"),
+    # used to parse; only encode rejected them, naming no key
+    ("[run]\npair_m = 0\npair_n = 0\n", "run.pair_m must be >= 1"),
+    ("[run]\npair_m = 1\npair_n = -3\n", "run.pair_n must be >= 0"),
     # infrared bound of a power-law bath: at T > 0, and at T = 0
     ("[bath]\nT = 0.5\n\n[coupling]\np = 0\n", "coupling.p must be > 0"),
     ("[coupling]\np = -1\n", "coupling.p must be > -1"),

@@ -451,6 +451,11 @@ def test_empty_label_set_gives_empty_factors(grid):
     assert eta.shape == phase.shape == (3, 0)
 
 
+def _grid(*times):
+    """The times as a grid; an array of times adds its shape in front of the grid's axis."""
+    return np.stack(np.broadcast_arrays(*times), axis=-1)
+
+
 def _closed_form_calls():
     from regdeph.regimes import damping_scale, independent_limit_factors, phase_scale
 
@@ -463,8 +468,8 @@ def _closed_form_calls():
         "pair_factors": lambda t, b, r: pair_factors([i, j], t, b, r),
         "evolve": lambda t, b, r: evolve(state, t, b, r),
         "fidelity": lambda t, b, r: fidelity(state, t, b, r),
-        "factor_curves": lambda t, b, r: factor_curves(i, j, [0.0, 1.0, t], b, r),
-        "fidelity_curve": lambda t, b, r: fidelity_curve(state, [0.0, t, 2.0], b, r),
+        "factor_curves": lambda t, b, r: factor_curves(i, j, _grid(0.0, 1.0, t), b, r),
+        "fidelity_curve": lambda t, b, r: fidelity_curve(state, _grid(0.0, t, 2.0), b, r),
         "damping_scale": lambda t, b, r: damping_scale(b, t),
         "phase_scale": lambda t, b, r: phase_scale(b, t),
         "independent_limit_factors": lambda t, b, r: independent_limit_factors(i, j, t, b),
@@ -472,15 +477,19 @@ def _closed_form_calls():
 
 
 @pytest.mark.parametrize("name", list(_closed_form_calls()))
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0,
+                                 pytest.param(np.array([1.0, 2.0]), id="1-D")])
 def test_closed_form_entry_points_reject_non_finite_times(name, bad):
-    # `times < 0` misses NaN, so a NaN or inf time used to give NaN factors
+    # `times < 0` misses NaN, so a NaN or inf time used to give NaN factors; an array
+    # where each entry point takes one time makes its grid 2-D, which used to fail
+    # deep in the kernels with a broadcast error
     call = _closed_form_calls()[name]
+    message = "times must be finite" if np.ndim(bad) == 0 else "times must be a scalar or a 1-D"
     for bath in (random_bath(np.random.default_rng(61)),
                  discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=16,
                                      omega_max=4.0)):
         call(1.5, bath, line_positions(2))
-        with pytest.raises(ValueError, match="times must be finite"):
+        with pytest.raises(ValueError, match=message):
             call(bad, bath, line_positions(2))
 
 

@@ -202,6 +202,10 @@ class TestFourierSuppression:
         ("s", (1.0, float("nan"))),
         ("d", (1.0, 1.0, float("inf"))),
         ("v", (1.0, 1.0, 1.0, float("nan"))),
+        # a bath of zero weight used to divide by zero, to a NaN grid_value
+        ("weights", (1.0, 1.0, 1.0, 1.0,
+                     BathSpectrum(omega=np.array([1.0]), k=np.array([[1.0, 0, 0]]),
+                                  g2=np.array([0.0]), v=1.0))),
     ])
     def test_non_finite_inputs_rejected(self, name, args):
         with pytest.raises(ValueError, match=rf"^{name} "):
