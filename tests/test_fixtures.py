@@ -1,0 +1,109 @@
+"""Pinned CLI outputs: every config under ``tests/fixtures/`` against its checked-in result.
+
+``fixtures/<command>.ini`` runs as ``regdeph <command>`` in-process.  Its
+expected files are in ``fixtures/<command>/`` and its stdout, with the output
+directory written as ``{out}``, in ``fixtures/<command>.stdout``.  After a
+change meant to move an output, rewrite them all with
+
+    PYTHONPATH=src python tests/test_fixtures.py
+
+Byte identity holds only per machine and BLAS kernel, so the comparison is by
+rule: file names, exit codes, text and integers exactly, and every other
+number within one unit of its last printed digit.  Printings of one value may
+differ in length (``0.2`` and ``0.200000000001`` at 12 digits), so the finer of
+the two last digits sets the unit.  Numbers below ``ROUNDOFF`` are roundoff
+diagnostics, such as the standard error of a zero-disorder row, whose exact
+copies still spread by about 1e-17; they compare to that absolute floor.
+"""
+import contextlib
+import io
+import re
+import shutil
+import sys
+from decimal import Decimal
+from pathlib import Path
+
+import pytest
+
+from regdeph.cli import EXIT_OK, main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+CONFIGS = sorted(FIXTURES.glob("*.ini"))
+ROUNDOFF = Decimal("1e-15")
+# a number standing alone: not part of a word, a version string or a hex digest
+_NUMBER = re.compile(r"(?<![\w.+-])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
+_INTEGER = re.compile(r"[-+]?\d+")
+
+
+def run_fixture(config: Path, out: Path) -> str:
+    """Run the config's command into ``out``; return its stdout with ``out`` as ``{out}``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main([config.stem, "--config", str(config), "--output", str(out)])
+    assert code == EXIT_OK, f"{config.name} exited {code}"
+    return buf.getvalue().replace(str(out), "{out}")
+
+
+def _unit(number: str) -> Decimal:
+    """One unit of the last printed digit of ``number``."""
+    value = Decimal(number)
+    return Decimal(1).scaleb(value.as_tuple().exponent)
+
+
+def _numbers_match(want: str, got: str) -> bool:
+    if _INTEGER.fullmatch(want) and _INTEGER.fullmatch(got):
+        return int(want) == int(got)
+    tolerance = max(min(_unit(want), _unit(got)), ROUNDOFF)
+    return abs(Decimal(want) - Decimal(got)) <= tolerance
+
+
+def assert_text_matches(want: str, got: str, where: str):
+    want_lines, got_lines = want.splitlines(), got.splitlines()
+    assert len(got_lines) == len(want_lines), f"{where}: {len(got_lines)} lines, want {len(want_lines)}"
+    for n, (w, g) in enumerate(zip(want_lines, got_lines), 1):
+        # split() with one group alternates text and numbers, the numbers at odd places
+        w_parts, g_parts = _NUMBER.split(w), _NUMBER.split(g)
+        ok = len(w_parts) == len(g_parts) and all(
+            (a == b) if k % 2 == 0 else _numbers_match(a, b)
+            for k, (a, b) in enumerate(zip(w_parts, g_parts)))
+        assert ok, f"{where}, line {n}:\n  want {w}\n  got  {g}"
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_cli_output_matches_fixture(config, tmp_path):
+    out = tmp_path / "out"
+    stdout = run_fixture(config, out)
+    expected = FIXTURES / config.stem
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in expected.iterdir())
+    assert_text_matches(config.with_suffix(".stdout").read_text(), stdout, "stdout")
+    for path in sorted(expected.iterdir()):
+        assert_text_matches(path.read_text(), (out / path.name).read_text(), path.name)
+
+
+@pytest.mark.parametrize("want, got, same", [
+    ("0.193066439365", "0.193066439366", True),
+    ("0.193066439365", "0.193066439367", False),
+    ("0.2", "0.200000000001", True),
+    ("0.2", "0.200000000002", False),
+    ("3.21029276477e-18", "0", True),
+    ("6", "7", False),
+    ("4294967301", "4294967302", False),
+])
+def test_number_rule(want, got, same):
+    assert _numbers_match(want, got) is same
+
+
+def test_text_around_numbers_is_exact():
+    assert_text_matches("# regdeph 0.1.0\nd = 0.9", "# regdeph 0.1.0\nd = 0.9", "same")
+    for want, got in [("# regdeph 0.1.0", "# regdeph 0.1.1"), ("sha256 = 7655fc", "sha256 = 7656fc"),
+                      ("a,1.5", "a;1.5"), ("1,2", "1,2,3")]:
+        with pytest.raises(AssertionError):
+            assert_text_matches(want, got, "changed")
+
+
+if __name__ == "__main__":
+    for config in CONFIGS:
+        expected = FIXTURES / config.stem
+        shutil.rmtree(expected, ignore_errors=True)
+        config.with_suffix(".stdout").write_text(run_fixture(config, expected))
+        print(f"regenerated {expected}", file=sys.stderr)
