@@ -60,7 +60,7 @@ def thermal_occupation(omega: float, temperature: float) -> float:
 def coth_half(omega, temperature: float):
     """coth(omega / 2T) elementwise, with the exact T = 0 limit of 1."""
     omega = np.asarray(omega, dtype=float)
-    if temperature == 0:
+    if real(temperature, "temperature", ">= 0") == 0:
         return np.ones_like(omega)
     return 1.0 / np.tanh(omega / (2.0 * temperature))
 

@@ -23,7 +23,7 @@ from .bath import BathSpectrum, SpectralMoments, _normalized
 from . import core
 from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
-from .geometry import RegisterGeometry, apply_disorder
+from .geometry import RegisterGeometry, _disorder_block
 
 __all__ = [
     "RegimeReport",
@@ -126,7 +126,9 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     independent of evaluation order.
 
     The samples' positions are stacked in blocks of at most ``core.CHUNK`` sites,
-    and each block's weights come from one batched call.
+    each block's streams derived at once and bit-identical to one
+    ``apply_disorder(ideal, delta, (seed, idx))`` per sample, and each block's
+    weights come from one batched call.
     """
     n_samples = integer(n_samples, "n_samples", 2)
     k_vec = np.array([real(k_magnitude, "k_magnitude"), 0.0, 0.0])
@@ -135,8 +137,7 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     step = max(1, core.CHUNK // len(ideal))
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)
-        positions = np.stack([apply_disorder(ideal, geometry.delta, (geometry.seed, idx))
-                              for idx in range(lo, hi)])
+        positions = _disorder_block(ideal, geometry.delta, geometry.seed, lo, hi)
         lam1[lo:hi], lam2[lo:hi] = _pair_weights(i, j, k_vec, positions)
 
     def estimate(values):

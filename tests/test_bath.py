@@ -46,6 +46,13 @@ def test_coth_half_zero_temperature_limit():
     assert np.array_equal(coth_half(np.array([0.3, 2.0]), 0.0), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), -1.0, float("inf")])
+def test_coth_half_rejects_bad_temperature(temperature):
+    # NaN used to give NaNs, -1 gave coth(-1/2) = -2.16 and infinity gave inf
+    with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+        coth_half([1.0, 2.0], temperature)
+
+
 class TestDiscretize:
     def test_degenerate_grid_single_frequency(self):
         bath = discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=1, omega_max=2.0)
