@@ -12,7 +12,6 @@ from .bath import (
     discretize_spectrum,
     gaussian_peak_modes,
     spectral_moments,
-    thermal_occupation,
 )
 from .core import (
     BasisLabel,
@@ -79,6 +78,5 @@ __all__ = [
     "phase_weight",
     "spectral_moments",
     "subdecoherence_residual",
-    "thermal_occupation",
     "__version__",
 ]

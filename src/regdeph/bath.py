@@ -38,23 +38,11 @@ __all__ = [
     "ModeSet",
     "ShellGrid",
     "SpectralMoments",
-    "thermal_occupation",
     "coth_half",
     "discretize_spectrum",
     "gaussian_peak_modes",
     "spectral_moments",
 ]
-
-
-def thermal_occupation(omega: float, temperature: float) -> float:
-    """Mean occupation number of a mode at frequency ``omega``.
-
-    Returns ``1 / (exp(omega/T) - 1)``, and exactly 0 at ``T = 0``.
-    """
-    omega = real(float(omega), "mode frequency", "positive")
-    if real(temperature, "temperature", ">= 0") == 0:
-        return 0.0
-    return 1.0 / np.expm1(omega / temperature)
 
 
 def coth_half(omega, temperature: float):

@@ -23,7 +23,7 @@ from .bath import BathSpectrum, SpectralMoments, _normalized
 from . import core
 from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
-from .geometry import RegisterGeometry, _disorder_block
+from .geometry import RegisterGeometry
 
 __all__ = [
     "RegimeReport",
@@ -121,23 +121,30 @@ def disorder_average_weights(i: BasisLabel, j: BasisLabel, k_magnitude: float,
     """Monte Carlo means of the damping and phase weights over site disorder.
 
     The wave vector is held fixed along the first lattice axis with the given
-    magnitude; each sample redraws the site offsets with a seed derived from
-    ``(geometry.seed, sample_index)``, so the aggregate is deterministic and
-    independent of evaluation order.
-
-    The samples' positions are stacked in blocks of at most ``core.CHUNK`` sites,
-    each block's streams derived at once and bit-identical to one
-    ``apply_disorder(ideal, delta, (seed, idx))`` per sample, and each block's
-    weights come from one batched call.
+    magnitude.  Each sample displaces every site of the ideal lattice by an
+    isotropic Gaussian offset of per-axis standard deviation ``delta/sqrt(3)``,
+    as :func:`~regdeph.geometry.apply_disorder` does.  All offsets come from one
+    generator, ``np.random.default_rng(geometry.seed)``, drawn in blocks of at
+    most ``core.CHUNK`` sites; numpy's normal stream is the same in blocks as
+    in one draw, so the estimates do not depend on ``CHUNK``.  Sample 0 is
+    ``geometry.positions``, and calls that differ only in ``delta`` share
+    their standard normals.  Each block's weights come from one batched call.
+    With ``delta == 0`` every sample is the lattice: the means are its weights
+    and the standard errors are exactly 0.
     """
     n_samples = integer(n_samples, "n_samples", 2)
     k_vec = np.array([real(k_magnitude, "k_magnitude"), 0.0, 0.0])
     ideal = geometry.ideal_positions()
+    if geometry.delta == 0:
+        return tuple(MonteCarloEstimate(mean=float(w), stderr=0.0, n_samples=n_samples)
+                     for w in _pair_weights(i, j, k_vec, ideal))
+    rng = np.random.default_rng(geometry.seed)
+    sigma = geometry.delta / np.sqrt(3.0)
     lam1, lam2 = np.empty((2, n_samples))
     step = max(1, core.CHUNK // len(ideal))
     for lo in range(0, n_samples, step):
         hi = min(lo + step, n_samples)
-        positions = _disorder_block(ideal, geometry.delta, geometry.seed, lo, hi)
+        positions = ideal + sigma * rng.standard_normal((hi - lo, *ideal.shape))
         lam1[lo:hi], lam2[lo:hi] = _pair_weights(i, j, k_vec, positions)
 
     def estimate(values):

@@ -11,35 +11,8 @@ from regdeph.bath import (
     discretize_spectrum,
     gaussian_peak_modes,
     spectral_moments,
-    thermal_occupation,
 )
 from regdeph.regimes import damping_scale
-
-
-class TestThermalOccupation:
-    def test_zero_temperature(self):
-        assert thermal_occupation(1.0, 0.0) == 0.0
-
-    def test_ln2_point(self):
-        # exp(ln 2) - 1 = 1
-        assert thermal_occupation(np.log(2.0), 1.0) == pytest.approx(1.0, abs=1e-14)
-
-    def test_high_temperature_value(self):
-        # frozen from a 30-digit evaluation of 1/(exp(1/100) - 1)
-        assert thermal_occupation(1.0, 100.0) == pytest.approx(99.5008333319444, abs=1e-10)
-
-    @pytest.mark.parametrize("omega", [0.0, -1.0])
-    def test_nonpositive_frequency_rejected(self, omega):
-        with pytest.raises(ValueError):
-            thermal_occupation(omega, 1.0)
-
-    def test_monotone_in_temperature_and_frequency(self):
-        temps = np.linspace(0.1, 5.0, 40)
-        occ_t = [thermal_occupation(1.0, t) for t in temps]
-        assert np.all(np.diff(occ_t) > 0)
-        omegas = np.linspace(0.2, 6.0, 40)
-        occ_w = [thermal_occupation(w, 1.0) for w in omegas]
-        assert np.all(np.diff(occ_w) < 0)
 
 
 def test_coth_half_zero_temperature_limit():
@@ -249,12 +222,6 @@ class TestBathSpectrum:
                       g2=np.array([0.1, 0.1]), v=1.0, temperature=0.5)
         with pytest.raises(ValueError, match=name):
             BathSpectrum(**{**kwargs, **override})
-
-    @pytest.mark.parametrize("omega,temperature", [(float("nan"), 1.0), (float("inf"), 1.0),
-                                                   (1.0, float("nan")), (1.0, float("inf"))])
-    def test_occupation_rejects_non_finite_inputs(self, omega, temperature):
-        with pytest.raises(ValueError):
-            thermal_occupation(omega, temperature)
 
     def test_immutability(self):
         bath = discretize_spectrum(PowerLawCoupling(), v=1.0, n_freq=4, omega_max=2.0,

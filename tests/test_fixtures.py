@@ -12,8 +12,8 @@ rule: file names, exit codes, text and integers exactly, and every other
 number within one unit of its last printed digit.  Printings of one value may
 differ in length (``0.2`` and ``0.200000000001`` at 12 digits), so the finer of
 the two last digits sets the unit.  Numbers below ``ROUNDOFF`` are roundoff
-diagnostics, such as the standard error of a zero-disorder row, whose exact
-copies still spread by about 1e-17; they compare to that absolute floor.
+diagnostics, such as a residual or a leakage that is zero but for rounding;
+they compare to that absolute floor.
 """
 import contextlib
 import io

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from regdeph.geometry import RegisterGeometry, _disorder_block, apply_disorder, build_lattice
+from regdeph.geometry import RegisterGeometry, apply_disorder, build_lattice
 
 
 def test_single_site_at_origin():
@@ -108,41 +108,3 @@ def test_geometry_object_realizes_positions():
     with pytest.raises(ValueError):
         noisy.positions[0, 0] = 7.0  # positions are read-only
 
-
-def _default_rng_block(ideal, delta, seed, lo, hi):
-    """The per-sample draws the block builder reproduces, one generator each."""
-    return np.stack([ideal + np.random.default_rng((seed, idx)).normal(
-        0.0, delta / np.sqrt(3.0), size=ideal.shape) for idx in range(lo, hi)])
-
-
-# 2**96 + 5 takes four 32-bit words, so with the index the entropy outgrows
-# SeedSequence's pool of four and takes the extra mixing rounds
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**96 + 5])
-@pytest.mark.parametrize("dims, delta", [((6, 1, 1), 0.4), ((3, 3, 3), 2.5)])
-def test_disorder_block_is_default_rng_bit_for_bit(seed, dims, delta):
-    ideal = build_lattice(dims, 0.9)
-    block = _disorder_block(ideal, delta, seed, 0, 40)
-    assert block.tobytes() == _default_rng_block(ideal, delta, seed, 0, 40).tobytes()
-
-
-@pytest.mark.parametrize("seed", [7, 2**96 + 5])
-def test_disorder_block_crossing_a_word_boundary_of_the_index(seed):
-    # indices 2**32 - 3 .. 2**32 + 2: the index's word count changes inside the block
-    ideal = build_lattice((5, 1, 1), 1.0)
-    lo, hi = 2**32 - 3, 2**32 + 3
-    block = _disorder_block(ideal, 0.3, seed, lo, hi)
-    assert block.tobytes() == _default_rng_block(ideal, 0.3, seed, lo, hi).tobytes()
-
-
-def test_disorder_block_of_zero_disorder_copies_the_lattice():
-    ideal = build_lattice((4, 1, 1), 1.0)
-    block = _disorder_block(ideal, 0.0, 3, 5, 12)
-    assert block.shape == (7, 4, 3) and np.array_equal(block, np.broadcast_to(ideal, block.shape))
-
-
-def test_disorder_block_rejects_a_negative_seed_as_default_rng_does():
-    ideal = build_lattice((2, 1, 1), 1.0)
-    with pytest.raises(ValueError):
-        np.random.default_rng((-1, 0))
-    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-        _disorder_block(ideal, 0.1, -1, 0, 4)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from regdeph import core, regimes
 from regdeph.bath import BathSpectrum, SpectralMoments, gaussian_peak_modes, spectral_moments
 from regdeph.core import BasisLabel, damping_exponent
 from regdeph.geometry import RegisterGeometry
@@ -20,6 +21,33 @@ def moments(mean=1.0, width=0.5):
 
 def geometry(delta=0.0, d=1.0, n=4, seed=0):
     return RegisterGeometry(dims=(n, 1, 1), d=d, delta=delta, seed=seed)
+
+
+def random_labels(n_qubits):
+    """Two labels of ``n_qubits`` drawn from a fixed stream, differing on at least two sites."""
+    rng = np.random.default_rng(7)
+    while True:
+        i, j = (rng.choice([-1, 1], size=n_qubits) for _ in range(2))
+        if np.sum(i != j) >= 2:
+            return BasisLabel(tuple(i)), BasisLabel(tuple(j))
+
+
+def exact_disorder_average(i, j, k_magnitude, geo):
+    """Exact disorder averages of the damping and phase weights at ``k`` along x.
+
+    Each site's offset is an independent isotropic Gaussian of per-axis
+    variance ``delta**2/3``, so every cross-site factor ``exp(i k.(u_l - u_l'))``
+    averages to ``f = exp(-k**2 delta**2/3)`` and the diagonal terms keep their
+    value.  The damping weight averages to ``|s_i - s_j|^2 + f (W - |s_i - s_j|^2)``,
+    with ``W`` its value on the ideal lattice; the phase weight's diagonal terms
+    cancel, so it averages to ``f`` times its lattice value.  See Zanardi and
+    Rasetti, PRL 79, 3306 (1997).
+    """
+    k_vec = np.array([k_magnitude, 0.0, 0.0])
+    damping, phase = core._pair_weights(i, j, k_vec, geo.ideal_positions())
+    diagonal = float(np.sum((i.as_array() - j.as_array()) ** 2))
+    f = np.exp(-(k_magnitude * geo.delta) ** 2 / 3.0)
+    return diagonal + f * (damping - diagonal), f * phase
 
 
 class TestClassify:
@@ -109,7 +137,7 @@ class TestDisorderAverages:
         _, est2 = disorder_average_weights(i, i.flipped(), 20.0, geometry(delta=1.0), 300)
         assert abs(est2.mean) <= 3 * est2.stderr + 1e-9
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         i = BasisLabel((1, -1, 1, 1))
         j = BasisLabel((1, 1, 1, -1))
         geo = geometry(delta=0.5, seed=123)
@@ -117,16 +145,20 @@ class TestDisorderAverages:
         b = disorder_average_weights(i, j, 3.0, geo, 200)
         assert a == b
 
-    @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
-    def test_batched_weights_equal_per_sample_weights(self, monkeypatch, dims):
-        from regdeph import core, regimes
-        from regdeph.core import damping_weight, phase_weight
-        from regdeph.geometry import apply_disorder
+    def test_zero_disorder_is_the_lattice_exactly(self, monkeypatch):
+        # equal copies of one weight used to give a stderr of a few 1e-18 through np.std
+        i, j = BasisLabel((1, -1, 1, -1, -1, 1)), BasisLabel((1, 1, -1, 1, -1, 1))
+        geo = RegisterGeometry(dims=(6, 1, 1), d=0.9, seed=4294967301)
+        lattice = core._pair_weights(i, j, np.array([1.3, 0.0, 0.0]), geo.positions)
+        monkeypatch.setattr(np.random, "default_rng", None)  # no normals are drawn
+        for est, weight in zip(disorder_average_weights(i, j, 1.3, geo, 300), lattice):
+            assert est.mean == float(weight) and est.stderr == 0.0 and est.n_samples == 300
 
-        rng = np.random.default_rng(7)
+    @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
+    def test_estimates_do_not_depend_on_chunk(self, monkeypatch, dims):
         geo = RegisterGeometry(dims=dims, d=0.9, delta=0.4, seed=11)
-        i, j = (BasisLabel(tuple(rng.choice([-1, 1], size=geo.n_qubits))) for _ in range(2))
-        k_vec, n = np.array([1.7, 0.0, 0.0]), 40
+        i, j = random_labels(geo.n_qubits)
+        default = disorder_average_weights(i, j, 1.7, geo, 40)
         block_sizes = []
 
         def recorded(*args):
@@ -136,14 +168,33 @@ class TestDisorderAverages:
         # blocks of 3 samples on 27 sites, of 16 samples on 6 sites
         monkeypatch.setattr(core, "CHUNK", 100)
         monkeypatch.setattr(regimes, "_pair_weights", recorded)
-        batched = disorder_average_weights(i, j, 1.7, geo, n)
-        assert max(block_sizes) == 100 // geo.n_qubits and sum(block_sizes) == n
-        samples = [apply_disorder(geo.ideal_positions(), geo.delta, (geo.seed, idx))
-                   for idx in range(n)]
-        for est, weight in zip(batched, (damping_weight, phase_weight)):
-            values = np.array([weight(i, j, k_vec, pos) for pos in samples])
-            assert est.mean == float(np.mean(values))
-            assert est.stderr == float(np.std(values, ddof=1) / np.sqrt(n))
+        chunked = disorder_average_weights(i, j, 1.7, geo, 40)
+        assert max(block_sizes) == 100 // geo.n_qubits and sum(block_sizes) == 40
+        assert chunked == default
+
+    @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
+    def test_first_sample_is_the_configured_register(self, monkeypatch, dims):
+        geo = RegisterGeometry(dims=dims, d=0.9, delta=0.4, seed=11)
+        blocks = []
+
+        def recorded(*args):
+            blocks.append(args[-1])
+            return core._pair_weights(*args)
+
+        monkeypatch.setattr(regimes, "_pair_weights", recorded)
+        disorder_average_weights(*random_labels(geo.n_qubits), 1.7, geo, 10)
+        assert blocks[0][0].tobytes() == geo.positions.tobytes()
+
+    # k*delta from 0.3 to 3 spans the crossover from the ideal lattice's weights
+    # to the independent limit
+    @pytest.mark.parametrize("k_delta", [0.3, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("dims", [(6, 1, 1), (3, 3, 3)])
+    def test_mean_within_four_stderr_of_the_exact_average(self, dims, k_delta):
+        geo = RegisterGeometry(dims=dims, d=0.9, delta=k_delta / 1.3, seed=11)
+        i, j = random_labels(geo.n_qubits)
+        estimates = disorder_average_weights(i, j, 1.3, geo, 2000)
+        for est, exact in zip(estimates, exact_disorder_average(i, j, 1.3, geo)):
+            assert est.stderr > 0 and abs(est.mean - exact) <= 4 * est.stderr, (est, exact)
 
     def test_needs_two_samples(self):
         lab = BasisLabel((1, 1, 1, 1))
