@@ -174,6 +174,11 @@ class BathSpectrum:
         for name, arr in (("omega", omega), ("k", k), ("g2", g2)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if self.grid is not None:
+            grid = ShellGrid(*(np.array(arr, dtype=float, order="C") for arr in self.grid))
+            for arr in grid:
+                arr.setflags(write=False)
+            object.__setattr__(self, "grid", grid)
 
     @property
     def n_modes(self) -> int:

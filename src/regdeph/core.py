@@ -77,12 +77,24 @@ and anchors of one direction, or whole mode columns on the dense path), the
 ``CHUNK`` elements, or one row when a row alone is larger; no ``(T, M)``
 array is formed.  The differences are taken of factors scaled by
 ``sqrt(g2) / omega``, so the weight costs one pass over ``(n, M)`` and none
-over ``(P, M)``.  Each column's weights are built once per call: with one
-block of times each block of columns meets the kernels once and is dropped;
-with several, the ``(P, J)`` weights of a group of columns, at most
-``4*CHUNK`` elements, are kept across all blocks of times, which are then
-built once per group.  The label weights ``V`` are built once per call and
-the label phases once per time point.
+over ``(P, M)``.  Each column's weights are built at most once per call:
+with one block of times each block of columns meets the kernels once; with
+several, the ``(P, J)`` weights of a group of columns, at most ``4*CHUNK``
+elements, are kept across all blocks of times, which are then built once per
+group.  The label weights ``V`` are built at most once per call and the
+label phases once per time point.
+
+**Weights kept across calls.**  ``V`` and ``W`` do not depend on time.  A
+set whose columns all fit one group builds its whole ``W``, and one
+module-level slot keeps that ``W`` and its ``V`` after the call, keyed on
+the bath object, the positions' shape and bytes, the label tuple and
+``CHUNK``.  A later call with the same key, such as the single-time calls
+of one register at many times, computes only the kernels and the two
+GEMMs, over the same column slices, so its results are bit-identical to a
+fresh build.  A larger set streams its groups and leaves the slot as it is,
+and the next set that fits replaces the entry.  So the memory kept across
+calls is at most one group of ``W`` plus its ``V``, and the slot holds a
+reference to the last such bath, whose arrays are read-only.
 
 **Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
 so the damping of a pair depends on its labels only through their spin
@@ -105,7 +117,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -133,6 +145,8 @@ __all__ = [
 NORM_TOL = 1e-12
 # elements of the largest temporary block over modes or over pairs
 CHUNK = 1 << 16
+# (bath, key, weights) of the last register whose columns fit one kept group (_coherence)
+_kept = None
 
 
 @dataclass(frozen=True)
@@ -419,46 +433,80 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     blocks, each column's weights built once per call.  Identical labels
     share one structure factor and one phase, so the eta and phi between
     them vanish exactly.
+
+    The time-independent half, the label dedupe, the pair columns, ``V`` and
+    ``W``, comes from the kept slot when the bath object, the positions'
+    shape and bytes, the label tuple and ``CHUNK`` match its entry, and is
+    built otherwise.  A set whose ``P <= 4*CHUNK // J`` columns fit one group
+    builds its whole ``W`` and replaces the entry with it, its ``V`` and a
+    reference to the bath: at most one group of ``W`` plus its ``V``.  The
+    time half, the kernels and the two GEMMs, runs over the same column
+    slices either way, so a hit is bit-identical to a build.
     """
+    global _kept
     times = _times(times)
-    index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
-    row_of = [index[label] for label in labels]
-    s = _structure_factors(list(index), bath, positions)
-    w, _, g2 = bath.folded
-    s *= np.sqrt(g2) / w
-    n_shell = len(_shell_freqs(bath))
-    mod2 = np.abs(s)
-    mod2 *= mod2
-    mod2 = _shell_sums(mod2, n_shell)
-    re, im = s.real[row_of], s.imag[row_of]
-    n_label, n_mode = re.shape
-    a, b, of_pair = _pair_columns(labels)
-    n_col = len(a)
+    labels = tuple(labels)
+    pos = np.asarray(positions, dtype=float)
+    key = (pos.shape, pos.tobytes(), labels, CHUNK)
+    n_shell, n_mode = len(_shell_freqs(bath)), bath.folded.omega.size
+    kept = _kept
+    if kept is not None and kept[0] is bath and kept[1] == key:
+        mod2, row_of, of_pair, weights = kept[2]
+        source, n_col = None, len(weights)
+    else:
+        index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
+        row_of = [index[label] for label in labels]
+        s = _structure_factors(list(index), bath, pos)
+        w, _, g2 = bath.folded
+        s *= np.sqrt(g2) / w
+        mod2 = np.abs(s)
+        mod2 *= mod2
+        mod2 = _shell_sums(mod2, n_shell)
+        a, b, of_pair = _pair_columns(labels)
+        source, n_col = (s.real[row_of], s.imag[row_of], a, b), len(a)
     eta = np.empty((len(times), n_col))
-    phase = np.empty((len(times), n_label))
+    phase = np.empty((len(times), len(labels)))
     step = max(1, CHUNK // n_shell)  # rows of a time block
     # one time block: its kernels serve every group of columns, and each block of
     # columns is used once; several: keep a group's weights across the time blocks
     kernels = list(_shell_kernels(bath, times, step)) if len(times) <= step else None
     per_block = max(1, min(n_col, CHUNK // n_mode))
     per_group = per_block if kernels else max(1, min(n_col, 4 * CHUNK // n_shell))
-    kept = np.empty((per_group, n_shell))
-    weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
-    # a run of one label's columns never outgrows its later labels
-    im_diff = np.empty((min(per_block, max(n_label - 1, 0)), n_mode))
+    # columns that fit one kept group are all built into one array, kept across calls
+    keep = n_col <= 4 * CHUNK // n_shell
+    if source is not None:
+        weights = np.empty((n_col if keep else per_group, n_shell))
+        weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
+        # a run of one label's columns never outgrows its later labels
+        im_diff = np.empty((min(per_block, max(len(labels) - 1, 0)), n_mode))
     for g0 in range(0, max(n_col, 1), per_group):
-        group = kept[:min(per_group, n_col - g0)]
-        for r0 in range(0, len(group), per_block):
-            r1 = min(r0 + per_block, len(group))
-            block = group[r0:r1] if weight is None else weight[:r1 - r0]
-            _damping_weights(re, im, a[g0 + r0:g0 + r1], b[g0 + r0:g0 + r1], block, im_diff)
-            if weight is not None:
-                _shell_sums(block, n_shell, out=group[r0:r1])
+        group = weights[g0:g0 + per_group] if keep else weights[:min(per_group, n_col - g0)]
+        if source is not None:
+            re, im, a, b = source
+            for r0 in range(0, len(group), per_block):
+                r1 = min(r0 + per_block, len(group))
+                block = group[r0:r1] if weight is None else weight[:r1 - r0]
+                _damping_weights(re, im, a[g0 + r0:g0 + r1], b[g0 + r0:g0 + r1], block, im_diff)
+                if weight is not None:
+                    _shell_sums(block, n_shell, out=group[r0:r1])
         for rows, k_eta, k_phi in kernels or _shell_kernels(bath, times, step):
             if g0 == 0:
                 phase[rows] = (k_phi @ mod2.T)[:, row_of]
             eta[rows, g0:g0 + len(group)] = k_eta @ group.T
+    if source is not None and keep:
+        for arr in (mod2, weights):
+            arr.setflags(write=False)
+        _kept = bath, key, (mod2, row_of, of_pair, weights)
     return (eta if of_pair is None else eta[:, of_pair]), phase
+
+
+@lru_cache(maxsize=8)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only, built once for each of the last few ``n``."""
+    pairs = np.triu_indices(n, 1)
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
 
 
 def _pair_columns(labels) -> tuple[list[int], list[int], np.ndarray | None]:
@@ -481,7 +529,7 @@ def _pair_columns(labels) -> tuple[list[int], list[int], np.ndarray | None]:
     if n < 16:
         return ([x for x in range(n) for _ in range(x + 1, n)],
                 [y for x in range(n) for y in range(x + 1, n)], None)
-    a, b = np.triu_indices(n, 1)
+    a, b = _triu(n)
     spins = np.array([label.spins for label in labels], dtype=np.int8)
     half = (spins[b] - spins[a]) // 2
     half *= half[np.arange(len(half)), (half != 0).argmax(1)][:, None]
@@ -625,7 +673,7 @@ def pair_factors(labels: Iterable[BasisLabel], t: float, bath: BathSpectrum,
                  positions) -> DecoherenceFactors:
     """Damping/phase factors for all ordered pairs drawn from ``labels``."""
     labels = tuple(labels)
-    a, b = np.triu_indices(len(labels), 1)
+    a, b = _triu(len(labels))
     eta, phase = _coherence(labels, [t], bath, positions)
     eta_matrix = np.zeros((len(labels), len(labels)))
     eta_matrix[a, b] = eta_matrix[b, a] = eta[0]
@@ -670,7 +718,7 @@ def fidelity_curve(state: RegisterState, times, bath: BathSpectrum,
     """State fidelity over a whole time grid (vectorized over pairs and times)."""
     labels = state.labels()
     p = np.abs(list(state.amplitudes.values())) ** 2
-    a, b = np.triu_indices(len(labels), 1)
+    a, b = _triu(len(labels))
     eta, phase = _coherence(labels, times, bath, positions)
     phi = phase[:, a] - phase[:, b]
     return np.sum(p**2) + 2.0 * (np.exp(-eta) * np.cos(phi)) @ (p[a] * p[b])

@@ -229,6 +229,29 @@ class TestBathSpectrum:
         with pytest.raises(ValueError):
             bath.omega[0] = 5.0
 
+    def test_grid_is_a_read_only_copy(self):
+        # the closed form keeps weights per bath object, so the grid must not change under it
+        from regdeph.bath import ShellGrid
+
+        built = discretize_spectrum(PowerLawCoupling(), v=1.0, dimensionality=3, n_freq=4,
+                                    omega_max=3.0, n_directions=6)
+        freqs, dirs = np.array(built.grid.freqs), np.asfortranarray(built.grid.dirs)
+        given = BathSpectrum(omega=built.omega, k=built.k, g2=built.g2, v=1.0,
+                             grid=ShellGrid(freqs, dirs))
+        for bath in (built, given):
+            for arr in bath.grid:
+                assert arr.flags.c_contiguous and arr.dtype == float
+                with pytest.raises(ValueError):
+                    arr[0] = 5.0
+        assert freqs.flags.writeable and dirs.flags.writeable
+        assert all(np.array_equal(*pair) for pair in zip(given.grid, built.grid))
+        assert np.array_equal(given.folded.k, built.folded.k)
+        # the copy is still checked against the folded modes
+        freqs[0] = 0.5
+        with pytest.raises(ValueError, match="grid"):
+            BathSpectrum(omega=built.omega, k=built.k, g2=built.g2, v=1.0,
+                         grid=ShellGrid(freqs, dirs)).folded
+
 
 class TestSpectralMoments:
     def test_point_mass(self):

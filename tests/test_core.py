@@ -52,6 +52,19 @@ def random_bath(rng, temperature=0.0):
                         v=1.0, temperature=temperature)
 
 
+def build_every_call(monkeypatch):
+    """Clear the kept weights before every ``core._coherence`` call, so that each call builds them."""
+    from regdeph import core
+
+    coherence = core._coherence
+
+    def built(*args):
+        core._kept = None
+        return coherence(*args)
+
+    monkeypatch.setattr(core, "_coherence", built)
+
+
 class TestBasisLabel:
     def test_string_round_trip(self):
         lab = BasisLabel.from_string("+-+")
@@ -524,6 +537,7 @@ def test_chunked_results_match_unchunked(monkeypatch):
                                              for lab in labels})
     logical = [BasisLabel(tuple(rng.choice([-1, 1], size=3))) for _ in range(8)]
     times = np.linspace(0.0, 6.0, 13)
+    build_every_call(monkeypatch)
 
     def run():
         fac = pair_factors(labels, 2.3, bath, geo.positions)
@@ -790,6 +804,7 @@ def test_each_column_weight_is_built_once_per_call(monkeypatch, dimensionality, 
     monkeypatch.setattr(core, "_damping_weights", recorded)
     monkeypatch.setattr(core, "_shell_kernels", timed)
     monkeypatch.setattr(core, "CHUNK", chunk)
+    build_every_call(monkeypatch)
     n_mode = bath.folded.omega.size
     assert (4 * chunk // 16, chunk // n_mode) == (per_group, per_block)
     eta, phase = core._coherence(labels, times, bath, pos)
@@ -869,3 +884,108 @@ def test_shell_kernels_against_mpmath(ladder):
             want = 2 * msin(x / 2) ** 2
             assert abs(d - want) <= 4 * eps * (want + x * abs(msin(x)) + eps * x**2)
     assert worst > 1e-15  # the cancelling range next to the series switch was reached
+
+
+def _primed_calls(bath, register, other, times):
+    """Every entry point on ``register``, each called after ``other`` primed the kept weights
+    and then again at once; returns the pairs of results, the first a build, the second a
+    hit, and the shapes of the kept ``V`` and ``W``."""
+    from regdeph import core
+
+    state, pos = register
+
+    def factors(st, p):
+        fac = pair_factors(st.labels(), 2.7, bath, p)
+        return [fac.eta_matrix, fac.phi_matrix]
+
+    calls = [factors,
+             lambda st, p: list(evolve(st, 2.7, bath, p).values()),
+             lambda st, p: [fidelity_curve(st, times, bath, p)],
+             lambda st, p: factor_curves(st.labels()[0], st.labels()[-1], times, bath, p)]
+    results = []
+    for call in calls:
+        call(*other)
+        slot = core._kept
+        built = call(state, pos)
+        assert core._kept is not slot
+        slot = core._kept
+        hit = call(state, pos)
+        assert core._kept is slot
+        results.append((built, hit, [slot[2][0].shape, slot[2][3].shape]))
+    return results
+
+
+@pytest.mark.parametrize("dimensionality", [1, 3])
+@pytest.mark.parametrize("chunk", [None, 256])
+def test_kept_weights_give_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk):
+    # two registers of 6 labels (15 columns) on one bath of 64 shells, each entry point
+    # built after the other register primed the slot and then hit, in both orders.  At
+    # CHUNK = 256 the 15 columns still fit one kept group (4*256 // 64 = 16), while the
+    # single-time calls build and reduce them in blocks of 4 (1-D) or 1 (3-D) columns
+    # and the 9 times run in 3 blocks of 4 rows
+    from regdeph import core
+
+    if chunk is not None:
+        monkeypatch.setattr(core, "CHUNK", chunk)
+    rng = np.random.default_rng(83)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=64, omega_max=6.0,
+                               temperature=0.5, n_directions=6)
+    registers = []
+    for n_site in (5, 6):
+        labels = sorted({random_label(rng, n_site) for _ in range(12)}, key=str)[:6]
+        state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                                 for lab in labels})
+        registers.append((state, rng.uniform(-2.0, 2.0, size=(n_site, 3))))
+    times = np.linspace(0.0, 7.0, 9)
+    for register, other in (registers, registers[::-1]):
+        results = _primed_calls(bath, register, other, times)
+        for built, hit, _ in results:
+            assert len(built) == len(hit)
+            assert all(np.array_equal(b, h) for b, h in zip(built, hit))
+        # the slot holds V of the labels and one group of W: 15 columns, or 1 for one pair
+        assert [shapes for *_, shapes in results] == [[(6, 64), (15, 64)]] * 3 + [[(2, 64), (1, 64)]]
+
+
+def test_positions_changed_in_place_miss():
+    from regdeph import core
+
+    rng = np.random.default_rng(89)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=32,
+                               omega_max=6.0, temperature=0.5)
+    pos = line_positions(5, d=0.9)
+    labels = sorted({random_label(rng, 5) for _ in range(8)}, key=str)[:5]
+    first = pair_factors(labels, 2.1, bath, pos)
+    pos[3, 0] += 0.25
+    moved = pair_factors(labels, 2.1, bath, pos)
+    core._kept = None
+    fresh = pair_factors(labels, 2.1, bath, pos)
+    for got, want, old in zip((moved.eta_matrix, moved.phi_matrix),
+                              (fresh.eta_matrix, fresh.phi_matrix),
+                              (first.eta_matrix, first.phi_matrix)):
+        assert np.array_equal(got, want) and not np.array_equal(got, old)
+
+
+def test_sets_beyond_one_group_are_not_kept_and_chunk_is_in_the_key(monkeypatch):
+    # the residual over the 64 labels of 6 logical qubits takes 364 columns, more than
+    # the 4*CHUNK // 1024 = 256 of one group: its weights stream and the slot keeps the
+    # register before it.  The same register at another CHUNK builds again
+    from regdeph import core
+    from regdeph.codes import encode_adjacent, subdecoherence_residual
+    from regdeph.geometry import RegisterGeometry
+
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=1024,
+                               omega_max=10.0, temperature=0.5)
+    geo = RegisterGeometry(dims=(12, 1, 1), d=1.0, delta=0.01, seed=5)
+    logical = [BasisLabel(s) for s in itertools.product((1, -1), repeat=6)]
+    assert len(core._pair_columns([encode_adjacent(lab) for lab in logical])[0]) == 364
+    labels = logical[:2]
+    pair_factors([encode_adjacent(lab) for lab in labels], 3.0, bath, geo.positions)
+    slot = core._kept
+    first = subdecoherence_residual("adjacent", geo, bath, 3.0, logical)
+    assert core._kept is slot
+    assert subdecoherence_residual("adjacent", geo, bath, 3.0, logical) == first
+    assert core._kept is slot
+    monkeypatch.setattr(core, "CHUNK", 1 << 15)
+    pair_factors([encode_adjacent(lab) for lab in labels], 3.0, bath, geo.positions)
+    assert core._kept is not slot and core._kept[1][3] == 1 << 15
