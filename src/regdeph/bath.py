@@ -141,10 +141,13 @@ class ShellGrid(NamedTuple):
 class BathSpectrum:
     """Discretized bath: per-mode wave vectors, frequencies and coupling weights.
 
-    Immutable after construction.  ``omega``, ``k`` and ``g2`` always hold the
-    full mode set; :attr:`folded` is the half that the closed form sums over
-    when every mode has an inversion partner.  ``grid`` is the builders' shell
-    grid, or None for a hand-built set.
+    Immutable after construction: ``omega``, ``k``, ``g2`` and the grid are
+    read-only copies of what the caller passed, so a later write to the
+    caller's arrays, or to the base of a view, leaves the bath as it was.
+    ``omega``, ``k`` and ``g2`` always hold the full mode set; :attr:`folded`
+    is the half that the closed form sums over when every mode has an
+    inversion partner.  ``grid`` is the builders' shell grid, or None for a
+    hand-built set.
     """
 
     omega: np.ndarray
@@ -155,9 +158,9 @@ class BathSpectrum:
     grid: ShellGrid | None = None
 
     def __post_init__(self):
-        omega = np.ascontiguousarray(np.asarray(self.omega, dtype=float))
-        k = np.ascontiguousarray(np.asarray(self.k, dtype=float))
-        g2 = np.ascontiguousarray(np.asarray(self.g2, dtype=float))
+        # copies: the caller's arrays, and the bases of views, stay the caller's to write
+        omega, k, g2 = (np.array(arr, dtype=float, order="C")
+                        for arr in (self.omega, self.k, self.g2))
         if omega.ndim != 1 or k.shape != (omega.size, 3) or g2.shape != omega.shape:
             raise ValueError("inconsistent mode array shapes")
         if omega.size == 0:

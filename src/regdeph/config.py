@@ -160,11 +160,14 @@ def _finite(text: str) -> float:
 
 
 def _state_rows(text: str) -> tuple[tuple[str, float, float], ...]:
-    """Parse 'label re im' rows, one a line; blank lines and '#' comments are skipped."""
+    """Parse 'label re im' rows, one a line; blank lines are skipped.
+
+    Comment lines never get here: the INI parser drops them from the value.
+    """
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
+        if tokens:
             try:
                 label, re_part, im_part = tokens
                 rows.append((label, _finite(re_part), _finite(im_part)))
@@ -342,9 +345,9 @@ def parse_label(text: str, n_qubits: int | None = None, key: str = "label") -> B
     return label
 
 
-def state_from_entries(entries, n_qubits: int | None = None,
-                       key: str = "state.entries") -> RegisterState:
-    """Build a state from (label, re, im) rows; norm checked then made exact."""
+def state_from_entries(entries, n_qubits: int | None = None) -> RegisterState:
+    """Build a state from ``state.entries``' (label, re, im) rows; norm checked then made exact."""
+    key = "state.entries"
     amps: dict[BasisLabel, complex] = {}
     for label_text, re_part, im_part in entries:
         label = parse_label(label_text, n_qubits, key)
@@ -366,15 +369,6 @@ def build_state(cfg: RunConfig, n_qubits: int) -> RegisterState:
     if not 0 <= s.site < n_qubits:
         raise ConfigError(f"state.site: {s.site} is out of range for {n_qubits} qubits")
     return RegisterState.single_flip(n_qubits, site=s.site)
-
-
-def load_state_file(text: str, n_qubits: int | None = None) -> RegisterState:
-    """Read a whitespace-separated 'label re im' state file."""
-    try:
-        entries = _state_rows(text)
-    except ValueError as exc:
-        raise ConfigError(f"state file: {exc}") from None
-    return state_from_entries(entries, n_qubits, key="state file")
 
 
 def dump_state(state: RegisterState) -> str:

@@ -85,16 +85,23 @@ group.  The label weights ``V`` are built at most once per call and the
 label phases once per time point.
 
 **Weights kept across calls.**  ``V`` and ``W`` do not depend on time.  A
-set whose columns all fit one group builds its whole ``W``, and one
-module-level slot keeps that ``W`` and its ``V`` after the call, keyed on
-the bath object, the positions' shape and bytes, the label tuple and
-``CHUNK``.  A later call with the same key, such as the single-time calls
-of one register at many times, computes only the kernels and the two
-GEMMs, over the same column slices, so its results are bit-identical to a
-fresh build.  A larger set streams its groups and leaves the slot as it is,
-and the next set that fits replaces the entry.  So the memory kept across
-calls is at most one group of ``W`` plus its ``V``, and the slot holds a
-reference to the last such bath, whose arrays are read-only.
+set whose columns all fit one group builds its whole ``W``, and a
+module-level list of at most ``_KEEP = 4`` entries keeps that ``W`` and its
+``V`` after the call, keyed on the bath object, the positions' shape and
+bytes, the label tuple and ``CHUNK``.  A later call with the same key, such
+as the single-time calls of one register at many times, computes only the
+kernels and the two GEMMs, over the same column slices, so its results are
+bit-identical to a fresh build.  So registers on one bath can alternate,
+independent against collective or encoded against bare, and each keeps its
+weights.  The list is least recently used first out: a hit moves its entry
+to the front, a new entry goes to the front, and the entry past the fourth
+is dropped.  A larger set streams its groups and leaves the list and its
+order as they are.  Each entry holds at most ``4*CHUNK`` elements of ``W``
+and ``(4*CHUNK // J + 1) * J`` of ``V``, so at most ``8*(8*CHUNK + J)``
+bytes of weights (4 MiB plus ``8*J`` bytes at the default ``CHUNK``), plus
+its key's ``24*L`` bytes of positions and a few words per label, and per
+pair of a grouped set.  Every entry holds a reference to its bath, whose
+arrays are read-only copies.
 
 **Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
 so the damping of a pair depends on its labels only through their spin
@@ -145,8 +152,11 @@ __all__ = [
 NORM_TOL = 1e-12
 # elements of the largest temporary block over modes or over pairs
 CHUNK = 1 << 16
-# (bath, key, weights) of the last register whose columns fit one kept group (_coherence)
-_kept = None
+# registers whose time-independent weights are kept across calls (_coherence)
+_KEEP = 4
+# (bath, key, weights) of the last _KEEP registers whose columns fit one kept group,
+# the most recently used first; replaced whole on every change, never mutated
+_kept = ()
 
 
 @dataclass(frozen=True)
@@ -435,13 +445,16 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     them vanish exactly.
 
     The time-independent half, the label dedupe, the pair columns, ``V`` and
-    ``W``, comes from the kept slot when the bath object, the positions'
-    shape and bytes, the label tuple and ``CHUNK`` match its entry, and is
-    built otherwise.  A set whose ``P <= 4*CHUNK // J`` columns fit one group
-    builds its whole ``W`` and replaces the entry with it, its ``V`` and a
-    reference to the bath: at most one group of ``W`` plus its ``V``.  The
-    time half, the kernels and the two GEMMs, runs over the same column
-    slices either way, so a hit is bit-identical to a build.
+    ``W``, comes from the kept entry whose bath object, positions' shape and
+    bytes, label tuple and ``CHUNK`` match, which then moves to the front of
+    the list, and is built otherwise.  A set whose ``P <= 4*CHUNK // J``
+    columns fit one group builds its whole ``W`` and puts it, its ``V`` and a
+    reference to the bath at the front; past ``_KEEP`` entries the least
+    recently used one is dropped.  An entry holds at most one group of ``W``
+    plus its ``V``, ``8*(8*CHUNK + J)`` bytes.  A set that streams its groups
+    leaves the list as it is.  The time half, the kernels and the two GEMMs,
+    runs over the same column slices either way, so a hit is bit-identical
+    to a build.
     """
     global _kept
     times = _times(times)
@@ -450,8 +463,11 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     key = (pos.shape, pos.tobytes(), labels, CHUNK)
     n_shell, n_mode = len(_shell_freqs(bath)), bath.folded.omega.size
     kept = _kept
-    if kept is not None and kept[0] is bath and kept[1] == key:
-        mod2, row_of, of_pair, weights = kept[2]
+    hit = next((entry for entry in kept if entry[0] is bath and entry[1] == key), None)
+    if hit is not None:
+        if hit is not kept[0]:
+            _kept = (hit, *(entry for entry in kept if entry is not hit))
+        mod2, row_of, of_pair, weights = hit[2]
         source, n_col = None, len(weights)
     else:
         index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
@@ -496,7 +512,7 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     if source is not None and keep:
         for arr in (mod2, weights):
             arr.setflags(write=False)
-        _kept = bath, key, (mod2, row_of, of_pair, weights)
+        _kept = ((bath, key, (mod2, row_of, of_pair, weights)), *_kept[:_KEEP - 1])
     return (eta if of_pair is None else eta[:, of_pair]), phase
 
 

@@ -252,6 +252,20 @@ class TestBathSpectrum:
             BathSpectrum(omega=built.omega, k=built.k, g2=built.g2, v=1.0,
                          grid=ShellGrid(freqs, dirs)).folded
 
+    def test_mode_arrays_are_read_only_copies(self):
+        # C-contiguous float arrays, and views into a larger array, are copied too
+        omega = np.array([1.0, 1.0, 2.0, 2.0])
+        k = omega[:, None] * np.tile([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], (2, 1))
+        big = np.full(8, 0.1)
+        bath = BathSpectrum(omega=omega, k=k, g2=big[:4], v=1.0)
+        for given, kept in ((omega, bath.omega), (k, bath.k), (big[:4], bath.g2)):
+            assert given.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(given, kept)
+        omega[:] = 3.0
+        big[:4] *= 3
+        assert np.array_equal(bath.omega, [1.0, 1.0, 2.0, 2.0])
+        assert np.array_equal(bath.g2, np.full(4, 0.1))
+
 
 class TestSpectralMoments:
     def test_point_mass(self):

@@ -17,7 +17,6 @@ from regdeph.config import (
     build_state,
     config_hash,
     dump_state,
-    load_state_file,
     parse_config,
     serialize_config,
     time_grid,
@@ -266,27 +265,33 @@ entries =
         assert config_hash(cfg.with_seed(99)) != config_hash(cfg)
 
 
+def _state_from_rows(rows: str, n_qubits: int) -> RegisterState:
+    """Read 'label re im' rows, as ``dump_state`` writes them, through ``[state] entries``."""
+    text = "[state]\nentries =\n" + "".join(f"    {line}\n" for line in rows.splitlines())
+    return build_state(parse_config(text), n_qubits)
+
+
 class TestStateFiles:
     def test_round_trip(self):
         state = RegisterState.cat(2)
-        text = dump_state(state)
-        again = load_state_file(text, n_qubits=2)
+        again = _state_from_rows(dump_state(state), 2)
         assert set(again.labels()) == set(state.labels())
         for lab, amp in state.items():
             assert again.amplitudes[lab] == pytest.approx(amp, abs=1e-15)
 
     def test_normalization_tolerance(self):
-        with pytest.raises(ConfigError, match="norm"):
-            load_state_file("+ 0.707 0\n- 0.707 0\n")  # off by ~3e-4
+        with pytest.raises(ConfigError, match="state.entries: squared norm"):
+            _state_from_rows("+ 0.707 0\n- 0.707 0\n", 1)  # off by ~3e-4
 
     def test_wrong_register_size(self):
-        with pytest.raises(ConfigError, match="qubits"):
-            load_state_file("++ 1 0\n", n_qubits=3)
+        with pytest.raises(ConfigError, match="state.entries: label '\\+\\+' has 2 qubits"):
+            _state_from_rows("++ 1 0\n", 3)
 
     @pytest.mark.parametrize("row", ["- 0", "- 0 inf", "- x 0"])
     def test_bad_row_names_its_line(self, row):
-        with pytest.raises(ConfigError, match="state file: line 3"):
-            load_state_file(f"# comment\n+ 1 0\n{row}\n")
+        # the comment line is dropped, and line 1 is the empty rest of "entries ="
+        with pytest.raises(ConfigError, match="state.entries: line 3"):
+            _state_from_rows(f"# comment\n+ 1 0\n{row}\n", 1)
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -416,9 +421,7 @@ code = modulated
 
         assert main(["encode", "--config", str(cfg_path), "--quiet",
                      "--output", str(out)]) == EXIT_OK
-        body = (out / "encoded_state.txt").read_text()
-        state = load_state_file("\n".join(l for l in body.splitlines()
-                                          if not l.startswith("#")), n_qubits=8)
+        state = _state_from_rows((out / "encoded_state.txt").read_text(), 8)
         assert set(map(str, state.labels())) == {"++++++++", "--------"}
         capsys.readouterr()
 

@@ -53,13 +53,13 @@ def random_bath(rng, temperature=0.0):
 
 
 def build_every_call(monkeypatch):
-    """Clear the kept weights before every ``core._coherence`` call, so that each call builds them."""
+    """Empty the kept weights before every ``core._coherence`` call, so that each call builds them."""
     from regdeph import core
 
     coherence = core._coherence
 
     def built(*args):
-        core._kept = None
+        core._kept = ()
         return coherence(*args)
 
     monkeypatch.setattr(core, "_coherence", built)
@@ -887,9 +887,9 @@ def test_shell_kernels_against_mpmath(ladder):
 
 
 def _primed_calls(bath, register, other, times):
-    """Every entry point on ``register``, each called after ``other`` primed the kept weights
-    and then again at once; returns the pairs of results, the first a build, the second a
-    hit, and the shapes of the kept ``V`` and ``W``."""
+    """Every entry point on ``register``, each called with the kept list emptied and then
+    primed by ``other``, and then again at once; returns the pairs of results, the first a
+    build, the second a hit, and the shapes of the kept ``V`` and ``W``."""
     from regdeph import core
 
     state, pos = register
@@ -898,20 +898,29 @@ def _primed_calls(bath, register, other, times):
         fac = pair_factors(st.labels(), 2.7, bath, p)
         return [fac.eta_matrix, fac.phi_matrix]
 
+    def one_pair(view):
+        return lambda st, p: [view(st.labels()[0], st.labels()[-1], 2.7, bath, p)]
+
     calls = [factors,
              lambda st, p: list(evolve(st, 2.7, bath, p).values()),
              lambda st, p: [fidelity_curve(st, times, bath, p)],
-             lambda st, p: factor_curves(st.labels()[0], st.labels()[-1], times, bath, p)]
+             lambda st, p: [fidelity(st, 2.7, bath, p)],
+             lambda st, p: factor_curves(st.labels()[0], st.labels()[-1], times, bath, p),
+             one_pair(damping_exponent),
+             one_pair(lamb_phase),
+             lambda st, p: [label_phase(st.labels()[0], 2.7, bath, p)]]
     results = []
     for call in calls:
+        core._kept = ()
         call(*other)
-        slot = core._kept
+        primed = core._kept
         built = call(state, pos)
-        assert core._kept is not slot
-        slot = core._kept
+        assert len(core._kept) == 2 and core._kept[1] is primed[0]
+        kept = core._kept
         hit = call(state, pos)
-        assert core._kept is slot
-        results.append((built, hit, [slot[2][0].shape, slot[2][3].shape]))
+        assert core._kept is kept
+        weights = kept[0][2]
+        results.append((built, hit, [weights[0].shape, weights[3].shape]))
     return results
 
 
@@ -919,7 +928,7 @@ def _primed_calls(bath, register, other, times):
 @pytest.mark.parametrize("chunk", [None, 256])
 def test_kept_weights_give_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk):
     # two registers of 6 labels (15 columns) on one bath of 64 shells, each entry point
-    # built after the other register primed the slot and then hit, in both orders.  At
+    # built after the other register primed the list and then hit, in both orders.  At
     # CHUNK = 256 the 15 columns still fit one kept group (4*256 // 64 = 16), while the
     # single-time calls build and reduce them in blocks of 4 (1-D) or 1 (3-D) columns
     # and the 9 times run in 3 blocks of 4 rows
@@ -943,8 +952,10 @@ def test_kept_weights_give_the_bits_of_a_fresh_build(monkeypatch, dimensionality
         for built, hit, _ in results:
             assert len(built) == len(hit)
             assert all(np.array_equal(b, h) for b, h in zip(built, hit))
-        # the slot holds V of the labels and one group of W: 15 columns, or 1 for one pair
-        assert [shapes for *_, shapes in results] == [[(6, 64), (15, 64)]] * 3 + [[(2, 64), (1, 64)]]
+        # an entry holds V of the labels and one group of W: 15 columns, 1 for one pair
+        # and none for one label
+        assert [shapes for *_, shapes in results] == (
+            [[(6, 64), (15, 64)]] * 4 + [[(2, 64), (1, 64)]] * 3 + [[(1, 64), (0, 64)]])
 
 
 def test_positions_changed_in_place_miss():
@@ -958,7 +969,7 @@ def test_positions_changed_in_place_miss():
     first = pair_factors(labels, 2.1, bath, pos)
     pos[3, 0] += 0.25
     moved = pair_factors(labels, 2.1, bath, pos)
-    core._kept = None
+    core._kept = ()
     fresh = pair_factors(labels, 2.1, bath, pos)
     for got, want, old in zip((moved.eta_matrix, moved.phi_matrix),
                               (fresh.eta_matrix, fresh.phi_matrix),
@@ -968,8 +979,9 @@ def test_positions_changed_in_place_miss():
 
 def test_sets_beyond_one_group_are_not_kept_and_chunk_is_in_the_key(monkeypatch):
     # the residual over the 64 labels of 6 logical qubits takes 364 columns, more than
-    # the 4*CHUNK // 1024 = 256 of one group: its weights stream and the slot keeps the
-    # register before it.  The same register at another CHUNK builds again
+    # the 4*CHUNK // 1024 = 256 of one group: its weights stream and the list keeps the
+    # two registers before it, in their order.  The same register at another CHUNK
+    # builds again
     from regdeph import core
     from regdeph.codes import encode_adjacent, subdecoherence_residual
     from regdeph.geometry import RegisterGeometry
@@ -979,13 +991,118 @@ def test_sets_beyond_one_group_are_not_kept_and_chunk_is_in_the_key(monkeypatch)
     geo = RegisterGeometry(dims=(12, 1, 1), d=1.0, delta=0.01, seed=5)
     logical = [BasisLabel(s) for s in itertools.product((1, -1), repeat=6)]
     assert len(core._pair_columns([encode_adjacent(lab) for lab in logical])[0]) == 364
-    labels = logical[:2]
-    pair_factors([encode_adjacent(lab) for lab in labels], 3.0, bath, geo.positions)
-    slot = core._kept
+    labels = [encode_adjacent(lab) for lab in logical[:2]]
+    core._kept = ()
+    pair_factors(labels, 3.0, bath, geo.positions)
+    pair_factors(labels[::-1], 3.0, bath, geo.positions)
+    kept = core._kept
+    assert len(kept) == 2 and kept[0][1][2] == tuple(labels[::-1])
     first = subdecoherence_residual("adjacent", geo, bath, 3.0, logical)
-    assert core._kept is slot
+    assert core._kept is kept
     assert subdecoherence_residual("adjacent", geo, bath, 3.0, logical) == first
-    assert core._kept is slot
+    assert core._kept is kept
     monkeypatch.setattr(core, "CHUNK", 1 << 15)
-    pair_factors([encode_adjacent(lab) for lab in labels], 3.0, bath, geo.positions)
-    assert core._kept is not slot and core._kept[1][3] == 1 << 15
+    pair_factors(labels, 3.0, bath, geo.positions)
+    assert core._kept[0][1][3] == 1 << 15 and core._kept[1:] == kept
+
+
+def _counted_builds(monkeypatch):
+    """A list that gets one entry, the labels, per build of ``core._coherence``'s weights."""
+    from regdeph import core
+
+    builds, factors = [], core._structure_factors
+
+    def counted(labels, modes, positions):
+        builds.append(tuple(labels))
+        return factors(labels, modes, positions)
+
+    monkeypatch.setattr(core, "_structure_factors", counted)
+    return builds
+
+
+def _registers(rng, count, n_site=5, n_label=6):
+    """``count`` random states of ``n_label`` labels, each with its own random positions."""
+    registers = []
+    for _ in range(count):
+        labels = sorted({random_label(rng, n_site) for _ in range(3 * n_label)}, key=str)[:n_label]
+        state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                                 for lab in labels})
+        registers.append((state, rng.uniform(-2.0, 2.0, size=(n_site, 3))))
+    return registers
+
+
+def test_alternating_registers_on_one_bath_both_hit(monkeypatch):
+    # a bare register against the same labels spread ten times wider, nearly independent,
+    # called in turn: each builds once and then hits, with the bits of a fresh build
+    from regdeph import core
+
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=64,
+                               omega_max=6.0, temperature=0.5)
+    (state, pos), = _registers(np.random.default_rng(97), 1)
+    registers = [(state, pos), (state, 10.0 * pos)]
+    times = np.linspace(0.0, 7.0, 9)
+
+    def calls(p):
+        fac = pair_factors(state.labels(), 2.7, bath, p)
+        return [fac.eta_matrix, fac.phi_matrix, fidelity_curve(state, times, bath, p)]
+
+    fresh = []
+    for _, p in registers:
+        core._kept = ()
+        fresh.append(calls(p))
+    assert not np.array_equal(fresh[0][0], fresh[1][0])
+    core._kept = ()
+    builds = _counted_builds(monkeypatch)
+    for _ in range(3):
+        for (_, p), want in zip(registers, fresh):
+            got = calls(p)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(builds) == 2 and len(core._kept) == 2
+
+
+def test_a_fifth_register_evicts_the_least_recently_used():
+    from regdeph import core
+
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=32,
+                               omega_max=6.0, temperature=0.5)
+    registers = _registers(np.random.default_rng(101), 5)
+
+    def call(n):
+        state, pos = registers[n]
+        return pair_factors(state.labels(), 2.1, bath, pos).eta_matrix
+
+    def order():
+        return [[pos.tobytes() for _, pos in registers].index(entry[1][1])
+                for entry in core._kept]
+
+    core._kept = ()
+    first = [call(n) for n in range(4)]
+    assert order() == [3, 2, 1, 0]
+    entry = core._kept[3]
+    assert np.array_equal(call(0), first[0]) and core._kept[0] is entry
+    assert order() == [0, 3, 2, 1]
+    call(4)
+    assert order() == [4, 0, 3, 2]
+    assert np.array_equal(call(1), first[1]) and order() == [1, 4, 0, 3]
+
+
+def test_writing_a_callers_mode_array_leaves_the_kept_weights_valid(monkeypatch):
+    # the weights are kept per bath object; a write to the base of the array the bath
+    # was built from must change neither the bath nor what a call returns, hit or build.
+    # Without inversion partners the modes are summed whole, not through a folded copy
+    omega = np.array([0.5, 1.3, 2.2, 3.4])
+    k = omega[:, None] * np.array([1.0, 0.0, 0.0])
+    big = np.full(8, 0.04)
+    bath = BathSpectrum(omega=omega, k=k, g2=big[:4], v=1.0, temperature=0.5)
+    rng = np.random.default_rng(103)
+    labels = sorted({random_label(rng, 5) for _ in range(8)}, key=str)[:5]
+    assert len(labels) == 5
+    pos = line_positions(5, d=0.9)
+    first = pair_factors(labels, 2.1, bath, pos)
+    big[:4] *= 3
+    hit = pair_factors(labels, 2.1, bath, pos)
+    build_every_call(monkeypatch)
+    built = pair_factors(labels, 2.1, bath, pos)
+    for got in (hit, built):
+        assert np.array_equal(got.eta_matrix, first.eta_matrix)
+        assert np.array_equal(got.phi_matrix, first.phi_matrix)
