@@ -172,7 +172,8 @@ class BathSpectrum:
         real(self.v, "propagation velocity v", "positive")
         real(self.temperature, "temperature", ">= 0")
         knorm = self.v * np.linalg.norm(k, axis=1)
-        if not np.allclose(knorm, omega, rtol=1e-10, atol=0.0):
+        # omega is finite and positive, so a NaN or an infinity in k fails this too
+        if not np.all(np.abs(knorm - omega) <= 1e-10 * omega):
             raise ValueError("dispersion violated: omega != v*|k| for some mode")
         for name, arr in (("omega", omega), ("k", k), ("g2", g2)):
             arr.setflags(write=False)

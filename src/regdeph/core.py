@@ -93,15 +93,20 @@ as the single-time calls of one register at many times, computes only the
 kernels and the two GEMMs, over the same column slices, so its results are
 bit-identical to a fresh build.  So registers on one bath can alternate,
 independent against collective or encoded against bare, and each keeps its
-weights.  The list is least recently used first out: a hit moves its entry
-to the front, a new entry goes to the front, and the entry past the fourth
-is dropped.  A larger set streams its groups and leaves the list and its
-order as they are.  Each entry holds at most ``4*CHUNK`` elements of ``W``
-and ``(4*CHUNK // J + 1) * J`` of ``V``, so at most ``8*(8*CHUNK + J)``
-bytes of weights (4 MiB plus ``8*J`` bytes at the default ``CHUNK``), plus
-its key's ``24*L`` bytes of positions and a few words per label, and per
-pair of a grouped set.  Every entry holds a reference to its bath, whose
-arrays are read-only copies.
+weights.  A larger set streams its groups of ``W``; when its scaled label
+factors, ``2*n*M`` doubles of real and imaginary parts, fit ``4*CHUNK``, its
+entry keeps them with ``V`` and the pair columns instead, as the code
+residual's 64 labels do, and a hit rebuilds only ``W`` from them, through
+the same slices, so its results are bit-identical too.  A set beyond both
+bounds leaves the list and its order as they are.  The list is least
+recently used first out: a hit moves its entry to the front, a new entry
+goes to the front, and the entry past the fourth is dropped.  Each entry
+holds at most ``4*CHUNK`` elements of ``W`` or of factors and
+``(4*CHUNK // J + 1) * J`` of ``V``, so at most ``8*(8*CHUNK + J)`` bytes
+of weights (4 MiB plus ``8*J`` bytes at the default ``CHUNK``), plus its
+key's ``24*L`` bytes of positions and a few words per label, and per pair
+of a grouped set.  Every entry holds a reference to its bath, whose arrays
+are read-only copies.
 
 **Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
 so the damping of a pair depends on its labels only through their spin
@@ -154,8 +159,9 @@ NORM_TOL = 1e-12
 CHUNK = 1 << 16
 # registers whose time-independent weights are kept across calls (_coherence)
 _KEEP = 4
-# (bath, key, weights) of the last _KEEP registers whose columns fit one kept group,
-# the most recently used first; replaced whole on every change, never mutated
+# (bath, key, (V, row_of, of_pair, W, label factors)) of the last _KEEP registers whose
+# W or, when W streams, whose label factors fit one kept group, with the other None; the
+# most recently used first, replaced whole on every change, never mutated
 _kept = ()
 
 
@@ -450,11 +456,13 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     the list, and is built otherwise.  A set whose ``P <= 4*CHUNK // J``
     columns fit one group builds its whole ``W`` and puts it, its ``V`` and a
     reference to the bath at the front; past ``_KEEP`` entries the least
-    recently used one is dropped.  An entry holds at most one group of ``W``
-    plus its ``V``, ``8*(8*CHUNK + J)`` bytes.  A set that streams its groups
-    leaves the list as it is.  The time half, the kernels and the two GEMMs,
-    runs over the same column slices either way, so a hit is bit-identical
-    to a build.
+    recently used one is dropped.  A set that streams its groups puts its
+    read-only label factors ``re`` and ``im`` there in place of ``W`` when
+    their ``2*n*M`` elements fit ``4*CHUNK``, and a hit on it streams ``W``
+    from them; a set beyond both bounds leaves the list as it is.  An entry
+    holds at most ``8*(8*CHUNK + J)`` bytes of arrays.  The rest, the
+    weights of a streaming set, the kernels and the two GEMMs, runs over the
+    same column slices either way, so a hit is bit-identical to a build.
     """
     global _kept
     times = _times(times)
@@ -467,8 +475,7 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     if hit is not None:
         if hit is not kept[0]:
             _kept = (hit, *(entry for entry in kept if entry is not hit))
-        mod2, row_of, of_pair, weights = hit[2]
-        source, n_col = None, len(weights)
+        mod2, row_of, of_pair, weights, source = hit[2]
     else:
         index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
         row_of = [index[label] for label in labels]
@@ -479,7 +486,9 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
         mod2 *= mod2
         mod2 = _shell_sums(mod2, n_shell)
         a, b, of_pair = _pair_columns(labels)
-        source, n_col = (s.real[row_of], s.imag[row_of], a, b), len(a)
+        source = (s.real[row_of], s.imag[row_of], a, b)
+    # a kept W, or the label factors and columns that W streams from
+    n_col = len(weights) if source is None else len(source[2])
     eta = np.empty((len(times), n_col))
     phase = np.empty((len(times), len(labels)))
     step = max(1, CHUNK // n_shell)  # rows of a time block
@@ -509,10 +518,12 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
             if g0 == 0:
                 phase[rows] = (k_phi @ mod2.T)[:, row_of]
             eta[rows, g0:g0 + len(group)] = k_eta @ group.T
-    if source is not None and keep:
-        for arr in (mod2, weights):
+    # a set that streams keeps its label factors instead, when they fit as much as one group
+    if hit is None and (keep or 2 * len(labels) * n_mode <= 4 * CHUNK):
+        entry = (mod2, row_of, of_pair) + ((weights, None) if keep else (None, source))
+        for arr in (mod2, weights) if keep else (mod2, *source[:2]):
             arr.setflags(write=False)
-        _kept = ((bath, key, (mod2, row_of, of_pair, weights)), *_kept[:_KEEP - 1])
+        _kept = ((bath, key, entry), *_kept[:_KEEP - 1])
     return (eta if of_pair is None else eta[:, of_pair]), phase
 
 

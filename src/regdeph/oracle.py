@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,8 +63,13 @@ class TruncationLeakageError(RuntimeError):
         self.leakage = leakage
 
 
+@lru_cache(maxsize=8)
 def register_basis(n_qubits: int) -> tuple[BasisLabel, ...]:
-    """All 2^L basis labels, in a fixed lexicographic (+1 before -1) order."""
+    """All 2^L basis labels, in a fixed lexicographic (+1 before -1) order.
+
+    The tuple is built once for each of the last few sizes; an invalid size
+    raises every time, since exceptions are not cached.
+    """
     n_qubits = integer(n_qubits, "n_qubits", 1)
     return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=n_qubits))
 

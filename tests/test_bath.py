@@ -203,6 +203,17 @@ class TestBathSpectrum:
             BathSpectrum(omega=np.array([1.0]), k=np.array([[2.0, 0, 0]]),
                          g2=np.array([1.0]), v=1.0)
 
+    @pytest.mark.parametrize("k", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1e-4, 0.0]])
+    def test_rejects_non_finite_or_wrong_norm_wave_vectors(self, k):
+        # |k| off by 5e-9 relative is beyond the 1e-10 tolerance
+        with pytest.raises(ValueError, match=r"dispersion violated: omega != v\*\|k\| for some mode"):
+            BathSpectrum(omega=np.array([1.0, 1.0]), k=np.array([[-1.0, 0.0, 0.0], k]),
+                         g2=np.array([1.0, 1.0]), v=1.0)
+
+    def test_accepts_a_norm_within_the_tolerance(self):
+        k = np.array([[1.0 + 5e-11, 0.0, 0.0]])
+        assert BathSpectrum(omega=np.array([1.0]), k=k, g2=np.array([1.0]), v=1.0).n_modes == 1
+
     def test_rejects_negative_weight(self):
         with pytest.raises(ValueError):
             BathSpectrum(omega=np.array([1.0]), k=np.array([[1.0, 0, 0]]),

@@ -977,11 +977,13 @@ def test_positions_changed_in_place_miss():
         assert np.array_equal(got, want) and not np.array_equal(got, old)
 
 
-def test_sets_beyond_one_group_are_not_kept_and_chunk_is_in_the_key(monkeypatch):
+def test_streaming_sets_keep_their_label_factors_and_chunk_is_in_the_key(monkeypatch):
     # the residual over the 64 labels of 6 logical qubits takes 364 columns, more than
-    # the 4*CHUNK // 1024 = 256 of one group: its weights stream and the list keeps the
-    # two registers before it, in their order.  The same register at another CHUNK
-    # builds again
+    # the 4*CHUNK // 1024 = 256 of one group, so its W streams; its read-only label
+    # factors, 2*64*1024 elements, fit 4*CHUNK and go in front of the two registers
+    # before it.  Its second call hits with the bits of a fresh build.  At CHUNK = 2**14
+    # neither fits and the list stays as it is; at 2**15 the factors sit exactly at the
+    # bound, and the same residual is a new entry
     from regdeph import core
     from regdeph.codes import encode_adjacent, subdecoherence_residual
     from regdeph.geometry import RegisterGeometry
@@ -990,20 +992,108 @@ def test_sets_beyond_one_group_are_not_kept_and_chunk_is_in_the_key(monkeypatch)
                                omega_max=10.0, temperature=0.5)
     geo = RegisterGeometry(dims=(12, 1, 1), d=1.0, delta=0.01, seed=5)
     logical = [BasisLabel(s) for s in itertools.product((1, -1), repeat=6)]
-    assert len(core._pair_columns([encode_adjacent(lab) for lab in logical])[0]) == 364
-    labels = [encode_adjacent(lab) for lab in logical[:2]]
+    encoded = [encode_adjacent(lab) for lab in logical]
+    a, b, of_pair = core._pair_columns(encoded)
+    assert len(a) == 364
+
+    def residual():
+        return subdecoherence_residual("adjacent", geo, bath, 3.0, logical)
+
+    def factors():
+        fac = pair_factors(encoded, 3.0, bath, geo.positions)
+        return fac.eta_matrix, fac.phi_matrix
+
     core._kept = ()
+    built = factors()
+    core._kept = ()
+    built_residual = residual()
+    core._kept = ()
+    labels = encoded[:2]
     pair_factors(labels, 3.0, bath, geo.positions)
     pair_factors(labels[::-1], 3.0, bath, geo.positions)
     kept = core._kept
     assert len(kept) == 2 and kept[0][1][2] == tuple(labels[::-1])
-    first = subdecoherence_residual("adjacent", geo, bath, 3.0, logical)
-    assert core._kept is kept
-    assert subdecoherence_residual("adjacent", geo, bath, 3.0, logical) == first
-    assert core._kept is kept
+    builds = _counted_builds(monkeypatch)
+    first = residual()
+    entry = core._kept[0]
+    assert core._kept[1:] == kept and entry[1][2] == tuple(encoded)
+    mod2, row_of, kept_of_pair, weights, (re, im, kept_a, kept_b) = entry[2]
+    assert weights is None and (kept_a, kept_b) == (a, b)
+    assert np.array_equal(kept_of_pair, of_pair) and row_of == list(range(64))
+    assert mod2.shape == (64, 1024) and re.shape == im.shape == (64, 1024)
+    assert not any(arr.flags.writeable for arr in (mod2, re, im))
+    hit = residual()
+    got = factors()
+    assert len(builds) == 1 and core._kept[0] is entry and core._kept[1:] == kept
+    for res in (first, hit):
+        assert (res.max_eta, res.max_abs_phi) == (built_residual.max_eta, built_residual.max_abs_phi)
+    assert all(np.array_equal(g, w) for g, w in zip(got, built))
+    kept = core._kept
+    monkeypatch.setattr(core, "CHUNK", 1 << 14)
+    for n_build in (2, 3):
+        streamed = residual()
+        assert core._kept is kept and len(builds) == n_build
+    np.testing.assert_allclose([streamed.max_eta, streamed.max_abs_phi],
+                               [first.max_eta, first.max_abs_phi], rtol=1e-12)
     monkeypatch.setattr(core, "CHUNK", 1 << 15)
-    pair_factors(labels, 3.0, bath, geo.positions)
-    assert core._kept[0][1][3] == 1 << 15 and core._kept[1:] == kept
+    residual()
+    assert len(builds) == 4 and core._kept[0][1][3] == 1 << 15 and core._kept[1:] == kept
+    assert core._kept[0][2][3] is None
+
+
+@pytest.mark.parametrize("dimensionality", [1, 3])
+@pytest.mark.parametrize("chunk", [None, 1 << 14])
+def test_grouped_sets_hit_with_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk):
+    # two registers with the complete basis of 7 qubits, 128 labels in 1093 classes of
+    # spin difference, on one bath of 64 shells of 1 or 3 modes.  At the default CHUNK
+    # the 1093 columns fit one kept group and W is kept; at CHUNK = 2**14 they stream in
+    # groups of 1024, and the label factors, 2*128*M <= 4*CHUNK elements, are kept
+    # instead.  Each entry point on each register is built after the other register
+    # primed the list, and then hits, in both orders
+    from regdeph import core
+
+    if chunk is not None:
+        monkeypatch.setattr(core, "CHUNK", chunk)
+    rng = np.random.default_rng(107)
+    bath = discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=64, omega_max=6.0,
+                               temperature=0.5, n_directions=6)
+    n_mode = bath.folded.omega.size
+    labels = [BasisLabel(s) for s in itertools.product((1, -1), repeat=7)]
+    assert len(core._pair_columns(labels)[0]) == 1093
+    state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                             for lab in labels})
+    registers = [rng.uniform(-2.0, 2.0, size=(7, 3)) for _ in range(2)]
+    times = np.linspace(0.0, 7.0, 9)
+
+    def factors(pos):
+        fac = pair_factors(labels, 2.7, bath, pos)
+        return [fac.eta_matrix, fac.phi_matrix]
+
+    calls = [factors,
+             lambda pos: list(evolve(state, 2.7, bath, pos).values()),
+             lambda pos: [fidelity_curve(state, times, bath, pos)]]
+    builds = _counted_builds(monkeypatch)
+    for pos, other in (registers, registers[::-1]):
+        for call in calls:
+            core._kept = ()
+            call(other)
+            primed = core._kept
+            built = call(pos)
+            assert len(core._kept) == 2 and core._kept[1] is primed[0]
+            entry = core._kept[0]
+            n_build = len(builds)
+            hit = call(pos)
+            assert len(builds) == n_build and core._kept[0] is entry and len(core._kept) == 2
+            assert len(built) == len(hit)
+            assert all(np.array_equal(b, h) for b, h in zip(built, hit))
+            _, _, of_pair, weights, source = entry[2]
+            assert of_pair is not None
+            if chunk is None:
+                assert weights.shape == (1093, 64) and source is None
+            else:
+                assert weights is None and source[0].shape == (128, n_mode)
+                assert 2 * 128 * n_mode <= 4 * chunk < 1093 * 64
 
 
 def _counted_builds(monkeypatch):

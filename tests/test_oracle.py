@@ -52,6 +52,14 @@ def test_register_basis_integral_float_n_qubits():
     assert register_basis(3.0) == register_basis(3)
 
 
+def test_register_basis_is_built_once_per_size():
+    # the tuple is cached; an invalid size is never cached, so it raises on every call
+    assert register_basis(4) is register_basis(4)
+    for bad in (0, 2.5, float("nan")) * 2:
+        with pytest.raises(ValueError, match="n_qubits must be an integer >= 1"):
+            register_basis(bad)
+
+
 def test_coherent_vector_vacuum_and_norm():
     vac = coherent_vector(0.0, 8)
     assert vac[0] == 1.0 and np.all(vac[1:] == 0)
