@@ -72,20 +72,21 @@ faster than ``np.exp(1j*x)``.
 Memory is bounded by ``CHUNK``, read at call time: the phases, the scaled
 spins and the GEMM output of the structure factors (blocks of sites, labels
 and anchors of one direction, or whole mode columns on the dense path), the
-``(T, J)`` kernels and half-angle phases of one block of times, and the
-``(P, M)`` damping weights of one block of columns (below) each hold at most
-``CHUNK`` elements, or one row when a row alone is larger; no ``(T, M)``
-array is formed.  The differences are taken of factors scaled by
-``sqrt(g2) / omega``, so the weight costs one pass over ``(n, M)`` and none
-over ``(P, M)``.  Each column's weights are built at most once per call:
-with one block of times each block of columns meets the kernels once; with
-several, the ``(P, J)`` weights of a group of columns, at most ``4*CHUNK``
-elements, are kept across all blocks of times, which are then built once per
-group.  The label weights ``V`` are built at most once per call and the
-label phases once per time point.
+half-angle phases of one block of times, and the ``(P, M)`` damping weights
+of one block of columns (below) each hold at most ``CHUNK`` elements, or one
+row when a row alone is larger; no ``(T, M)`` array is formed.  The
+differences are taken of factors scaled by ``sqrt(g2) / omega``, so the
+weight costs one pass over ``(n, M)`` and none over ``(P, M)``.  Each
+column's weights are built at most once per call: with one block of times
+each block of columns meets the kernels once; with several, the ``(P, J)``
+weights of a group of columns, at most ``4*CHUNK`` elements, are kept across
+all blocks of times.  The ``(T, J)`` kernels are built once per call when
+each fits ``4*CHUNK`` elements, and otherwise in blocks of at most
+``CHUNK``, once per group.  The label weights ``V`` are built at most once
+per call and the label phases once per time point.
 
-**Weights kept across calls.**  ``V`` and ``W`` do not depend on time.  A
-set whose columns all fit one group builds its whole ``W``, and a
+**Weights and kernels kept across calls.**  ``V`` and ``W`` do not depend
+on time.  A set whose columns all fit one group builds its whole ``W``, and a
 module-level list of at most ``_KEEP = 4`` entries keeps that ``W`` and its
 ``V`` after the call, keyed on the bath object, the positions' shape and
 bytes, the label tuple and ``CHUNK``.  A later call with the same key, such
@@ -107,6 +108,15 @@ of weights (4 MiB plus ``8*J`` bytes at the default ``CHUNK``), plus its
 key's ``24*L`` bytes of positions and a few words per label, and per pair
 of a grouped set.  Every entry holds a reference to its bath, whose arrays
 are read-only copies.
+
+The kernels depend only on the bath and the time grid.  A grid of several
+times whose ``(T, J)`` kernels each fit ``4*CHUNK`` elements keeps them,
+read-only, in a second list managed the same way, keyed on the bath object,
+the grid's bytes and ``CHUNK``: a fidelity curve and its tracked pairs, or
+registers compared on one bath and grid, build them once, and a hit runs
+only the GEMMs, bit-identical to a build.  A call at a single time neither
+reads nor changes this list, so single-time calls at many times evict no
+grid.  An entry holds at most ``2*4*CHUNK`` doubles (4 MiB) and its bath.
 
 **Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
 so the damping of a pair depends on its labels only through their spin
@@ -163,6 +173,9 @@ _KEEP = 4
 # W or, when W streams, whose label factors fit one kept group, with the other None; the
 # most recently used first, replaced whole on every change, never mutated
 _kept = ()
+# (bath, (time grid bytes, CHUNK), kernel blocks) of the last _KEEP grids of several
+# times whose read-only (T, J) kernels fit one kept group, managed like _kept
+_kept_kernels = ()
 
 
 @dataclass(frozen=True)
@@ -403,8 +416,10 @@ def _shell_kernels(bath: BathSpectrum, times, rows: int):
     """Damping and phase kernels of every shell, in blocks of ``rows`` times.
 
     ``times`` is a checked grid (:func:`_times`).  Yields ``(times slice,
-    damping, phase)``, each kernel of shape (rows, J) and written into
-    buffers that the next block reuses.  With ``x = f_j t``:
+    damping, phase)``, each kernel of shape (rows, J).  When the whole
+    (T, J) grid fits ``4*CHUNK`` elements every block is its own rows of one
+    (T, J) pair, which the caller may keep; otherwise the next block reuses
+    the buffers.  With ``x = f_j t``:
     damping ``2 coth(f_j/2T) sin^2(x/2)`` and phase ``x - sin x``.  The
     per-mode weight ``g2 / omega^2`` is not in them; it scales the structure
     factors instead.  Both kernels come from ``h = exp(i x/2)``:
@@ -415,11 +430,13 @@ def _shell_kernels(bath: BathSpectrum, times, rows: int):
     w = _shell_freqs(bath)
     coth2 = 2.0 * coth_half(w, bath.temperature)
     size = min(rows, len(times))
-    damping, phase = np.empty((2, size, len(w)))
+    whole = len(times) * len(w) <= 4 * CHUNK
+    damping, phase = np.empty((2, len(times) if whole else size, len(w)))
     half = np.empty((size, len(w)), dtype=complex)
     for t0 in range(0, len(times), rows):
         t = times[t0:t0 + rows]
-        d, x, h = damping[:len(t)], phase[:len(t)], half[:len(t)]
+        own = slice(t0, t0 + len(t)) if whole else slice(len(t))
+        d, x, h = damping[own], phase[own], half[:len(t)]
         _half_turns(t, w, bath.grid is not None, h)
         np.multiply.outer(t, w, out=x)
         small = x < 0.2
@@ -463,19 +480,21 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     holds at most ``8*(8*CHUNK + J)`` bytes of arrays.  The rest, the
     weights of a streaming set, the kernels and the two GEMMs, runs over the
     same column slices either way, so a hit is bit-identical to a build.
+
+    The kernels of ``T > 1`` times with ``T*J <= 4*CHUNK`` come likewise
+    from a second list, keyed on the bath object, the grid's bytes and
+    ``CHUNK``, and a single time never touches it.  The column groups follow
+    only whether the times fit one block, so a hit takes the same GEMMs.
     """
-    global _kept
+    global _kept, _kept_kernels
     times = _times(times)
     labels = tuple(labels)
     pos = np.asarray(positions, dtype=float)
     key = (pos.shape, pos.tobytes(), labels, CHUNK)
     n_shell, n_mode = len(_shell_freqs(bath)), bath.folded.omega.size
-    kept = _kept
-    hit = next((entry for entry in kept if entry[0] is bath and entry[1] == key), None)
+    hit, _kept = _recall(_kept, bath, key)
     if hit is not None:
-        if hit is not kept[0]:
-            _kept = (hit, *(entry for entry in kept if entry is not hit))
-        mod2, row_of, of_pair, weights, source = hit[2]
+        mod2, row_of, of_pair, weights, source = hit
     else:
         index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
         row_of = [index[label] for label in labels]
@@ -492,11 +511,23 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     eta = np.empty((len(times), n_col))
     phase = np.empty((len(times), len(labels)))
     step = max(1, CHUNK // n_shell)  # rows of a time block
-    # one time block: its kernels serve every group of columns, and each block of
-    # columns is used once; several: keep a group's weights across the time blocks
-    kernels = list(_shell_kernels(bath, times, step)) if len(times) <= step else None
+    # kernels of several times that fit one kept group are built once and kept across
+    # calls; a single time neither reads nor changes the list
+    held = len(times) > 1 and len(times) * n_shell <= 4 * CHUNK
+    kernels = None
+    if held:
+        grid = (times.tobytes(), CHUNK)
+        kernels, _kept_kernels = _recall(_kept_kernels, bath, grid)
+    if kernels is None and (held or len(times) <= step):
+        kernels = tuple(_shell_kernels(bath, times, step))
+        if held:
+            for arr in (k for _, *pair in kernels for k in pair):
+                arr.setflags(write=False)
+            _, _kept_kernels = _recall(_kept_kernels, bath, grid, kernels)
+    # one time block: each block of columns meets the kernels once; several: keep a
+    # group's weights across the time blocks
     per_block = max(1, min(n_col, CHUNK // n_mode))
-    per_group = per_block if kernels else max(1, min(n_col, 4 * CHUNK // n_shell))
+    per_group = per_block if len(times) <= step else max(1, min(n_col, 4 * CHUNK // n_shell))
     # columns that fit one kept group are all built into one array, kept across calls
     keep = n_col <= 4 * CHUNK // n_shell
     if source is not None:
@@ -523,8 +554,24 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
         entry = (mod2, row_of, of_pair) + ((weights, None) if keep else (None, source))
         for arr in (mod2, weights) if keep else (mod2, *source[:2]):
             arr.setflags(write=False)
-        _kept = ((bath, key, entry), *_kept[:_KEEP - 1])
+        _, _kept = _recall(_kept, bath, key, entry)
     return (eta if of_pair is None else eta[:, of_pair]), phase
+
+
+def _recall(kept, bath, key, value=None):
+    """The value kept under ``bath`` and ``key``, else ``value``, and the list with it in front.
+
+    Least recently used first out: the entry past ``_KEEP`` is dropped, and a
+    miss without a value leaves the list as it is.
+    """
+    entry = next((entry for entry in kept if entry[0] is bath and entry[1] == key), None)
+    if entry is None:
+        if value is None:
+            return None, kept
+        entry = (bath, key, value)
+    if kept and kept[0] is entry:
+        return entry[2], kept
+    return entry[2], (entry, *(other for other in kept if other is not entry))[:_KEEP]
 
 
 @lru_cache(maxsize=8)

@@ -63,14 +63,18 @@ class TruncationLeakageError(RuntimeError):
         self.leakage = leakage
 
 
-@lru_cache(maxsize=8)
 def register_basis(n_qubits: int) -> tuple[BasisLabel, ...]:
     """All 2^L basis labels, in a fixed lexicographic (+1 before -1) order.
 
-    The tuple is built once for each of the last few sizes; an invalid size
-    raises every time, since exceptions are not cached.
+    The tuple is built once for each of the last few sizes, cached on the
+    checked integer, so ``4.0`` and ``4`` share one; an invalid size raises
+    every time.
     """
-    n_qubits = integer(n_qubits, "n_qubits", 1)
+    return _basis(integer(n_qubits, "n_qubits", 1))
+
+
+@lru_cache(maxsize=8)
+def _basis(n_qubits: int) -> tuple[BasisLabel, ...]:
     return tuple(BasisLabel(s) for s in itertools.product((1, -1), repeat=n_qubits))
 
 

@@ -53,13 +53,14 @@ def random_bath(rng, temperature=0.0):
 
 
 def build_every_call(monkeypatch):
-    """Empty the kept weights before every ``core._coherence`` call, so that each call builds them."""
+    """Empty the kept weights and kernels before every ``core._coherence`` call, so that each call
+    builds them."""
     from regdeph import core
 
     coherence = core._coherence
 
     def built(*args):
-        core._kept = ()
+        core._kept = core._kept_kernels = ()
         return coherence(*args)
 
     monkeypatch.setattr(core, "_coherence", built)
@@ -700,7 +701,8 @@ def test_time_blocks_equal_one_block(monkeypatch):
     assert (len(bath.grid.freqs), bath.folded.omega.size) == (20, 60)
     monkeypatch.setattr(core, "CHUNK", len(times) * 20)  # 20 shells: one block
     whole = run()
-    assert shapes == [((len(times), 20),) * 2] * 2
+    # built once: factor_curves takes the kernels that fidelity_curve kept
+    assert shapes == [((len(times), 20),) * 2]
     shapes.clear()
     # 60 elements: time blocks of 3 rows of the (T, J) = (T, 20) kernels; the weights
     # of 12 of the 15 pairs kept, so fidelity_curve takes every time block twice
@@ -766,7 +768,8 @@ def test_each_column_weight_is_built_once_per_call(monkeypatch, dimensionality, 
     # column per class of spin difference up to sign, its first pair, in class order: 40
     # classes, and two repeated labels add the zero difference as a 41st.  Each column's
     # |S_a - S_b|^2 is filled exactly once, every pair takes its column's damping, and
-    # each group takes every time block once
+    # the (11, 16) kernels, within 4*CHUNK, are built in one pass over the time blocks
+    # and serve every group
     from regdeph import core
 
     rng = np.random.default_rng(73 if basis else 67)
@@ -817,7 +820,7 @@ def test_each_column_weight_is_built_once_per_call(monkeypatch, dimensionality, 
     assert max(size for _, _, size in built) <= chunk
     rows = chunk // 16
     time_blocks = [slice(t0, min(t0 + rows, len(times))) for t0 in range(0, len(times), rows)]
-    assert blocks == time_blocks * -(-n_col // per_group)
+    assert 11 * 16 <= 4 * chunk and blocks == time_blocks
     np.testing.assert_allclose(whole[0], own, rtol=1e-14, atol=0)
     same = [labels[x] == labels[y] for x, y in pairs]
     assert sum(same) == repeats and np.all(eta[:, same] == 0.0)
@@ -1196,3 +1199,250 @@ def test_writing_a_callers_mode_array_leaves_the_kept_weights_valid(monkeypatch)
     for got in (hit, built):
         assert np.array_equal(got.eta_matrix, first.eta_matrix)
         assert np.array_equal(got.phi_matrix, first.phi_matrix)
+
+
+def _kernel_builds(monkeypatch):
+    """A list that gets one entry per build of ``core._coherence``'s time kernels: the list
+    of the time blocks that build yields."""
+    from regdeph import core
+
+    builds, kernels = [], core._shell_kernels
+
+    def counted(bath, times, rows):
+        blocks = []
+        builds.append(blocks)
+        for block, k_eta, k_phi in kernels(bath, times, rows):
+            blocks.append(block)
+            yield block, k_eta, k_phi
+
+    monkeypatch.setattr(core, "_shell_kernels", counted)
+    return builds
+
+
+def _kernel_bath(dimensionality=1, n_freq=64):
+    return discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0,
+                               dimensionality=dimensionality, n_freq=n_freq, omega_max=6.0,
+                               temperature=0.5, n_directions=6)
+
+
+@pytest.mark.parametrize("dimensionality", [1, 3])
+@pytest.mark.parametrize("chunk,n_times,n_blocks", [(None, 9, 1), (None, 1500, 2), (256, 3, 1),
+                                                    (256, 9, 3)])
+def test_kept_kernels_give_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk,
+                                                     n_times, n_blocks):
+    # fidelity_curve and factor_curves on one bath of 64 shells and one time grid, each
+    # called fresh, and then after the other built and kept the kernels, in both orders.
+    # At the default CHUNK 9 times are one time block and 1500 are two blocks of 1024
+    # rows; at CHUNK = 256, 3 times are one block of 4 rows and 9 are three.  Every grid
+    # fits 4*CHUNK, so its kernels are built once and kept, read-only, as their blocks
+    from regdeph import core
+
+    if chunk is not None:
+        monkeypatch.setattr(core, "CHUNK", chunk)
+    bath = _kernel_bath(dimensionality)
+    (state, pos), = _registers(np.random.default_rng(109), 1)
+    i, j = state.labels()[0], state.labels()[-1]
+    times = np.linspace(0.0, 7.0, n_times)
+    step = core.CHUNK // 64
+    time_blocks = [slice(t0, min(t0 + step, n_times)) for t0 in range(0, n_times, step)]
+    assert len(time_blocks) == n_blocks and n_times * 64 <= 4 * core.CHUNK
+    calls = [lambda: [fidelity_curve(state, times, bath, pos)],
+             lambda: list(factor_curves(i, j, times, bath, pos))]
+    fresh = []
+    for call in calls:
+        core._kept = core._kept_kernels = ()
+        fresh.append(call())
+    builds = _kernel_builds(monkeypatch)
+    for n_build, (first, second) in enumerate(((0, 1), (1, 0)), 1):
+        core._kept = core._kept_kernels = ()
+        got = {first: calls[first]()}
+        kept = core._kept_kernels
+        got[second] = calls[second]()
+        assert len(builds) == n_build and builds[-1] == time_blocks
+        assert core._kept_kernels is kept and len(kept) == 1 and kept[0][0] is bath
+        for n, want in enumerate(fresh):
+            assert all(np.array_equal(g, w) for g, w in zip(got[n], want))
+        blocks = kept[0][2]
+        assert [rows for rows, *_ in blocks] == time_blocks
+        assert all(k.shape == (rows.stop - rows.start, 64) and not k.flags.writeable
+                   for rows, *pair in blocks for k in pair)
+
+
+def test_single_time_calls_leave_the_kept_kernels_alone(monkeypatch):
+    # a call at one time builds its kernels and neither reads nor changes the list: the
+    # list object stays, with its order, even when that time is one of a kept grid's
+    from regdeph import core
+
+    bath = _kernel_bath()
+    (state, pos), = _registers(np.random.default_rng(113), 1)
+    i, j = state.labels()[:2]
+    times = np.linspace(0.0, 7.0, 9)
+    core._kept_kernels = ()
+    builds = _kernel_builds(monkeypatch)
+    for grid in (times[::-1], times):
+        fidelity_curve(state, grid, bath, pos)
+    kept = core._kept_kernels
+    assert len(kept) == 2 and len(builds) == 2
+    t = float(times[3])
+    calls = [lambda: pair_factors(state.labels(), t, bath, pos),
+             lambda: evolve(state, t, bath, pos),
+             lambda: fidelity(state, t, bath, pos),
+             lambda: fidelity_curve(state, [t], bath, pos),
+             lambda: factor_curves(i, j, [t], bath, pos),
+             lambda: damping_exponent(i, j, t, bath, pos),
+             lambda: lamb_phase(i, j, t, bath, pos),
+             lambda: label_phase(i, t, bath, pos)]
+    for n, call in enumerate(calls, 3):
+        call()
+        assert core._kept_kernels is kept and len(builds) == n and builds[-1] == [slice(0, 1)]
+
+
+def test_an_equal_bath_a_grid_written_in_place_and_another_chunk_miss(monkeypatch):
+    # the kernels are kept per bath object, per the bytes of the grid at call time and per
+    # CHUNK: an equal bath built again and a time array written in place both build anew,
+    # each with the bits of a fresh build, and so does the same grid at another CHUNK,
+    # in its own time blocks
+    from regdeph import core
+
+    bath, twin = _kernel_bath(), _kernel_bath()
+    (state, pos), = _registers(np.random.default_rng(127), 1)
+    times = np.linspace(0.0, 7.0, 9)
+    core._kept = core._kept_kernels = ()
+    builds = _kernel_builds(monkeypatch)
+    first = fidelity_curve(state, times, bath, pos)
+    again = fidelity_curve(state, times, twin, pos)
+    assert len(builds) == 2 and [entry[0] for entry in core._kept_kernels] == [twin, bath]
+    assert core._kept_kernels[0][0] is twin and np.array_equal(again, first)
+    times[4] += 0.5
+    moved = fidelity_curve(state, times, bath, pos)
+    assert len(builds) == 3 and len(core._kept_kernels) == 3 and not np.array_equal(moved, first)
+    core._kept = core._kept_kernels = ()
+    assert np.array_equal(fidelity_curve(state, times, bath, pos), moved)
+    monkeypatch.setattr(core, "CHUNK", 256)
+    fidelity_curve(state, times, bath, pos)
+    assert len(builds) == 5 and builds[-1] == [slice(0, 4), slice(4, 8), slice(8, 9)]
+    assert len(core._kept_kernels) == 2 and core._kept_kernels[0][1][1] == 256
+
+
+def test_grids_beyond_one_group_stream_their_kernels(monkeypatch):
+    # at CHUNK = 48, 13 times of 16 shells (208 elements) exceed 4*CHUNK = 192: the 36
+    # columns of 9 labels take 3 groups of 12, each meets the kernels in time blocks of 3
+    # rows built anew, and the list stays as it is.  12 times (192 elements) are built
+    # once and kept
+    from regdeph import core
+
+    bath = _kernel_bath(n_freq=16)
+    rng = np.random.default_rng(131)
+    pos = rng.uniform(-2.0, 2.0, size=(6, 3))
+    labels = sorted({random_label(rng, 6) for _ in range(20)}, key=str)[:9]
+    state = RegisterState.from_unnormalized({lab: complex(rng.normal(), rng.normal())
+                                             for lab in labels})
+    times = np.linspace(0.0, 6.0, 13)
+    whole = [fidelity_curve(state, grid, bath, pos) for grid in (times, times[:12])]
+    monkeypatch.setattr(core, "CHUNK", 48)
+    core._kept_kernels = ()
+    fidelity_curve(state, times[11::-1], bath, pos)
+    kept = core._kept_kernels
+    builds = _kernel_builds(monkeypatch)
+    streamed = fidelity_curve(state, times, bath, pos)
+    assert core._kept_kernels is kept and len(kept) == 1
+    time_blocks = [slice(t0, min(t0 + 3, 13)) for t0 in range(0, 13, 3)]
+    assert builds == [time_blocks] * 3
+    builds.clear()
+    held = fidelity_curve(state, times[:12], bath, pos)
+    assert builds == [time_blocks[:4]] and len(core._kept_kernels) == 2
+    for got, want in zip((streamed, held), whole):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_a_fifth_grid_evicts_the_least_recently_used_kernels():
+    from regdeph import core
+
+    bath = _kernel_bath(n_freq=32)
+    (state, pos), = _registers(np.random.default_rng(137), 1)
+    i, j = state.labels()[:2]
+    grids = [np.linspace(0.0, 7.0, 5 + n) for n in range(5)]
+
+    def call(n):
+        return factor_curves(i, j, grids[n], bath, pos)
+
+    def order():
+        return [len(entry[1][0]) // 8 - 5 for entry in core._kept_kernels]
+
+    core._kept_kernels = ()
+    first = [call(n) for n in range(4)]
+    assert order() == [3, 2, 1, 0]
+    entry = core._kept_kernels[3]
+    assert all(np.array_equal(g, w) for g, w in zip(call(0), first[0]))
+    assert core._kept_kernels[0] is entry and order() == [0, 3, 2, 1]
+    call(4)
+    assert order() == [4, 0, 3, 2]
+    assert all(np.array_equal(g, w) for g, w in zip(call(1), first[1]))
+    assert order() == [1, 4, 0, 3]
+
+
+def test_simulate_builds_its_kernels_once(monkeypatch, tmp_path):
+    # the simulate fixture's fidelity curve and its two tracked pairs take one bath and
+    # one grid of 41 times: the first call builds the kernels and the other two hit
+    from pathlib import Path
+
+    from regdeph import core
+    from regdeph.cli import EXIT_OK, main
+
+    coherence, grids = core._coherence, []
+
+    def counted(labels, times, bath, positions):
+        grids.append((bath, len(times)))
+        return coherence(labels, times, bath, positions)
+
+    monkeypatch.setattr(core, "_coherence", counted)
+    builds = _kernel_builds(monkeypatch)
+    config = Path(__file__).parent / "fixtures" / "simulate.ini"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--output", str(out), "--quiet"]) == EXIT_OK
+    assert len(grids) == 3 and len({id(bath) for bath, _ in grids}) == 1
+    assert {n for _, n in grids} == {41} and builds == [[slice(0, 41)]]
+
+
+def test_continuum_single_flip_is_the_ohmic_closed_form():
+    # the reference's normalisation: one flipped qubit alone has ds = 2 at u = 0, and its
+    # damping is 2 A ln(1 + c^2 t^2); the grid's single flip approaches it (1-D bath,
+    # T = 0, 4096 shells up to omega_max = 40, A = 0.3, cutoff = 1.3)
+    import continuum
+
+    up, flip, pos = BasisLabel((1,)), BasisLabel((-1,)), line_positions(1)
+    bath = discretize_spectrum(PowerLawCoupling(0.3, 1.0, 1.3), v=1.0, n_freq=4096,
+                               omega_max=40.0)
+    for t in (0.5, 5.0):
+        want = 2 * 0.3 * np.log1p((1.3 * t) ** 2)
+        got = continuum.damping_exponent(0.3, 1.3, pos[:, 0], 1.0, up, flip, t)
+        assert got == pytest.approx(want, rel=1e-14)
+        assert damping_exponent(up, flip, t, bath, pos) == pytest.approx(want, rel=1e-4)
+
+
+def test_grid_sums_against_the_continuum_closed_form():
+    # A = 0.3, cutoff = 1, T = 0 on a 4-site chain at d = 1, labels ++-+ and -+++, 1-D
+    # bath up to omega_max = 40, t = 0.5, 5 and 50.  The grid's worst errors measure 2.37e-7
+    # relative in eta at 4096 shells and 1.75e-6 absolute in phi at 1024 shells (both at
+    # t = 50); the bounds hold them with a 25% margin.  The closed forms integrate to
+    # infinity and the grid stops at omega_max = 40.  With |g|^2 / w^2 = A exp(-w) / w,
+    # |cos(w u)| <= 1 and kernels at most 2 (damping) and w t + 1 (phase), the missed tail
+    # is at most A sum|ds ds'| 2 exp(-40) / 40 in eta and 2 A sum|s s'| (t + 1/40) exp(-40)
+    # in phi, checked here to be below 1e-8 of the bounds
+    import continuum
+
+    amplitude, cutoff = 0.3, 1.0
+    i, j = BasisLabel.from_string("++-+"), BasisLabel.from_string("-+++")
+    pos = line_positions(4)
+    x, ds = pos[:, 0], np.subtract(i.spins, j.spins)
+    eta_bath, phi_bath = (discretize_spectrum(PowerLawCoupling(amplitude, 1.0, cutoff), v=1.0,
+                                              n_freq=n, omega_max=40.0) for n in (4096, 1024))
+    for t in (0.5, 5.0, 50.0):
+        eta = continuum.damping_exponent(amplitude, cutoff, x, 1.0, i, j, t)
+        phi = (continuum.label_phase(amplitude, cutoff, x, 1.0, i, t)
+               - continuum.label_phase(amplitude, cutoff, x, 1.0, j, t))
+        eta_tail = amplitude * np.abs(ds).sum() ** 2 * 2 * np.exp(-40.0) / 40.0
+        phi_tail = 2 * amplitude * len(x) ** 2 * (t + 1 / 40) * np.exp(-40.0)
+        assert eta_tail <= 1e-8 * 3e-7 * eta and phi_tail <= 1e-8 * 2.2e-6
+        assert abs(damping_exponent(i, j, t, eta_bath, pos) - eta) <= 3e-7 * eta
+        assert abs(lamb_phase(i, j, t, phi_bath, pos) - phi) <= 2.2e-6

@@ -60,6 +60,11 @@ def test_register_basis_is_built_once_per_size():
             register_basis(bad)
 
 
+def test_register_basis_caches_the_checked_size():
+    # an integral float and a numpy integer are the same size, so they share one tuple
+    assert register_basis(4.0) is register_basis(4) is register_basis(np.int64(4))
+
+
 def test_coherent_vector_vacuum_and_norm():
     vac = coherent_vector(0.0, 8)
     assert vac[0] == 1.0 and np.all(vac[1:] == 0)
