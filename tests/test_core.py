@@ -597,7 +597,7 @@ def _fold_test_baths():
 
 @pytest.mark.parametrize("name", list(_fold_test_baths()))
 def test_folded_sums_equal_direct_sums_over_all_modes(name):
-    from regdeph.bath import coth_half
+    from mode_sums import direct_sums
     from regdeph.regimes import damping_scale, phase_scale
 
     bath = _fold_test_baths()[name]
@@ -609,16 +609,10 @@ def test_folded_sums_equal_direct_sums_over_all_modes(name):
     state = RegisterState.from_unnormalized(dict(zip(labels, amps)))
     times = np.linspace(0.0, 7.0, 8)
 
-    # the closed form written out once per mode of the full set, no folding
-    s = np.array([[np.sum(np.array(lab.spins) * np.exp(1j * (pos @ k))) for k in bath.k]
-                  for lab in labels])
-    x = np.multiply.outer(times, bath.omega)
-    weight = bath.g2 / bath.omega**2
-    k_eta = weight * coth_half(bath.omega, bath.temperature) * 2.0 * np.sin(x / 2) ** 2
-    k_phi = weight * (x - np.sin(x))
-    mod2 = np.abs(s) ** 2
-    eta = np.einsum("tm,abm->tab", k_eta, np.abs(s[:, None] - s[None]) ** 2)
-    phi = np.einsum("tm,abm->tab", k_phi, mod2[:, None] - mod2[None])
+    eta, phi, phase = direct_sums(labels, times, bath, pos)
+    # one site at the origin: its single flip is 4 times the bare damping sum
+    up, down = BasisLabel((1,)), BasisLabel((-1,))
+    bare_eta, _, bare_phase = direct_sums([up, down], times, bath, np.zeros((1, 3)))
     p = np.abs(list(state.amplitudes.values())) ** 2
     fid = np.einsum("a,b,tab->t", p, p, np.exp(-eta) * np.cos(phi))
 
@@ -632,9 +626,9 @@ def test_folded_sums_equal_direct_sums_over_all_modes(name):
     close(fac.eta_matrix, eta[5])
     close(fac.phi_matrix, phi[5])
     for n, lab in enumerate(labels):
-        close(label_phase(lab, float(times[4]), bath, pos), k_phi[4] @ mod2[n])
-    close(damping_scale(bath, float(times[6])), np.sum(k_eta[6]))
-    close(phase_scale(bath, float(times[6])), np.sum(k_phi[6]))
+        close(label_phase(lab, float(times[4]), bath, pos), phase[4, n])
+    close(damping_scale(bath, float(times[6])), bare_eta[6, 0, 1] / 4)
+    close(phase_scale(bath, float(times[6])), bare_phase[6, 0])
 
 
 def test_ladder_structure_factors_equal_dense_within_chunk(monkeypatch):
