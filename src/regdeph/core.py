@@ -78,45 +78,39 @@ row when a row alone is larger; no ``(T, M)`` array is formed.  The
 differences are taken of factors scaled by ``sqrt(g2) / omega``, so the
 weight costs one pass over ``(n, M)`` and none over ``(P, M)``.  Each
 column's weights are built at most once per call: with one block of times
-each block of columns meets the kernels once; with several, the ``(P, J)``
-weights of a group of columns, at most ``4*CHUNK`` elements, are kept across
-all blocks of times.  The ``(T, J)`` kernels are built once per call when
-each fits ``4*CHUNK`` elements, and otherwise in blocks of at most
-``CHUNK``, once per group.  The label weights ``V`` are built at most once
-per call and the label phases once per time point.
+each block of columns meets the kernels once; with several, a group of
+columns keeps its ``(P, J)`` weights, at most ``4*CHUNK`` elements, across
+the blocks of times.  The ``(T, J)`` kernels are built once per call when
+they fit ``4*CHUNK`` elements, and otherwise once per group.  ``V`` is built
+at most once per call and the label phases once per time point.
 
 **Weights and kernels kept across calls.**  ``V`` and ``W`` do not depend
-on time.  A set whose columns all fit one group builds its whole ``W``, and a
-module-level list of at most ``_KEEP = 4`` entries keeps that ``W`` and its
-``V`` after the call, keyed on the bath object, the positions' shape and
-bytes, the label tuple and ``CHUNK``.  A later call with the same key, such
-as the single-time calls of one register at many times, computes only the
-kernels and the two GEMMs, over the same column slices, so its results are
-bit-identical to a fresh build.  So registers on one bath can alternate,
-independent against collective or encoded against bare, and each keeps its
-weights.  A larger set streams its groups of ``W``; when its scaled label
-factors, ``2*n*M`` doubles of real and imaginary parts, fit ``4*CHUNK``, its
-entry keeps them with ``V`` and the pair columns instead, as the code
-residual's 64 labels do, and a hit rebuilds only ``W`` from them, through
-the same slices, so its results are bit-identical too.  A set beyond both
-bounds leaves the list and its order as they are.  The list is least
-recently used first out: a hit moves its entry to the front, a new entry
-goes to the front, and the entry past the fourth is dropped.  Each entry
-holds at most ``4*CHUNK`` elements of ``W`` or of factors and
-``(4*CHUNK // J + 1) * J`` of ``V``, so at most ``8*(8*CHUNK + J)`` bytes
-of weights (4 MiB plus ``8*J`` bytes at the default ``CHUNK``), plus its
-key's ``24*L`` bytes of positions and a few words per label, and per pair
-of a grouped set.  Every entry holds a reference to its bath, whose arrays
-are read-only copies.
+on time, and the kernels depend only on the bath and the time grid.  Two
+lists of at most ``_KEEP = 4`` entries keep them, each read and written by
+one function only: ``_kept`` by :func:`_label_weights` and ``_kept_kernels``
+by :func:`_time_kernels`.  A hit moves its entry to the front, a new entry
+goes to the front, and the entry past the fourth is dropped.  Every kept
+array is read-only, and every entry holds its bath, whose arrays are
+read-only copies.  A hit takes the same column slices and time blocks as a
+build, so its results are bit-identical to a fresh build.
 
-The kernels depend only on the bath and the time grid.  A grid of several
-times whose ``(T, J)`` kernels each fit ``4*CHUNK`` elements keeps them,
-read-only, in a second list managed the same way, keyed on the bath object,
-the grid's bytes and ``CHUNK``: a fidelity curve and its tracked pairs, or
-registers compared on one bath and grid, build them once, and a hit runs
-only the GEMMs, bit-identical to a build.  A call at a single time neither
-reads nor changes this list, so single-time calls at many times evict no
-grid.  An entry holds at most ``2*4*CHUNK`` doubles (4 MiB) and its bath.
+* ``_kept`` is keyed on the bath object, the positions' shape and bytes, the
+  label tuple and ``CHUNK``.  A set whose columns fit one group,
+  ``P <= 4*CHUNK // J``, keeps ``V`` and its whole ``W``, so registers on
+  one bath can alternate, independent against collective or encoded against
+  bare.  A larger set streams ``W``; when its scaled label factors, ``2*n*M``
+  doubles, fit ``4*CHUNK``, it keeps them with ``V`` and the pair columns
+  instead, as the code residual's 64 labels do, and a hit rebuilds only
+  ``W``.  A set beyond both bounds leaves the list as it is.  An entry holds
+  at most ``8*(8*CHUNK + J)`` bytes of arrays (4 MiB plus ``8*J`` at the
+  default ``CHUNK``), the ``24*L`` bytes of positions in its key, and a few
+  words per label and per pair of a grouped set.
+* ``_kept_kernels`` is keyed on the bath object, the grid's bytes and
+  ``CHUNK``.  A grid of several times whose ``(T, J)`` kernels fit
+  ``4*CHUNK`` elements keeps them, at most ``2*4*CHUNK`` doubles (4 MiB), so
+  a fidelity curve and its tracked pairs build them once.  A call at a
+  single time neither reads nor changes this list, so single-time calls at
+  many times evict no grid.
 
 **Pair columns.**  ``S_a - S_b`` is the structure factor of ``s_a - s_b``,
 so the damping of a pair depends on its labels only through their spin
@@ -167,14 +161,12 @@ __all__ = [
 NORM_TOL = 1e-12
 # elements of the largest temporary block over modes or over pairs
 CHUNK = 1 << 16
-# registers whose time-independent weights are kept across calls (_coherence)
+# entries of each kept list (module docstring)
 _KEEP = 4
-# (bath, key, (V, row_of, of_pair, W, label factors)) of the last _KEEP registers whose
-# W or, when W streams, whose label factors fit one kept group, with the other None; the
-# most recently used first, replaced whole on every change, never mutated
+# (bath, key, (V, row_of, of_pair, W, factors)) kept by _label_weights, the most recently
+# used first, replaced whole on every change, never mutated
 _kept = ()
-# (bath, (time grid bytes, CHUNK), kernel blocks) of the last _KEEP grids of several
-# times whose read-only (T, J) kernels fit one kept group, managed like _kept
+# (bath, (time grid bytes, CHUNK), kernel blocks) kept by _time_kernels, likewise
 _kept_kernels = ()
 
 
@@ -416,10 +408,8 @@ def _shell_kernels(bath: BathSpectrum, times, rows: int):
     """Damping and phase kernels of every shell, in blocks of ``rows`` times.
 
     ``times`` is a checked grid (:func:`_times`).  Yields ``(times slice,
-    damping, phase)``, each kernel of shape (rows, J).  When the whole
-    (T, J) grid fits ``4*CHUNK`` elements every block is its own rows of one
-    (T, J) pair, which the caller may keep; otherwise the next block reuses
-    the buffers.  With ``x = f_j t``:
+    damping, phase)``, each kernel a new array of shape (rows, J).  With
+    ``x = f_j t``:
     damping ``2 coth(f_j/2T) sin^2(x/2)`` and phase ``x - sin x``.  The
     per-mode weight ``g2 / omega^2`` is not in them; it scales the structure
     factors instead.  Both kernels come from ``h = exp(i x/2)``:
@@ -429,20 +419,14 @@ def _shell_kernels(bath: BathSpectrum, times, rows: int):
     """
     w = _shell_freqs(bath)
     coth2 = 2.0 * coth_half(w, bath.temperature)
-    size = min(rows, len(times))
-    whole = len(times) * len(w) <= 4 * CHUNK
-    damping, phase = np.empty((2, len(times) if whole else size, len(w)))
-    half = np.empty((size, len(w)), dtype=complex)
     for t0 in range(0, len(times), rows):
         t = times[t0:t0 + rows]
-        own = slice(t0, t0 + len(t)) if whole else slice(len(t))
-        d, x, h = damping[own], phase[own], half[:len(t)]
-        _half_turns(t, w, bath.grid is not None, h)
-        np.multiply.outer(t, w, out=x)
+        h = _half_turns(t, w, bath.grid is not None, np.empty((len(t), len(w)), dtype=complex))
+        x = np.multiply.outer(t, w)
         small = x < 0.2
         xs = x[small]
         x2 = xs * xs
-        np.multiply(h.real, h.imag, out=d)
+        d = np.multiply(h.real, h.imag)
         d *= 2.0
         x -= d
         x[small] = xs * x2 / 6.0 * (1 - x2 / 20 * (1 - x2 / 42 * (1 - x2 / 72 * (1 - x2 / 110))))
@@ -455,107 +439,122 @@ def _coherence(labels, times, bath: BathSpectrum, positions) -> tuple[np.ndarray
     """Damping of every upper-triangle label pair (T, n(n-1)/2) and phase of each label (T, n).
 
     ``eta_ab = K_eta @ W_ab`` over the pairs ``a < b`` in ``np.triu_indices``
-    order, and ``phase_a = K_phi @ V_a``; the Lamb phase of a pair is the
-    difference of its labels' phases.  ``W_ab`` is ``(g2 / omega^2)
-    |S_a - S_b|^2`` and ``V_a`` is ``(g2 / omega^2) |S_a|^2``, each summed
-    over a shell's modes, so both reductions run over the ``J`` shells.
-    ``W`` is built and reduced for the columns of :func:`_pair_columns`,
-    every pair or one per class of spin difference, and each pair takes its
-    column's damping.  Times are taken in blocks that bound the (T, J)
-    kernels; columns in groups whose (P, J) weights are kept across all time
-    blocks, each column's weights built once per call.  Identical labels
-    share one structure factor and one phase, so the eta and phi between
-    them vanish exactly.
-
-    The time-independent half, the label dedupe, the pair columns, ``V`` and
-    ``W``, comes from the kept entry whose bath object, positions' shape and
-    bytes, label tuple and ``CHUNK`` match, which then moves to the front of
-    the list, and is built otherwise.  A set whose ``P <= 4*CHUNK // J``
-    columns fit one group builds its whole ``W`` and puts it, its ``V`` and a
-    reference to the bath at the front; past ``_KEEP`` entries the least
-    recently used one is dropped.  A set that streams its groups puts its
-    read-only label factors ``re`` and ``im`` there in place of ``W`` when
-    their ``2*n*M`` elements fit ``4*CHUNK``, and a hit on it streams ``W``
-    from them; a set beyond both bounds leaves the list as it is.  An entry
-    holds at most ``8*(8*CHUNK + J)`` bytes of arrays.  The rest, the
-    weights of a streaming set, the kernels and the two GEMMs, runs over the
-    same column slices either way, so a hit is bit-identical to a build.
-
-    The kernels of ``T > 1`` times with ``T*J <= 4*CHUNK`` come likewise
-    from a second list, keyed on the bath object, the grid's bytes and
-    ``CHUNK``, and a single time never touches it.  The column groups follow
-    only whether the times fit one block, so a hit takes the same GEMMs.
+    order, each pair taking its column's damping (:func:`_pair_columns`), and
+    ``phase_a = K_phi @ V_a``, with the weights of :func:`_label_weights` and
+    the kernels of :func:`_time_kernels`.  Identical labels share one
+    structure factor and one phase, so the eta and phi between them vanish
+    exactly.  The time blocks and column groups are those of the module
+    docstring, whatever the kept lists hold.
     """
-    global _kept, _kept_kernels
-    times = _times(times)
-    labels = tuple(labels)
-    pos = np.asarray(positions, dtype=float)
-    key = (pos.shape, pos.tobytes(), labels, CHUNK)
-    n_shell, n_mode = len(_shell_freqs(bath)), bath.folded.omega.size
-    hit, _kept = _recall(_kept, bath, key)
-    if hit is not None:
-        mod2, row_of, of_pair, weights, source = hit
-    else:
-        index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
-        row_of = [index[label] for label in labels]
-        s = _structure_factors(list(index), bath, pos)
-        w, _, g2 = bath.folded
-        s *= np.sqrt(g2) / w
-        mod2 = np.abs(s)
-        mod2 *= mod2
-        mod2 = _shell_sums(mod2, n_shell)
-        a, b, of_pair = _pair_columns(labels)
-        source = (s.real[row_of], s.imag[row_of], a, b)
-    # a kept W, or the label factors and columns that W streams from
-    n_col = len(weights) if source is None else len(source[2])
-    eta = np.empty((len(times), n_col))
-    phase = np.empty((len(times), len(labels)))
+    times, labels = _times(times), tuple(labels)
+    mod2, row_of, of_pair, weights, factors = _label_weights(labels, bath, positions)
+    n_shell = len(_shell_freqs(bath))
     step = max(1, CHUNK // n_shell)  # rows of a time block
-    # kernels of several times that fit one kept group are built once and kept across
-    # calls; a single time neither reads nor changes the list
-    held = len(times) > 1 and len(times) * n_shell <= 4 * CHUNK
-    kernels = None
-    if held:
-        grid = (times.tobytes(), CHUNK)
-        kernels, _kept_kernels = _recall(_kept_kernels, bath, grid)
-    if kernels is None and (held or len(times) <= step):
-        kernels = tuple(_shell_kernels(bath, times, step))
-        if held:
-            for arr in (k for _, *pair in kernels for k in pair):
-                arr.setflags(write=False)
-            _, _kept_kernels = _recall(_kept_kernels, bath, grid, kernels)
+    kernels = _time_kernels(bath, times, step)
+    n_col = len(weights) if factors is None else len(factors[2])
     # one time block: each block of columns meets the kernels once; several: keep a
     # group's weights across the time blocks
-    per_block = max(1, min(n_col, CHUNK // n_mode))
+    per_block = max(1, min(n_col, CHUNK // bath.folded.omega.size))
     per_group = per_block if len(times) <= step else max(1, min(n_col, 4 * CHUNK // n_shell))
-    # columns that fit one kept group are all built into one array, kept across calls
-    keep = n_col <= 4 * CHUNK // n_shell
-    if source is not None:
-        weights = np.empty((n_col if keep else per_group, n_shell))
-        weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
-        # a run of one label's columns never outgrows its later labels
-        im_diff = np.empty((min(per_block, max(len(labels) - 1, 0)), n_mode))
-    for g0 in range(0, max(n_col, 1), per_group):
-        group = weights[g0:g0 + per_group] if keep else weights[:min(per_group, n_col - g0)]
-        if source is not None:
-            re, im, a, b = source
-            for r0 in range(0, len(group), per_block):
-                r1 = min(r0 + per_block, len(group))
-                block = group[r0:r1] if weight is None else weight[:r1 - r0]
-                _damping_weights(re, im, a[g0 + r0:g0 + r1], b[g0 + r0:g0 + r1], block, im_diff)
-                if weight is not None:
-                    _shell_sums(block, n_shell, out=group[r0:r1])
+    starts = range(0, max(n_col, 1), per_group)
+    groups = ((weights[g0:g0 + per_group] for g0 in starts) if factors is None
+              else _column_weights(factors, n_shell, per_group))
+    eta = np.empty((len(times), n_col))
+    phase = np.empty((len(times), len(labels)))
+    for g0, group in zip(starts, groups):
         for rows, k_eta, k_phi in kernels or _shell_kernels(bath, times, step):
             if g0 == 0:
                 phase[rows] = (k_phi @ mod2.T)[:, row_of]
             eta[rows, g0:g0 + len(group)] = k_eta @ group.T
-    # a set that streams keeps its label factors instead, when they fit as much as one group
-    if hit is None and (keep or 2 * len(labels) * n_mode <= 4 * CHUNK):
-        entry = (mod2, row_of, of_pair) + ((weights, None) if keep else (None, source))
-        for arr in (mod2, weights) if keep else (mod2, *source[:2]):
-            arr.setflags(write=False)
-        _, _kept = _recall(_kept, bath, key, entry)
     return (eta if of_pair is None else eta[:, of_pair]), phase
+
+
+def _label_weights(labels: tuple, bath: BathSpectrum, positions):
+    """The time-independent half of :func:`_coherence`: ``(V, row_of, of_pair, W, factors)``.
+
+    ``V`` is the (n, J) weight of the distinct labels and ``row_of`` each
+    label's row; ``of_pair`` is each pair's column, or None
+    (:func:`_pair_columns`).  Exactly one of ``W``, the whole (P, J) damping
+    weight, and ``factors``, the labels' scaled structure factors ``re`` and
+    ``im`` with the pairs ``a`` and ``b`` of the columns, is None.  The entry
+    is recalled from ``_kept`` or built and kept there (module docstring).
+    """
+    global _kept
+    pos = np.asarray(positions, dtype=float)
+    key = (pos.shape, pos.tobytes(), labels, CHUNK)
+    entry, _kept = _recall(_kept, bath, key)
+    if entry is not None:
+        return entry
+    index = {label: n for n, label in enumerate(dict.fromkeys(labels))}
+    row_of = [index[label] for label in labels]
+    s = _structure_factors(list(index), bath, pos)
+    w, _, g2 = bath.folded
+    s *= np.sqrt(g2) / w
+    n_shell = len(_shell_freqs(bath))
+    mod2 = np.abs(s)
+    mod2 *= mod2
+    mod2 = _shell_sums(mod2, n_shell)
+    a, b, of_pair = _pair_columns(labels)
+    factors = (s.real[row_of], s.imag[row_of], a, b)
+    if len(a) <= 4 * CHUNK // n_shell:
+        weights = next(_column_weights(factors, n_shell, max(1, len(a))))
+        entry, kept = (mod2, row_of, of_pair, weights, None), (mod2, weights)
+    elif 2 * len(labels) * w.size <= 4 * CHUNK:
+        entry, kept = (mod2, row_of, of_pair, None, factors), (mod2, *factors[:2])
+    else:
+        return mod2, row_of, of_pair, None, factors
+    for arr in kept:
+        arr.setflags(write=False)
+    _, _kept = _recall(_kept, bath, key, entry)
+    return entry
+
+
+def _column_weights(factors, n_shell: int, size: int):
+    """The (P, J) damping weights of the columns of ``factors``, in groups of ``size`` columns.
+
+    ``factors`` is ``(re, im, a, b)`` (:func:`_label_weights`).  A group is
+    filled in blocks of columns of at most ``CHUNK`` elements over the modes,
+    then summed over each shell's; no columns give one empty group.  A group
+    reuses the array of the one before it, so only a group of all the
+    columns may be kept.
+    """
+    re, im, a, b = factors
+    n_col, n_mode = len(a), re.shape[1]
+    per_block = max(1, min(n_col, CHUNK // n_mode))
+    weights = np.empty((min(size, n_col), n_shell))
+    weight = np.empty((per_block, n_mode)) if n_mode > n_shell else None
+    # a run of one label's columns never outgrows its later labels
+    im_diff = np.empty((min(per_block, max(len(re) - 1, 0)), n_mode))
+    for g0 in range(0, max(n_col, 1), size):
+        group = weights[:min(size, n_col - g0)]
+        for r0 in range(0, len(group), per_block):
+            r1 = min(r0 + per_block, len(group))
+            block = group[r0:r1] if weight is None else weight[:r1 - r0]
+            _damping_weights(re, im, a[g0 + r0:g0 + r1], b[g0 + r0:g0 + r1], block, im_diff)
+            if weight is not None:
+                _shell_sums(block, n_shell, out=group[r0:r1])
+        yield group
+
+
+def _time_kernels(bath: BathSpectrum, times, step: int):
+    """The kernels of ``times`` in blocks of ``step`` rows (:func:`_shell_kernels`), or None.
+
+    A grid of several times whose (T, J) kernels fit ``4*CHUNK`` elements
+    takes its read-only blocks from ``_kept_kernels``, or builds and keeps
+    them there; a single time is built and never touches the list.  None
+    leaves a longer grid to the caller, which streams it per group of columns.
+    """
+    global _kept_kernels
+    if len(times) > 1 and len(times) * len(_shell_freqs(bath)) <= 4 * CHUNK:
+        grid = (times.tobytes(), CHUNK)
+        kernels, _kept_kernels = _recall(_kept_kernels, bath, grid)
+        if kernels is None:
+            kernels = tuple(_shell_kernels(bath, times, step))
+            for arr in (k for _, *pair in kernels for k in pair):
+                arr.setflags(write=False)
+            _, _kept_kernels = _recall(_kept_kernels, bath, grid, kernels)
+        return kernels
+    return tuple(_shell_kernels(bath, times, step)) if len(times) <= step else None
 
 
 def _recall(kept, bath, key, value=None):
