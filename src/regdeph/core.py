@@ -89,10 +89,10 @@ on time, and the kernels depend only on the bath and the time grid.  Two
 lists of at most ``_KEEP = 4`` entries keep them, each read and written by
 one function only: ``_kept`` by :func:`_label_weights` and ``_kept_kernels``
 by :func:`_time_kernels`.  A hit moves its entry to the front, a new entry
-goes to the front, and the entry past the fourth is dropped.  Every kept
-array is read-only, and every entry holds its bath, whose arrays are
-read-only copies.  A hit takes the same column slices and time blocks as a
-build, so its results are bit-identical to a fresh build.
+goes to the front, and the entry past the fourth is dropped.  The weights,
+factors and kernels an entry keeps are read-only, and it holds its bath,
+whose arrays are read-only copies.  A hit takes the same column slices and
+time blocks as a build, so its results are bit-identical to a fresh build.
 
 * ``_kept`` is keyed on the bath object, the positions' shape and bytes, the
   label tuple and ``CHUNK``.  A set whose columns fit one group,

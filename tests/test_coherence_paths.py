@@ -14,25 +14,33 @@ depends on the calls before it.  Each call takes one path of each kind:
 
 The machine below draws sequences of calls of every public entry point over
 small pools of these inputs, with rules that change ``CHUNK`` and write a
-register's positions in place, and checks after every call that
+register's positions in place.  Each call takes its bath, register and
+labels as one subject from those chosen so far, so that subjects repeat and
+hit.  After every call it checks that
 
 * the result is bit-equal to a fresh build at the same ``CHUNK``, made with
   both lists saved, emptied and then restored;
 * the result is within 1e-12 of the direct mode sum of ``mode_sums``;
-* each list has at most ``_KEEP`` entries, every kept array is read-only,
-  and each entry is within the byte bound of the ``core`` docstring;
+* each list has at most ``_KEEP`` entries, the kept weights, factors and
+  kernels are read-only, and each entry is within the byte bound of the
+  ``core`` docstring;
+* a call builds its kernels once for a single time, at most once for a grid
+  that fits ``4*CHUNK``, and once per group of columns beyond it, and fills
+  each column's weights once, or not at all when it hits a kept ``W``;
 * a single-time call leaves ``_kept_kernels`` as the same object.
 
 Pool sizes, at the default ``CHUNK`` (``4*CHUNK = 2**18`` elements):
 
-* the 1-D bath has ``J = M = 1024`` shells: up to 256 columns keep ``W``, so
-  the 24 random labels (276 columns, not grouped) stream, and their factors,
-  ``2*24*1024`` elements, are kept;
-* the 3-D bath has 256 shells of 3 folded modes, the hand-built bath 64 modes
-  in 64 one-mode shells; every set keeps its ``W`` on them;
-* at ``CHUNK = 2**14`` the 12- and 32-label sets stream on the 1-D bath too,
-  the 32-label factors exactly at the bound; at ``CHUNK = 256`` every set of
-  more than one column streams there and keeps nothing.
+* both grid baths have ``J = 1024`` shells, of one folded mode (1-D) or of
+  three (3-D): up to 256 columns keep ``W``, so the 24 random labels (276
+  columns, not grouped) stream, and their factors, ``2*24*M`` elements, are
+  kept;
+* the hand-built bath has 64 folded modes, each its own shell, and every set
+  keeps its ``W`` on it;
+* at ``CHUNK = 2**14`` the 12- and 32-label sets stream on the grid baths
+  too, and keep their factors on the 1-D bath, the 32 labels' exactly at the
+  bound; at ``CHUNK = 256`` every set of more than one column streams on the
+  grid baths and keeps nothing.
 
 The grids are one time, 9 times, and on each bath and ``CHUNK`` the longest
 grid whose ``(T, J)`` kernels fit ``4*CHUNK`` and one time more, in one or
@@ -58,8 +66,8 @@ def _hand_built_bath(rng, n_pair=64):
     """Inversion pairs of random 3-D wave vectors with unequal partner weights."""
     k = rng.normal(size=(n_pair, 3))
     k = np.vstack([k, -k[::-1]])
-    return BathSpectrum(omega=np.linalg.norm(k, axis=1), k=k, g2=rng.uniform(0.0, 0.02, size=len(k)),
-                        v=1.0, temperature=0.5)
+    return BathSpectrum(omega=np.linalg.norm(k, axis=1), k=k,
+                        g2=rng.uniform(0.0, 0.02, size=len(k)), v=1.0, temperature=0.5)
 
 
 def _pools():
@@ -99,7 +107,7 @@ STATES = {name: RegisterState.from_unnormalized(
 CHUNKS = [1 << 16, 256, 1 << 14]
 SINGLE_TIMES = [0.0, 2.7, 6.3]
 UP, DOWN, ORIGIN = BasisLabel((1,)), BasisLabel((-1,)), np.zeros((1, 3))
-# the entry points at one time; the two scales take only the subject's bath, on one site at the origin
+# the entry points at one time; the two scales take only the subject's bath, on one site
 ONE_TIME = ["pair_factors", "evolve", "fidelity", "damping_exponent", "lamb_phase", "label_phase",
             "damping_scale", "phase_scale"]
 
@@ -134,10 +142,6 @@ def _arrays(result):
     if isinstance(result, tuple):
         return [np.asarray(r) for r in result]
     return [np.asarray(result)]
-
-
-def _close(got, want):
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class CoherencePaths(RuleBasedStateMachine):
@@ -224,7 +228,8 @@ class CoherencePaths(RuleBasedStateMachine):
             used, call, want = {
                 "factor_curves": ([i, j], lambda: factor_curves(i, j, times, bath, pos),
                                   [eta[:, 0, 1], phi[:, 0, 1]]),
-                "damping_exponent": ([i, j], lambda: damping_exponent(i, j, t, bath, pos), [eta[0, 0, 1]]),
+                "damping_exponent": ([i, j], lambda: damping_exponent(i, j, t, bath, pos),
+                                     [eta[0, 0, 1]]),
                 "lamb_phase": ([i, j], lambda: lamb_phase(i, j, t, bath, pos), [phi[0, 0, 1]]),
                 "label_phase": ([i], lambda: label_phase(i, t, bath, pos), [phase[0, 0]]),
                 "damping_scale": ([i, j], lambda: damping_scale(bath, t), [eta[0, 0, 1] / 4]),
@@ -286,7 +291,9 @@ def test_one_sequence_takes_every_path():
     # the machine's checks on a fixed sequence that takes each path at least once, whatever
     # the random sequences above happen to draw
     machine = CoherencePaths()
-    kept = lambda: core._kept[0][2]  # noqa: E731
+
+    def kept():
+        return core._kept[0][2]
 
     def call(*args):
         machine.call(*args)
@@ -331,7 +338,8 @@ def test_one_sequence_takes_every_path():
         weights, kernels = core._kept, core._kept_kernels
         call("pair_factors", "1d", "chain", "12", [2.7])
         call("fidelity_curve", "3d", "chain", "1", "fit")
-        assert core._kept[1:] == weights[:3] and core._kept_kernels is kernels
+        assert all(new is old for new, old in zip(core._kept[1:], weights[:3]))
+        assert core._kept_kernels is kernels
         call("factor_curves", "hand", "chain", "2", "fit")
         assert [len(entry[2]) for entry in core._kept_kernels][0] == 4
         # CHUNK = 2**14: the 32 labels stream on 1024 shells, their factors exactly at the bound

@@ -10,14 +10,22 @@ change meant to move an output, rewrite them all with
 
 Byte identity holds only per machine and BLAS kernel, so the comparison is by
 rule: file names, exit codes, text and integers exactly, and every other
-number within one unit of its last printed digit.  Printings of one value may
-differ in length (``0.2`` and ``0.200000000001`` at 12 digits), so the finer of
-the two last digits sets the unit.  Numbers below ``ROUNDOFF`` are roundoff
-diagnostics, such as a residual or a leakage that is zero but for rounding;
-they compare to that absolute floor.
+number within one unit of its last printed digit, with two exceptions:
+
+* an expected number below ``ROUNDOFF`` in magnitude is a roundoff
+  diagnostic, such as a residual or a leakage that is zero but for rounding,
+  and compares to that absolute floor;
+* a double printed in full, as Python's ``repr`` prints it (``FULL_DIGITS``
+  or more significant digits in either printing), compares within ``ULPS``
+  units in the last place of the expected double, since one unit of its last
+  printed digit is finer than the double's own spacing.
+
+Printings of one value may differ in length (``0.2`` and ``0.200000000001`` at
+12 digits), so the finer of the two last digits sets the unit.
 """
 import contextlib
 import io
+import math
 import re
 import shutil
 import sys
@@ -31,6 +39,8 @@ from regdeph.cli import EXIT_OK, main
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = sorted(FIXTURES.glob("*.ini"))
 ROUNDOFF = Decimal("1e-15")
+FULL_DIGITS = 16
+ULPS = 4
 # a number standing alone: not part of a word, a version string or a hex digest
 _NUMBER = re.compile(r"(?<![\w.+-])([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(?![\w.])")
 _INTEGER = re.compile(r"[-+]?\d+")
@@ -54,8 +64,12 @@ def _unit(number: str) -> Decimal:
 def _numbers_match(want: str, got: str) -> bool:
     if _INTEGER.fullmatch(want) and _INTEGER.fullmatch(got):
         return int(want) == int(got)
-    tolerance = max(min(_unit(want), _unit(got)), ROUNDOFF)
-    return abs(Decimal(want) - Decimal(got)) <= tolerance
+    expected, value = Decimal(want), Decimal(got)
+    if abs(expected) < ROUNDOFF:
+        return abs(expected - value) <= ROUNDOFF
+    if max(len(expected.as_tuple().digits), len(value.as_tuple().digits)) >= FULL_DIGITS:
+        return abs(float(expected) - float(value)) <= ULPS * math.ulp(float(expected))
+    return abs(expected - value) <= min(_unit(want), _unit(got))
 
 
 def assert_text_matches(want: str, got: str, where: str):
@@ -89,6 +103,10 @@ def test_cli_output_matches_fixture(config, tmp_path):
     ("0.2", "0.200000000001", True),
     ("0.2", "0.200000000002", False),
     ("3.21029276477e-18", "0", True),
+    # a repr one unit in the last place away, as under NPY_DISABLE_CPU_FEATURES, and one
+    # 17 units away, which the 1e-15 floor let through when it applied to every number
+    ("0.26725140776444434", "0.2672514077644443", True),
+    ("0.26725140776444434", "0.2672514077644453", False),
     ("6", "7", False),
     ("4294967301", "4294967302", False),
 ])
