@@ -3,47 +3,29 @@
 Subpackages cover register geometry, bath discretization, the exact
 coherence-factor dynamics, decoherence-regime classification, pairing
 encodings, a brute-force verification oracle, and a deterministic CLI.
+
+The names below are imported from their modules on first use (PEP 562), so
+``import regdeph`` loads neither numpy nor any of them; ``regdeph.X`` is the
+very object ``regdeph.<module>.X``.
 """
-from .bath import (
-    BathSpectrum,
-    GaussianPeakCoupling,
-    PowerLawCoupling,
-    SpectralMoments,
-    discretize_spectrum,
-    gaussian_peak_modes,
-    spectral_moments,
-)
-from .core import (
-    BasisLabel,
-    DecoherenceFactors,
-    RegisterState,
-    damping_exponent,
-    damping_weight,
-    evolve,
-    fidelity,
-    fidelity_curve,
-    label_phase,
-    lamb_phase,
-    pair_factors,
-    phase_weight,
-)
-from .codes import (
-    PairingPlan,
-    encode_adjacent,
-    encode_modulated,
-    find_pairing,
-    subdecoherence_residual,
-)
-from .geometry import RegisterGeometry, apply_disorder, build_lattice
-from .regimes import (
-    RegimeReport,
-    classify,
-    disorder_average_weights,
-    fourier_suppression,
-    independent_limit_factors,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the names this package re-exports from it
+_HOMES = {
+    "bath": ("BathSpectrum", "GaussianPeakCoupling", "PowerLawCoupling", "SpectralMoments",
+             "discretize_spectrum", "gaussian_peak_modes", "spectral_moments"),
+    "codes": ("PairingPlan", "encode_adjacent", "encode_modulated", "find_pairing",
+              "subdecoherence_residual"),
+    "core": ("DecoherenceFactors", "damping_exponent", "damping_weight", "evolve", "fidelity",
+             "fidelity_curve", "label_phase", "lamb_phase", "pair_factors", "phase_weight"),
+    "geometry": ("RegisterGeometry", "apply_disorder", "build_lattice"),
+    "regimes": ("RegimeReport", "classify", "disorder_average_weights",
+                "fourier_suppression", "independent_limit_factors"),
+    "states": ("BasisLabel", "RegisterState"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __all__ = [
     "BathSpectrum",
@@ -80,3 +62,13 @@ __all__ = [
     "subdecoherence_residual",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -8,21 +8,24 @@ Every command computes first and writes last: a handler builds everything,
 raises every error and returns its files as text, and only then does
 ``run_command`` make the output directory and write them.  So no error
 leaves an output directory behind.
+
+A handler imports what it runs, numpy and the package's modules, when it is
+called, so a process loads only its own command's modules: ``pairing`` and
+``encode`` never load numpy (see the README on start-up).
 """
 from __future__ import annotations
 
 import argparse
+import importlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .bath import spectral_moments
-from .codes import PairingPlan, encode_adjacent, encode_modulated, find_pairing
 from .config import (
     ConfigError,
     RunConfig,
@@ -36,10 +39,10 @@ from .config import (
     serialize_config,
     time_grid,
 )
-from .core import BasisLabel, RegisterState, factor_curves, fidelity_curve
-from .geometry import RegisterGeometry
-from .oracle import TruncationLeakageError, check_instance, default_suite
-from .regimes import classify, disorder_average_weights
+
+if TYPE_CHECKING:
+    from .codes import PairingPlan
+    from .states import BasisLabel
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -54,6 +57,8 @@ def _fmt(value: float, precision: int) -> str:
 def _csv(header: str, columns, precision: int) -> str:
     """CSV text: the column names, then the equal-length ``columns`` side by side,
     an integer column as ``%d`` and a float one at ``precision`` significant digits."""
+    import numpy as np
+
     fmt = ["%d" if np.issubdtype(col.dtype, np.integer) else f"%.{precision}g"
            for col in columns]
     buf = io.StringIO()
@@ -77,6 +82,8 @@ def _write_text(path: Path, cfg_hash: str, body: str):
 
 
 def _maybe_exports(cfg: RunConfig, geometry, bath) -> dict[str, str]:
+    import numpy as np
+
     precision = cfg.output.precision
     files = {}
     if cfg.output.export_positions:
@@ -99,6 +106,8 @@ def _parse_track_pairs(text: str, n_qubits: int) -> list[tuple[BasisLabel, Basis
 
 
 def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    from .core import factor_curves, fidelity_curve
+
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     state = build_state(cfg, geometry.n_qubits)
@@ -113,6 +122,9 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_classify(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    from .bath import spectral_moments
+    from .regimes import classify
+
     geometry = build_geometry(cfg)
     bath = build_bath(cfg)
     moments = spectral_moments(bath)
@@ -127,16 +139,18 @@ def _cmd_classify(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     return EXIT_OK, {}
 
 
-def _resolve_plan(cfg: RunConfig, geometry: RegisterGeometry) -> PairingPlan | None:
+def _resolve_plan(cfg: RunConfig) -> PairingPlan | None:
+    from .codes import PairingPlan, find_pairing
+
+    d = cfg.geometry.d
     if cfg.run.pair_m is not None:
         kbar = cfg.bath.peak.center if cfg.bath.peak is not None else None
-        residual = (abs(cfg.run.pair_m * kbar * geometry.d / np.pi - cfg.run.pair_n)
+        residual = (abs(cfg.run.pair_m * kbar * d / math.pi - cfg.run.pair_n)
                     if kbar is not None else None)
         return PairingPlan(m=cfg.run.pair_m, n=cfg.run.pair_n, residual=residual)
     if cfg.bath.peak is None:
         raise ConfigError("modulated pairing needs run.pair_m/pair_n or a [peak] section")
-    return find_pairing(cfg.bath.peak.center, geometry.d,
-                        m_max=cfg.run.m_max, eps_tol=cfg.run.eps_tol)
+    return find_pairing(cfg.bath.peak.center, d, m_max=cfg.run.m_max, eps_tol=cfg.run.eps_tol)
 
 
 def _no_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
@@ -148,15 +162,17 @@ def _no_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
-    geometry = build_geometry(cfg)
+    from .codes import find_pairing
+
     if cfg.bath.peak is None:
         raise ConfigError("pairing needs a [peak] section with the dominant wavenumber")
-    plan = find_pairing(cfg.bath.peak.center, geometry.d, m_max=cfg.run.m_max,
+    plan = find_pairing(cfg.bath.peak.center, cfg.geometry.d, m_max=cfg.run.m_max,
                         eps_tol=cfg.run.eps_tol)
     if plan is None:
         return _no_pairing(cfg)
     # the cover is checked before anything is printed; an odd register has none
-    pairs = plan.physical_pairs(geometry.n_qubits // 2) if geometry.n_qubits % 2 == 0 else ()
+    n_qubits = cfg.geometry.n_qubits
+    pairs = plan.physical_pairs(n_qubits // 2) if n_qubits % 2 == 0 else ()
     print(f"m = {plan.m}")
     print(f"n = {plan.n}")
     print(f"epsilon = {_fmt(plan.residual, cfg.output.precision)}")
@@ -167,15 +183,17 @@ def _cmd_pairing(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 def _cmd_encode(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     """Encode the configured state, which lives on the logical qubits: one per physical pair."""
-    geometry = build_geometry(cfg)
-    if geometry.n_qubits % 2:
+    from .codes import encode_adjacent, encode_modulated
+
+    n_qubits = cfg.geometry.n_qubits
+    if n_qubits % 2:
         raise ConfigError(f"geometry.dims: encode needs an even number of physical "
-                          f"qubits, got {geometry.n_qubits}")
-    state = build_state(cfg, geometry.n_qubits // 2)
+                          f"qubits, got {n_qubits}")
+    state = build_state(cfg, n_qubits // 2)
     if cfg.run.code == "adjacent":
         encoded = encode_adjacent(state)
     else:
-        plan = _resolve_plan(cfg, geometry)
+        plan = _resolve_plan(cfg)
         if plan is None:
             return _no_pairing(cfg)
         encoded = encode_modulated(state, plan)
@@ -185,6 +203,12 @@ def _cmd_encode(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    import numpy as np
+
+    from .geometry import RegisterGeometry
+    from .regimes import disorder_average_weights
+    from .states import RegisterState
+
     run = cfg.run
     geometry = build_geometry(cfg)
     if run.label_i:
@@ -205,6 +229,8 @@ def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def _cmd_validate_oracle(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    from .oracle import check_instance, default_suite
+
     suite = default_suite(seed=cfg.geometry.seed, n_cold=cfg.run.instances)
     all_ok = True
     for inst in suite:
@@ -277,7 +303,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         return run_command(args.command, cfg, out_dir=args.output, quiet=args.quiet)
-    except TruncationLeakageError as exc:
+    except RuntimeError as exc:
+        from .oracle import TruncationLeakageError  # raised only by validate-oracle
+
+        if not isinstance(exc, TruncationLeakageError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
     except ValueError as exc:
@@ -286,6 +316,19 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+# names callers reach as attributes of this module, and the modules they live in
+_REEXPORTED = {"classify": "regimes", "disorder_average_weights": "regimes",
+               "factor_curves": "core", "fidelity_curve": "core",
+               "spectral_moments": "bath"}
+
+
+def __getattr__(name: str):
+    # each is its home module's current binding, imported on first use
+    if name in _REEXPORTED:
+        return getattr(importlib.import_module(f".{_REEXPORTED[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

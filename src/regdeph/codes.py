@@ -6,18 +6,23 @@ factor cancels — exactly for a perfectly collective bath (adjacent pairing),
 or at the dominant wavenumber for a peaked bath (modulated pairing at
 distance ``m``).  This is decoherence avoidance, not error correction: a
 decoded pair mismatch is reported, never repaired.
+
+The search and the encodings are scalar arithmetic on labels, so this module
+imports neither numpy nor :mod:`regdeph.core`; only
+:func:`subdecoherence_residual` loads them, when it is called.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from ._checks import integer, real
-from .bath import BathSpectrum
-from .core import BasisLabel, RegisterState, pair_factors
-from .geometry import RegisterGeometry
+from .states import BasisLabel, RegisterState
+
+if TYPE_CHECKING:
+    from .bath import BathSpectrum
+    from .geometry import RegisterGeometry
 
 __all__ = [
     "PairingPlan",
@@ -81,8 +86,8 @@ def find_pairing(kbar: float, d: float, m_max: int = 10,
     for name, value in (("kbar", kbar), ("d", d), ("eps_tol", eps_tol)):
         real(value, name, "positive")
     m_max = integer(m_max, "m_max", 1)
-    ratio = kbar * d / np.pi
-    if not m_max * ratio < np.inf:
+    ratio = kbar * d / math.pi
+    if not m_max * ratio < math.inf:
         raise ValueError(f"m_max * kbar * d / pi overflows: kbar = {kbar}, d = {d}")
     for m in range(1, m_max + 1):
         n = int(round(m * ratio))
@@ -197,6 +202,18 @@ def subdecoherence_residual(code, geometry: RegisterGeometry, bath: BathSpectrum
         raise ValueError(
             f"encoded labels need {len(encoded[0])} physical qubits but the "
             f"geometry has {geometry.n_qubits}")
+    from .core import pair_factors
+
     factors = pair_factors(encoded, t, bath, geometry.positions)
     return SubdecoherenceResidual(max_eta=float(factors.eta_matrix.max()),
-                                  max_abs_phi=float(np.abs(factors.phi_matrix).max()))
+                                  max_abs_phi=float(abs(factors.phi_matrix).max()))
+
+
+def __getattr__(name: str):
+    # ``pair_factors`` is imported where it is called; as a module attribute it is
+    # core's current binding, which tools that wrap core's functions rely on
+    if name == "pair_factors":
+        from . import core
+
+        return core.pair_factors
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,6 +6,9 @@ order.  Unknown sections or keys are hard errors, every default is recorded
 in the resolved configuration, and ``parse -> serialize -> parse`` is the
 identity.  The sha256 of the canonical serialization identifies a run in all
 output headers.
+
+Parsing needs no numpy: the builders of a bath, a geometry and a time grid
+import it, and their modules, when they are called.
 """
 from __future__ import annotations
 
@@ -15,12 +18,15 @@ import io
 import math
 import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .states import BasisLabel, RegisterState
 
-from .bath import BathSpectrum, PowerLawCoupling, discretize_spectrum, gaussian_peak_modes
-from .core import BasisLabel, RegisterState
-from .geometry import RegisterGeometry
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .bath import BathSpectrum
+    from .geometry import RegisterGeometry
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "serialize_config", "config_hash"]
 
@@ -56,6 +62,10 @@ class GeometryConfig:
     d: float = _ini("geometry.d", "float", 1.0, gt=0)
     delta: float = _ini("geometry.delta", "float", 0.0, ge=0)
     seed: int = _ini("geometry.seed", "int", 12345, ge=0)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dims[0] * self.dims[1] * self.dims[2]
 
 
 @dataclass(frozen=True)
@@ -314,11 +324,15 @@ def config_hash(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def build_geometry(cfg: RunConfig) -> RegisterGeometry:
+    from .geometry import RegisterGeometry
+
     g = cfg.geometry
     return RegisterGeometry(dims=g.dims, d=g.d, delta=g.delta, seed=g.seed)
 
 
 def build_bath(cfg: RunConfig) -> BathSpectrum:
+    from .bath import PowerLawCoupling, discretize_spectrum, gaussian_peak_modes
+
     b = cfg.bath
     if b.peak is not None:
         return gaussian_peak_modes(
@@ -378,4 +392,6 @@ def dump_state(state: RegisterState) -> str:
 
 
 def time_grid(cfg: RunConfig) -> np.ndarray:
+    import numpy as np
+
     return np.linspace(cfg.run.t0, cfg.run.t1, cfg.run.steps)

@@ -589,6 +589,20 @@ class TestExitCodes:
         # rejected while parsing: no instance was checked and no output directory made
         assert "deviation" not in captured.out and not out.exists()
 
+    def test_truncation_leakage_is_tolerance_failure(self, tmp_path, capsys, monkeypatch):
+        # a negative bound makes every instance's top-level probability too large
+        from regdeph import oracle
+
+        monkeypatch.setattr(oracle, "LEAKAGE_TOL", -1.0)
+        out = tmp_path / "o"
+        text = "[geometry]\nseed = 11\n\n[run]\ninstances = 1\n"
+        assert main(["validate-oracle", "--config", str(_write(tmp_path, text)), "--quiet",
+                     "--output", str(out)]) == EXIT_TOLERANCE
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: truncation insufficient: top-level occupation probability "
+                            r"\S+ exceeds -1e\+00\n", captured.err)
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("section, line", [("geometry", "d = nan"), ("bath", "T = inf")])
     def test_non_finite_value_is_validation_failure(self, tmp_path, capsys, section, line):
         out = tmp_path / "o"
@@ -675,10 +689,58 @@ class TestExitCodes:
             run_command("explode", cfg, out_dir="/tmp/never", quiet=True)
 
 
-def test_cli_import_does_not_load_scipy():
+def _python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this package; return its stdout."""
     src = str(Path(regdeph.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c",
-                    "import regdeph.cli, sys; assert 'scipy' not in sys.modules"],
-                   env=env, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# the package's modules that import numpy, each loaded only by a command that runs it
+NUMPY_MODULES = ("regdeph.core", "regdeph.bath", "regdeph.geometry", "regdeph.regimes",
+                 "regdeph.oracle")
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_cli_import_does_not_load_scipy():
+    _python("import regdeph.cli, sys; assert 'scipy' not in sys.modules")
+
+
+@pytest.mark.parametrize("module", ["regdeph", "regdeph.cli"])
+def test_import_loads_no_numpy_and_no_computing_module(module):
+    loaded = _python(f"import {module}, sys; print(' '.join(sys.modules))").split()
+    assert not {"numpy", "regdeph.codes", *NUMPY_MODULES} & set(loaded)
+
+
+@pytest.mark.parametrize("command", ["pairing", "encode"])
+def test_pairing_and_encode_run_without_numpy(command, tmp_path):
+    from test_fixtures import assert_text_matches
+
+    out = tmp_path / "out"
+    argv = [command, "--config", str(FIXTURES / f"{command}.ini"), "--output", str(out)]
+    # a None entry makes every import of numpy fail
+    stdout = _python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from regdeph.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"assert not set({NUMPY_MODULES!r}) & set(sys.modules)\n")
+    assert_text_matches((FIXTURES / f"{command}.stdout").read_text(),
+                        stdout.replace(str(out), "{out}"), "stdout")
+    want = sorted((FIXTURES / command).iterdir()) if (FIXTURES / command).is_dir() else []
+    assert sorted(p.name for p in out.iterdir()) == [p.name for p in want]
+    for path in want:
+        assert_text_matches(path.read_text(), (out / path.name).read_text(), path.name)
+
+
+def test_simulate_loads_no_pairing_regime_or_oracle_module(tmp_path):
+    loaded = _python(
+        "import sys\n"
+        "from regdeph.cli import main\n"
+        f"assert main(['simulate', '--config', {str(FIXTURES / 'simulate.ini')!r}, "
+        f"'--output', {str(tmp_path / 'out')!r}, '--quiet']) == 0\n"
+        "print(' '.join(sys.modules))\n").split()
+    assert "regdeph.core" in loaded
+    assert not {"regdeph.codes", "regdeph.regimes", "regdeph.oracle"} & set(loaded)

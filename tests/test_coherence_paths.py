@@ -21,9 +21,9 @@ hit.  After every call it checks that
 * the result is bit-equal to a fresh build at the same ``CHUNK``, made with
   both lists saved, emptied and then restored;
 * the result is within 1e-12 of the direct mode sum of ``mode_sums``;
-* each list has at most ``_KEEP`` entries, the kept weights, factors and
-  kernels are read-only, and each entry is within the byte bound of the
-  ``core`` docstring;
+* each list has at most ``_KEEP`` entries, the kept weights, factors, pair
+  columns and kernels are read-only, and each entry is within the byte bound
+  of the ``core`` docstring;
 * a call builds its kernels once for a single time, at most once for a grid
   that fits ``4*CHUNK``, and once per group of columns beyond it, and fills
   each column's weights once, or not at all when it hits a kept ``W``;
@@ -271,6 +271,7 @@ class CoherencePaths(RuleBasedStateMachine):
             assert (weights is None) != (source is None)
             kept = [mod2, weights] if source is None else [mod2, *source[:2]]
             assert not any(arr.flags.writeable for arr in kept)
+            assert of_pair is None or not of_pair.flags.writeable
             assert shape == (N_SITE, 3) or shape == (1, 3)
             assert mod2.shape == (len(set(labels)), n_shell) and len(row_of) == len(labels)
             # at most 4*CHUNK elements of W or of factors, and (4*CHUNK // J + 1) * J of V
