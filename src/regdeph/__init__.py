@@ -4,9 +4,11 @@ Subpackages cover register geometry, bath discretization, the exact
 coherence-factor dynamics, decoherence-regime classification, pairing
 encodings, a brute-force verification oracle, and a deterministic CLI.
 
-The names below are imported from their modules on first use (PEP 562), so
-``import regdeph`` loads neither numpy nor any of them; ``regdeph.X`` is the
-very object ``regdeph.<module>.X``.
+The names of ``_HOMES`` are imported from their modules on first use
+(PEP 562), so ``import regdeph`` loads neither numpy nor any of them;
+``regdeph.X`` is the very object ``regdeph.<module>.X``.  ``cli`` and
+``codes`` declare the few names they resolve the same way through
+:func:`_resolver`.
 """
 import importlib
 
@@ -27,47 +29,25 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "BathSpectrum",
-    "BasisLabel",
-    "DecoherenceFactors",
-    "GaussianPeakCoupling",
-    "PairingPlan",
-    "PowerLawCoupling",
-    "RegimeReport",
-    "RegisterGeometry",
-    "RegisterState",
-    "SpectralMoments",
-    "apply_disorder",
-    "build_lattice",
-    "classify",
-    "damping_exponent",
-    "damping_weight",
-    "discretize_spectrum",
-    "disorder_average_weights",
-    "encode_adjacent",
-    "encode_modulated",
-    "evolve",
-    "fidelity",
-    "fidelity_curve",
-    "find_pairing",
-    "fourier_suppression",
-    "gaussian_peak_modes",
-    "independent_limit_factors",
-    "label_phase",
-    "lamb_phase",
-    "pair_factors",
-    "phase_weight",
-    "spectral_moments",
-    "subdecoherence_residual",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
-def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def _resolver(module: str, homes: dict[str, str]):
+    """A PEP 562 ``__getattr__`` for ``module`` that resolves each name of ``homes``.
+
+    ``homes`` maps a name to the package module it lives in; the name resolves
+    to that module's current binding, imported on first use, so a tool that
+    rebinds the home module's function is seen through ``module`` too.
+    """
+    def __getattr__(name: str):
+        if name in homes:
+            return getattr(importlib.import_module(f".{homes[name]}", __name__), name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return __getattr__
+
+
+__getattr__ = _resolver(__name__, _HOME)
 
 
 def __dir__():

@@ -137,7 +137,7 @@ class ShellGrid(NamedTuple):
     dirs: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BathSpectrum:
     """Discretized bath: per-mode wave vectors, frequencies and coupling weights.
 
@@ -147,7 +147,7 @@ class BathSpectrum:
     ``omega``, ``k`` and ``g2`` always hold the full mode set; :attr:`folded`
     is the half that the closed form sums over when every mode has an
     inversion partner.  ``grid`` is the builders' shell grid, or None for a
-    hand-built set.
+    hand-built set.  Baths compare and hash by identity.
     """
 
     omega: np.ndarray

@@ -16,7 +16,6 @@ called, so a process loads only its own command's modules: ``pairing`` and
 from __future__ import annotations
 
 import argparse
-import importlib
 import io
 import json
 import math
@@ -25,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__
+from . import __version__, _resolver
 from .config import (
     ConfigError,
     RunConfig,
@@ -318,17 +317,10 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-# names callers reach as attributes of this module, and the modules they live in
-_REEXPORTED = {"classify": "regimes", "disorder_average_weights": "regimes",
-               "factor_curves": "core", "fidelity_curve": "core",
-               "spectral_moments": "bath"}
-
-
-def __getattr__(name: str):
-    # each is its home module's current binding, imported on first use
-    if name in _REEXPORTED:
-        return getattr(importlib.import_module(f".{_REEXPORTED[name]}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# names callers reach as attributes of this module: each its home module's current binding
+__getattr__ = _resolver(__name__, {
+    "classify": "regimes", "disorder_average_weights": "regimes", "factor_curves": "core",
+    "fidelity_curve": "core", "spectral_moments": "bath"})
 
 
 if __name__ == "__main__":

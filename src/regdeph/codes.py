@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from . import _resolver
 from ._checks import integer, real
 from .states import BasisLabel, RegisterState
 
@@ -209,11 +210,6 @@ def subdecoherence_residual(code, geometry: RegisterGeometry, bath: BathSpectrum
                                   max_abs_phi=float(abs(factors.phi_matrix).max()))
 
 
-def __getattr__(name: str):
-    # ``pair_factors`` is imported where it is called; as a module attribute it is
-    # core's current binding, which tools that wrap core's functions rely on
-    if name == "pair_factors":
-        from . import core
-
-        return core.pair_factors
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# ``pair_factors`` is imported where it is called; as a module attribute it is
+# core's current binding, which tools that wrap core's functions rely on
+__getattr__ = _resolver(__name__, {"pair_factors": "core"})

@@ -493,10 +493,9 @@ def _pair_columns(labels) -> tuple[list[int], list[int], np.ndarray | None]:
     first nonzero entry.
     """
     n = len(labels)
-    if n < 16:
-        return ([x for x in range(n) for _ in range(x + 1, n)],
-                [y for x in range(n) for y in range(x + 1, n)], None)
     a, b = _triu(n)
+    if n < 16:
+        return a.tolist(), b.tolist(), None
     spins = np.array([label.spins for label in labels], dtype=np.int8)
     half = (spins[b] - spins[a]) // 2
     half *= half[np.arange(len(half)), (half != 0).argmax(1)][:, None]

@@ -63,12 +63,13 @@ def apply_disorder(ideal_positions: np.ndarray, delta: float,
     return positions + offsets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegisterGeometry:
     """A realized register: lattice parameters and the site positions they produce.
 
     ``positions`` holds one 3-vector per qubit, ``r_l = R_l + offset_l``.
     With ``delta == 0`` the positions are exactly the periodic lattice.
+    Geometries compare and hash by identity.
     """
 
     dims: tuple[int, int, int]

@@ -21,9 +21,10 @@ import numpy as np
 from ._checks import integer, real
 from .bath import BathSpectrum, SpectralMoments, _normalized
 from . import core
-from .core import BasisLabel, _pair_weights, damping_exponent, label_phase
+from .core import _pair_weights, damping_exponent, label_phase
 from .core import damping_weight  # noqa: F401  (callers reach it as regimes.damping_weight)
 from .geometry import RegisterGeometry
+from .states import BasisLabel
 
 __all__ = [
     "RegimeReport",

@@ -714,6 +714,18 @@ def test_import_loads_no_numpy_and_no_computing_module(module):
     assert not {"numpy", "regdeph.codes", *NUMPY_MODULES} & set(loaded)
 
 
+def test_oracle_import_leaves_the_closed_form_to_check_instance():
+    # the oracle is the closed form's independent check, so only its comparison loads core
+    loaded = _python(
+        "import sys\n"
+        "from regdeph.oracle import check_instance, random_instances\n"
+        "before = set(sys.modules)\n"
+        "assert check_instance(random_instances(1, seed=10)[0]).passed\n"
+        "print(' '.join(before), '|', 'regdeph.core' in sys.modules)\n").split()
+    assert {"numpy", "regdeph.bath", "regdeph.states"} <= set(loaded)
+    assert "regdeph.core" not in loaded and loaded[-2:] == ["|", "True"]
+
+
 @pytest.mark.parametrize("command", ["pairing", "encode"])
 def test_pairing_and_encode_run_without_numpy(command, tmp_path):
     from test_fixtures import assert_text_matches

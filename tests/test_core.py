@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -20,6 +21,8 @@ from regdeph.core import (
     phase_weight,
     spin_structure_factor,
 )
+from regdeph.geometry import RegisterGeometry
+from regdeph.oracle import random_instances
 
 
 def line_positions(n, d=1.0):
@@ -447,6 +450,29 @@ def test_pair_factors_diagonal_and_consistency():
             assert fac.eta(a, b) == pytest.approx(damping_exponent(a, b, 2.0, bath, pos),
                                                   abs=1e-12)
             assert fac.phi(a, b) == pytest.approx(lamb_phase(a, b, 2.0, bath, pos), abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_bath(np.random.default_rng(3)),
+    lambda: RegisterGeometry(dims=(3, 1, 1), d=1.0, delta=0.05, seed=2),
+    lambda: random_instances(1, seed=10)[0],
+    lambda: pair_factors([BasisLabel((1, 1)), BasisLabel((1, -1))], 1.0,
+                         single_mode_bath(), line_positions(2)),
+], ids=["bath", "geometry", "instance", "factors"])
+def test_types_that_hold_arrays_compare_and_hash_by_identity(build):
+    # field-wise equality would ask numpy for the truth value of an array, and the kept
+    # lists already key on the bath object
+    obj, twin = build(), build()
+    assert obj == obj and (obj == twin) is False and obj != twin
+    assert len({obj, twin, obj}) == 2
+
+
+def test_a_replaced_geometry_is_realized_again():
+    geo = RegisterGeometry(dims=(3, 1, 1), d=1.0, delta=0.0, seed=2)
+    noisy = dataclasses.replace(geo, delta=0.05)
+    assert noisy.delta == 0.05 and noisy.seed == 2
+    assert np.array_equal(noisy.positions,
+                          RegisterGeometry(dims=(3, 1, 1), d=1.0, delta=0.05, seed=2).positions)
 
 
 @pytest.mark.parametrize("grid", [True, False])

@@ -542,9 +542,19 @@ PINNED_SUITES = {
 }
 
 
+# the seed field of every instance of default_suite(seed); with n_samples they are what
+# the benchmark's oracle workload selects instances by
+PINNED_SEEDS = {
+    10: [1813750617, 1796767783, 1622506614, 1299723928, 1719122842, 536575199, 151227035],
+    27: [21515904, 968171300, 133893529, 381299373, 1468564052, 1772853157, 1753940387],
+}
+
+
 @pytest.mark.parametrize("seed", sorted(PINNED_SUITES))
 def test_default_suite_is_pinned(seed):
     suite = default_suite(seed)
     assert [(inst.name, inst.t, len(inst.positions), inst.bath.n_modes)
             for inst in suite] == PINNED_SUITES[seed]
     assert [inst.bath.temperature for inst in suite] == [0.0] * 6 + [0.8]
+    assert [inst.n_samples for inst in suite] == [10_000] * 6 + [4000]
+    assert [inst.seed for inst in suite] == PINNED_SEEDS[seed]
