@@ -16,3 +16,13 @@ def real(value, name: str, bound: str = ""):
     if not (low_ok and value < math.inf):
         raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}, got {value}")
     return value
+
+
+def finite(values, name: str):
+    """``values`` as a float array once every element is finite; its callers have numpy loaded."""
+    import numpy as np
+
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite, got a NaN or an infinity")
+    return values

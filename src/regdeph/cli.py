@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -130,10 +131,7 @@ def _cmd_classify(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     report = classify(geometry, moments, m=cfg.run.m, v=bath.v)
     data = report.as_dict()
     for key, value in data.items():
-        if isinstance(value, float):
-            print(f"{key} = {_fmt(value, cfg.output.precision)}")
-        else:
-            print(f"{key} = {value}")
+        print(f"{key} = {_fmt(value, cfg.output.precision) if isinstance(value, float) else value}")
     print(json.dumps(data, sort_keys=True))
     return EXIT_OK, {}
 
@@ -204,7 +202,6 @@ def _cmd_encode(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     import numpy as np
 
-    from .geometry import RegisterGeometry
     from .regimes import disorder_average_weights
     from .states import RegisterState
 
@@ -215,13 +212,10 @@ def _cmd_disorder_scan(cfg: RunConfig) -> tuple[int, dict[str, str]]:
                             for key in ("label_i", "label_j"))
     else:
         label_i, label_j = RegisterState.single_flip(geometry.n_qubits).labels()
-    deltas = np.linspace(run.delta_min, run.delta_max, run.delta_steps)
     rows = []
-    for delta in deltas:
-        geo = RegisterGeometry(dims=geometry.dims, d=geometry.d,
-                               delta=float(delta), seed=geometry.seed)
+    for delta in np.linspace(run.delta_min, run.delta_max, run.delta_steps):
         est1, est2 = disorder_average_weights(label_i, label_j, run.k_magnitude,
-                                              geo, run.samples)
+                                              replace(geometry, delta=float(delta)), run.samples)
         rows.append([float(delta), est1.mean, est1.stderr, est2.mean, est2.stderr])
     header = "delta,mean_lambda1,stderr1,mean_lambda2,stderr2"
     return EXIT_OK, {"disorder_scan.csv": _csv(header, np.transpose(rows), cfg.output.precision)}

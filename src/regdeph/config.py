@@ -37,10 +37,10 @@ class ConfigError(ValueError):
     """A configuration file could not be parsed or validated."""
 
 
-def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=None,
+def _ini(name: str, kind: str, default=MISSING, *, replaced_by=None,
          gt=None, ge=None, le=None, choices=None):
     """A field kept at INI key ``name`` ("section.key") and converted as ``kind``.
-    The canonical form omits an ``optional`` key while it holds its default, and
+    The canonical form omits a key while it holds a default of None or "", and
     a key ``replaced_by`` another field while that field is set (not None).
     A value must be greater than ``gt``, at least ``ge``, at most ``le`` and one
     of ``choices``, for each of them that is given."""
@@ -48,7 +48,7 @@ def _ini(name: str, kind: str, default=MISSING, *, optional=False, replaced_by=N
     bounds = tuple((op, limit) for op, limit in ((">", gt), (">=", ge), ("<=", le))
                    if limit is not None)
     return field(default=default, metadata={"section": section, "key": key, "kind": kind,
-                                            "optional": optional, "replaced_by": replaced_by,
+                                            "replaced_by": replaced_by,
                                             "bounds": bounds, "choices": choices})
 
 
@@ -96,7 +96,7 @@ class StateConfig:
     preset: str = _ini("state.preset", "str", "cat", replaced_by="entries",
                        choices=("cat", "single-flip"))
     entries: tuple[tuple[str, float, float], ...] | None = _ini(
-        "state.entries", "entries", None, optional=True)
+        "state.entries", "entries", None)
     site: int = _ini("state.site", "int", 0)
 
 
@@ -109,16 +109,16 @@ class RunOptions:
     m_max: int = _ini("run.m_max", "int", 10, ge=1)
     eps_tol: float = _ini("run.eps_tol", "float", 0.1, gt=0)
     code: str = _ini("run.code", "str", "adjacent", choices=("adjacent", "modulated"))
-    pair_m: int | None = _ini("run.pair_m", "int", None, optional=True, ge=1)
-    pair_n: int | None = _ini("run.pair_n", "int", None, optional=True, ge=0)
-    track_pairs: str = _ini("run.track_pairs", "str", "", optional=True)
+    pair_m: int | None = _ini("run.pair_m", "int", None, ge=1)
+    pair_n: int | None = _ini("run.pair_n", "int", None, ge=0)
+    track_pairs: str = _ini("run.track_pairs", "str", "")
     delta_min: float = _ini("run.delta_min", "float", 0.0, ge=0)
     delta_max: float = _ini("run.delta_max", "float", 0.5, ge=0)
     delta_steps: int = _ini("run.delta_steps", "int", 6, ge=1)
     samples: int = _ini("run.samples", "int", 500, ge=2)
     k_magnitude: float = _ini("run.k_magnitude", "float", 1.0)
-    label_i: str = _ini("run.label_i", "str", "", optional=True)
-    label_j: str = _ini("run.label_j", "str", "", optional=True)
+    label_i: str = _ini("run.label_i", "str", "")
+    label_j: str = _ini("run.label_j", "str", "")
     instances: int = _ini("run.instances", "int", 6, ge=0)
 
 
@@ -305,7 +305,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines, section = [], None
     for obj, f in _keys(cfg):
         meta, value = f.metadata, getattr(obj, f.name)
-        if (meta["optional"] and value == f.default
+        if (f.default in (None, "") and value == f.default
                 or meta["replaced_by"] and getattr(obj, meta["replaced_by"]) is not None):
             continue
         if meta["section"] != section:

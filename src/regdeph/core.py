@@ -124,12 +124,11 @@ one label pair ``a < b``: a set of at least 16 labels with at most half as
 many classes as pairs takes one column per class, its first pair, and
 copies the damping to the rest of the class; any other set takes every pair
 as a column.  A block of columns is filled one run at a time, a run being
-the columns of one label ``a``: ``S_b - S_a`` is broadcast against the rows
-of its later labels, read in place as a slice when they are consecutive (as
-in every run of an ungrouped set) and gathered into a reused buffer when
-not, squared as ``re^2 + im^2`` with the imaginary part in a second buffer,
-and summed over each shell's modes.  Both reads take the same arithmetic,
-so a column's damping is bit-identical to its pair's in the ungrouped set.
+the columns of one label ``a``: the real and imaginary parts of its later
+labels' rows are gathered into two reused buffers, ``S_a`` is subtracted by
+broadcast, and the difference is squared as ``re^2 + im^2`` and summed over
+each shell's modes.  A grouped column takes the arithmetic of its pair in the
+ungrouped set, so its damping is bit-identical to that pair's.
 """
 from __future__ import annotations
 
@@ -141,6 +140,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._checks import finite
 from .bath import BathSpectrum, coth_half
 from .states import BasisLabel, RegisterState
 
@@ -177,9 +177,9 @@ def _structure_factors(labels, modes, positions) -> np.ndarray:
 
     ``modes`` is a bath, summed over its folded modes, or an array of wave
     vectors.  A bath with a shell grid takes the ladder, anything else the
-    dense path.
+    dense path.  The positions and wave vectors must be finite.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = finite(positions, "positions")
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError(f"positions must have shape (L, 3), got {pos.shape}")
     for label in labels:
@@ -187,7 +187,7 @@ def _structure_factors(labels, modes, positions) -> np.ndarray:
             raise ValueError(f"label length {len(label)} does not match {len(pos)} positions")
     spins = np.array([label.spins for label in labels], dtype=float).reshape(len(labels), len(pos))
     if not isinstance(modes, BathSpectrum):
-        return _dense_factors(spins, pos, np.atleast_2d(np.asarray(modes, dtype=float)))
+        return _dense_factors(spins, pos, np.atleast_2d(finite(modes, "wave vectors")))
     if modes.grid is None:
         return _dense_factors(spins, pos, modes.folded.k)
     return _ladder_factors(spins, pos, modes)
@@ -485,12 +485,12 @@ def _pair_columns(labels) -> tuple[list[int], list[int], np.ndarray | None]:
     first pair, with the classes in the order of their representatives, and
     ``of_pair`` the class of every pair.  The damping of a pair depends on
     its labels only through this difference, since ``S_a - S_b`` is the
-    structure factor of ``s_a - s_b``.  Grouping pays only when it saves more
-    than finding the classes costs, and a gathered representative costs more
-    than a pair read in place, so the pairs are grouped only from 16 labels
-    on, and only into at most half as many classes as pairs.  The keys are
-    the exact bytes of the ``int8`` differences, each row's sign set by its
-    first nonzero entry.
+    structure factor of ``s_a - s_b``.  Grouping pays only when the columns
+    it saves, each a fill over the modes and a GEMM column, outweigh the class
+    search, a sort of ``P`` keys, and the ``of_pair`` gather of the damping to
+    every pair, so the pairs are grouped only from 16 labels on, and only into
+    at most half as many classes as pairs.  The keys are the exact bytes of
+    the ``int8`` differences, each row's sign set by its first nonzero entry.
     """
     n = len(labels)
     a, b = _triu(n)
@@ -521,24 +521,18 @@ def _damping_weights(re, im, a, b, weight, im_diff) -> None:
     """Fill ``weight`` with ``|S_a - S_b|^2`` of the pairs ``(a[r], b[r])`` in ``np.triu_indices`` order.
 
     ``re`` and ``im`` are the real and imaginary parts of the structure
-    factors.  For each run of rows with one label ``a``, the rows of its later
-    labels ``b`` are read in place as a slice when they are consecutive and
-    gathered into ``weight`` otherwise; either way ``S_b - S_a`` is taken by
-    broadcast and squared as ``re^2 + im^2``, so a pair's weights are the same
-    bits on both reads.  The imaginary part of a run goes to ``im_diff``, a
-    reused buffer of at least as many rows as the longest run.
+    factors.  For each run of rows with one label ``a``, the real parts of its
+    later labels ``b`` are gathered into ``weight`` and the imaginary parts into
+    ``im_diff``, a reused buffer of at least as many rows as the longest run;
+    ``S_a`` is subtracted by broadcast and the difference squared as ``re^2 + im^2``.
     """
     lo = 0
     while lo < len(a):
         hi = bisect.bisect_right(a, a[lo], lo)
-        w, d, first, last = weight[lo:hi], im_diff[:hi - lo], b[lo], b[hi - 1]
-        if last - first == hi - lo - 1:
-            np.subtract(re[first:last + 1], re[a[lo]], out=w)
-            np.subtract(im[first:last + 1], im[a[lo]], out=d)
-        else:
-            # mode "clip" writes straight into ``out`` ("raise" buffers it); indices are in range
-            np.subtract(np.take(re, b[lo:hi], axis=0, out=w, mode="clip"), re[a[lo]], out=w)
-            np.subtract(np.take(im, b[lo:hi], axis=0, out=d, mode="clip"), im[a[lo]], out=d)
+        w, d = weight[lo:hi], im_diff[:hi - lo]
+        # mode "clip" writes straight into ``out`` ("raise" buffers it); indices are in range
+        np.subtract(np.take(re, b[lo:hi], axis=0, out=w, mode="clip"), re[a[lo]], out=w)
+        np.subtract(np.take(im, b[lo:hi], axis=0, out=d, mode="clip"), im[a[lo]], out=d)
         np.square(w, out=w)
         w += np.square(d, out=d)
         lo = hi
@@ -558,13 +552,13 @@ def _pair_weights(i: BasisLabel, j: BasisLabel, k_vec,
     one phase array.  The site sums are plain reductions, not BLAS products,
     so a register's weights are bit-identical alone and inside a stack.
     """
-    pos = np.asarray(positions, dtype=float)
+    pos = finite(positions, "positions")
     if pos.ndim not in (2, 3) or pos.shape[-1] != 3:
         raise ValueError(f"positions must have shape (L, 3) or (n, L, 3), got {pos.shape}")
     for label in (i, j):
         if len(label) != pos.shape[-2]:
             raise ValueError(f"label length {len(label)} does not match {pos.shape[-2]} positions")
-    phases = _unit_phases(pos @ np.asarray(k_vec, dtype=float))
+    phases = _unit_phases(pos @ finite(k_vec, "k_vec"))
     si, sj = (phases * i.as_array()).sum(-1), (phases * j.as_array()).sum(-1)
     diff = si - sj
     return (diff.real**2 + diff.imag**2,

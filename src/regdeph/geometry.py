@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import real
+from ._checks import finite, real
 
 __all__ = ["RegisterGeometry", "build_lattice", "apply_disorder"]
 
@@ -53,7 +53,7 @@ def apply_disorder(ideal_positions: np.ndarray, delta: float,
     mean and total RMS norm ``delta``.  The same ``(input, delta, seed)``
     always yields bit-identical output.
     """
-    positions = np.asarray(ideal_positions, dtype=float)
+    positions = finite(ideal_positions, "ideal_positions")
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError(f"positions must have shape (L, 3), got {positions.shape}")
     if real(delta, "disorder amplitude delta", ">= 0") == 0:

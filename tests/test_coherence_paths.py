@@ -49,6 +49,7 @@ several time blocks of ``CHUNK // J`` rows.
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, invariant, rule
 
@@ -58,6 +59,8 @@ from regdeph.bath import BathSpectrum, PowerLawCoupling, discretize_spectrum
 from regdeph.core import (BasisLabel, RegisterState, damping_exponent, evolve, factor_curves,
                           fidelity, fidelity_curve, label_phase, lamb_phase, pair_factors)
 from regdeph.regimes import damping_scale, phase_scale
+
+pytestmark = pytest.mark.bits
 
 N_SITE = 8
 

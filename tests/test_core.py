@@ -533,6 +533,44 @@ def test_closed_form_entry_points_reject_non_finite_times(name, bad):
             call(bad, bath, line_positions(2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fidelity_rejects_non_finite_positions(bad):
+    # one NaN coordinate used to give a NaN fidelity without a warning; the check runs
+    # where the structure factors are built, on the ladder and on the dense path
+    pos = line_positions(2)
+    pos[1, 1] = bad
+    for bath in (random_bath(np.random.default_rng(61)),
+                 discretize_spectrum(PowerLawCoupling(0.05, 1.0, 2.0), v=1.0, n_freq=16,
+                                     omega_max=4.0)):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            fidelity(RegisterState.cat(2), 1.0, bath, pos)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_weights_at_one_wave_vector_reject_non_finite_inputs(bad):
+    # a NaN wave vector or coordinate used to give a NaN weight without a warning
+    i, j = BasisLabel((1, -1)), BasisLabel((-1, -1))
+    pos = line_positions(2)
+    for weight in (damping_weight, phase_weight):
+        with pytest.raises(ValueError, match="k_vec must be finite"):
+            weight(i, j, [bad, 0.0, 0.0], pos)
+    bad_pos = pos.copy()
+    bad_pos[0, 2] = bad
+    for positions in (bad_pos, np.stack([pos, bad_pos])):
+        with pytest.raises(ValueError, match="positions must be finite"):
+            damping_weight(i, j, [1.0, 0.0, 0.0], positions)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_spin_structure_factor_rejects_non_finite_inputs(bad):
+    label, pos = BasisLabel((1, -1)), line_positions(2)
+    with pytest.raises(ValueError, match="wave vectors must be finite"):
+        spin_structure_factor(label, [[1.0, 0.0, 0.0], [0.0, bad, 0.0]], pos)
+    pos[1, 0] = bad
+    with pytest.raises(ValueError, match="positions must be finite"):
+        spin_structure_factor(label, [[1.0, 0.0, 0.0]], pos)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(np.log(1e-9), np.log(1e3)))
 def test_label_phase_small_argument_against_mpmath(log_x):
@@ -844,18 +882,18 @@ def test_each_column_weight_is_built_once_per_call(monkeypatch, dimensionality, 
     np.testing.assert_allclose(whole[0], own, rtol=1e-14, atol=0)
     same = [labels[x] == labels[y] for x, y in pairs]
     assert sum(same) == repeats and np.all(eta[:, same] == 0.0)
-    # in one block of columns, each run of one label's columns reads its later labels
-    # in place when they are consecutive and gathers them when not; a grouped basis
-    # takes both reads
+    # in one block of columns, each run of one label's columns gathers its later labels:
+    # consecutive ones in every run of an ungrouped set, and runs of both kinds in a
+    # grouped basis
     built.clear()
     monkeypatch.setattr(core, "CHUNK", 1 << 16)
     core._coherence(labels, times, bath, pos)
-    in_place = []
+    consecutive = []
     for x, y, _ in built:
         for _, run in itertools.groupby(zip(x, y), key=lambda pair: pair[0]):
             later = [q for _, q in run]
-            in_place.append(later == list(range(later[0], later[0] + len(later))))
-    assert (any(in_place) and not all(in_place)) if basis else all(in_place)
+            consecutive.append(later == list(range(later[0], later[0] + len(later))))
+    assert (any(consecutive) and not all(consecutive)) if basis else all(consecutive)
     # the same set with every pair as a column, in one block or many: each column's pair
     # keeps its bits, and any other pair of its class differs only by the rounding of its
     # own S_b - S_a
@@ -947,6 +985,7 @@ def _primed_calls(bath, register, other, times):
     return results
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dimensionality", [1, 3])
 @pytest.mark.parametrize("chunk", [None, 256])
 def test_kept_weights_give_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk):
@@ -1000,6 +1039,7 @@ def test_positions_changed_in_place_miss():
         assert np.array_equal(got, want) and not np.array_equal(got, old)
 
 
+@pytest.mark.bits
 def test_streaming_sets_keep_their_label_factors_and_chunk_is_in_the_key(monkeypatch):
     # the residual over the 64 labels of 6 logical qubits takes 364 columns, more than
     # the 4*CHUNK // 1024 = 256 of one group, so its W streams; its read-only label
@@ -1064,6 +1104,7 @@ def test_streaming_sets_keep_their_label_factors_and_chunk_is_in_the_key(monkeyp
     assert core._kept[0][2][3] is None
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dimensionality", [1, 3])
 @pytest.mark.parametrize("chunk", [None, 1 << 14])
 def test_grouped_sets_hit_with_the_bits_of_a_fresh_build(monkeypatch, dimensionality, chunk):
@@ -1144,6 +1185,7 @@ def _registers(rng, count, n_site=5, n_label=6):
     return registers
 
 
+@pytest.mark.bits
 def test_alternating_registers_on_one_bath_both_hit(monkeypatch):
     # a bare register against the same labels spread ten times wider, nearly independent,
     # called in turn: each builds once and then hits, with the bits of a fresh build
@@ -1173,6 +1215,7 @@ def test_alternating_registers_on_one_bath_both_hit(monkeypatch):
     assert len(builds) == 2 and len(core._kept) == 2
 
 
+@pytest.mark.bits
 def test_a_fifth_register_evicts_the_least_recently_used():
     from regdeph import core
 
@@ -1245,6 +1288,7 @@ def _kernel_bath(dimensionality=1, n_freq=64):
                                temperature=0.5, n_directions=6)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("dimensionality", [1, 3])
 @pytest.mark.parametrize("chunk,n_times,n_blocks", [(None, 9, 1), (None, 1500, 2), (256, 3, 1),
                                                     (256, 9, 3)])
@@ -1317,6 +1361,7 @@ def test_single_time_calls_leave_the_kept_kernels_alone(monkeypatch):
         assert core._kept_kernels is kept and len(builds) == n and builds[-1] == [slice(0, 1)]
 
 
+@pytest.mark.bits
 def test_an_equal_bath_a_grid_written_in_place_and_another_chunk_miss(monkeypatch):
     # the kernels are kept per bath object, per the bytes of the grid at call time and per
     # CHUNK: an equal bath built again and a time array written in place both build anew,
@@ -1375,6 +1420,7 @@ def test_grids_beyond_one_group_stream_their_kernels(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
+@pytest.mark.bits
 def test_a_fifth_grid_evicts_the_least_recently_used_kernels():
     from regdeph import core
 
@@ -1466,3 +1512,48 @@ def test_grid_sums_against_the_continuum_closed_form():
         assert eta_tail <= 1e-8 * 3e-7 * eta and phi_tail <= 1e-8 * 2.2e-6
         assert abs(damping_exponent(i, j, t, eta_bath, pos) - eta) <= 3e-7 * eta
         assert abs(lamb_phase(i, j, t, phi_bath, pos) - phi) <= 2.2e-6
+
+
+def test_thermal_continuum_kernel_against_mpmath():
+    # K_T from lnGamma against quadrature of exp(-a w) coth(w/2T) cos(w u) (1 - cos w t) / w
+    # at 20 digits, split every 2 cutoffs up to 50 and then on to infinity.  They agree to
+    # 5e-13 relative, and to 4e-14 with 30 digits and a split every half cutoff up to 60
+    import continuum
+    from mpmath import coth, cos, exp, inf, linspace, mp, mpf, quad
+
+    mp.dps = 20
+    for u, t, temperature, cutoff in [(0.0, 0.5, 0.2, 1.0), (1.0, 5.0, 1.0, 1.0),
+                                      (2.0, 3.0, 0.5, 1.3), (3.0, 0.7, 2.0, 0.8)]:
+        a = 1 / mpf(cutoff)
+
+        def integrand(w):
+            return exp(-a * w) * coth(w / (2 * temperature)) * cos(w * u) * (1 - cos(w * t)) / w
+
+        want = float(quad(integrand, linspace(0, 50 * cutoff, 26) + [inf]))
+        got = continuum.thermal_damping_kernel(u, t, cutoff, temperature)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_thermal_grid_sums_against_the_continuum_closed_form():
+    # the scratch case of the T = 0 test at T = 0.2 and 1: labels ++-+ and -+++ on a 4-site
+    # chain, whose sum of ds is 0 (a single flip converges only at order h at T > 0), 4096
+    # shells up to omega_max = 40, t = 0.5, 5 and 50.  The worst error measures 1.30e-7
+    # relative (T = 1, t = 50); the bound holds it with a 25% margin.  The kernel is at
+    # most 2 coth(w/2T) <= 2 coth(20/T) beyond omega_max, so the missed tail is at most
+    # A sum|ds ds'| 2 coth(20/T) exp(-40) / 40, checked here to be below 1e-8 of the bound
+    import continuum
+
+    amplitude, cutoff = 0.3, 1.0
+    i, j = BasisLabel.from_string("++-+"), BasisLabel.from_string("-+++")
+    pos = line_positions(4)
+    x, ds = pos[:, 0], np.subtract(i.spins, j.spins)
+    assert ds.sum() == 0
+    for temperature in (0.2, 1.0):
+        bath = discretize_spectrum(PowerLawCoupling(amplitude, 1.0, cutoff), v=1.0, n_freq=4096,
+                                   omega_max=40.0, temperature=temperature)
+        for t in (0.5, 5.0, 50.0):
+            eta = continuum.damping_exponent(amplitude, cutoff, x, 1.0, i, j, t, temperature)
+            tail = (amplitude * np.abs(ds).sum() ** 2 * 2 / np.tanh(20.0 / temperature)
+                    * np.exp(-40.0) / 40.0)
+            assert tail <= 1e-8 * 1.63e-7 * eta
+            assert abs(damping_exponent(i, j, t, bath, pos) - eta) <= 1.63e-7 * eta

@@ -36,6 +36,8 @@ import pytest
 
 from regdeph.cli import EXIT_OK, main
 
+pytestmark = pytest.mark.bits
+
 FIXTURES = Path(__file__).parent / "fixtures"
 CONFIGS = sorted(FIXTURES.glob("*.ini"))
 ROUNDOFF = Decimal("1e-15")

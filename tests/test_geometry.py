@@ -82,6 +82,16 @@ def test_non_finite_lattice_constant_and_disorder_rejected(bad):
         RegisterGeometry(dims=(2, 1, 1), d=1.0, delta=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_ideal_positions_rejected(bad):
+    # a NaN position used to pass through, displaced or copied, into the register
+    ideal = build_lattice((2, 1, 1), 1.0)
+    ideal[1, 0] = bad
+    for delta in (0.0, 0.1):
+        with pytest.raises(ValueError, match="ideal_positions must be finite"):
+            apply_disorder(ideal, delta, seed=0)
+
+
 def test_displacement_rms_matches_amplitude():
     # 1e5 draws of a single site's offset: empirical RMS within 2% of delta
     delta = 0.1

@@ -14,6 +14,8 @@ from regdeph.regimes import (
     phase_scale,
 )
 
+pytestmark = pytest.mark.bits
+
 
 def moments(mean=1.0, width=0.5):
     return SpectralMoments(mean1=mean, width1=width, mean2=mean, width2=width)
